@@ -584,6 +584,11 @@ let check_cmd =
       2
     | None, Some addr ->
       dist_worker ~patience ~die_after ~die_on_grant ~verbose:dist_verbose addr
+    | _, None when max_f > max 1 (n - 2) ->
+      (* every check path runs with t = max 1 (n - 2) *)
+      Format.eprintf "check: --max-f %d exceeds t = %d for n = %d@." max_f
+        (max 1 (n - 2)) n;
+      2
     | Some addr, None ->
       dist_serve ~algo_str ~n ~max_f ~max_round ~symmetry:(not no_symmetry)
         ~shards ~lease_timeout ~checkpoint ~report_file ~spawn ~kill_one_after

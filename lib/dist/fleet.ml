@@ -2,17 +2,12 @@ let failed_exit_code = 3
 let auto_shards ?(straggler = 8) ~workers () = max 1 workers * straggler
 
 let spawn_worker ?patience ?chaos ?verbose ~addr () =
-  match Unix.fork () with
-  | 0 ->
-    let code =
+  Live.Children.fork (fun () ->
       match Worker.run ?patience ?chaos ?verbose ~addr () with
       | Ok _ -> 0
       | Error why ->
         Printf.eprintf "worker %d: %s\n%!" (Unix.getpid ()) why;
-        failed_exit_code
-    in
-    Unix._exit code
-  | pid -> pid
+        failed_exit_code)
 
 type outcome = {
   report : Coordinator.report;
@@ -23,13 +18,10 @@ type outcome = {
 let reap pids =
   List.fold_left
     (fun (failures, chaos) pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> (failures, chaos)
-      | _, Unix.WEXITED c when c = Worker.chaos_exit_code ->
-        (failures, chaos + 1)
-      | _, (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-        (failures + 1, chaos)
-      | exception Unix.Unix_error _ -> (failures, chaos))
+      match Live.Children.wait pid with
+      | `Exited 0 -> (failures, chaos)
+      | `Exited c when c = Worker.chaos_exit_code -> (failures, chaos + 1)
+      | `Exited _ | `Signaled _ | `Stop_killed -> (failures + 1, chaos))
     (0, 0) pids
 
 let run_local ?lease_timeout ?checkpoint ?verbose ?kill_one_after ~workers

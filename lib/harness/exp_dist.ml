@@ -153,18 +153,13 @@ let equivalence_table () =
 
 (* A coordinator in its own process, so it can be SIGKILL'd mid-sweep. *)
 let fork_coordinator ~checkpoint ~addr job =
-  match Unix.fork () with
-  | 0 ->
-    let code =
+  Live.Children.fork (fun () ->
       match
         Dist.Coordinator.serve
           (Dist.Coordinator.config ~lease_timeout:1.0 ~checkpoint ~addr job)
       with
       | Ok _ -> 0
-      | Error _ -> 1
-    in
-    Unix._exit code
-  | pid -> pid
+      | Error _ -> 1)
 
 let resume_table () =
   let job = job ~algo:"rwwc" ~n:5 ~max_f:3 ~shards:24 in
@@ -191,11 +186,11 @@ let resume_table () =
       ~chaos:{ Dist.Worker.no_chaos with die_on_grant = Some 4 }
       ~addr:(Unix.ADDR_UNIX sock) ()
   in
-  (match Unix.waitpid [] worker with
-  | _, Unix.WEXITED c when c = Dist.Worker.chaos_exit_code -> ()
+  (match Live.Children.wait worker with
+  | `Exited c when c = Dist.Worker.chaos_exit_code -> ()
   | _ -> failwith "EXP-DIST: phase-1 worker did not die its scripted death");
   Unix.kill coord Sys.sigkill;
-  ignore (Unix.waitpid [] coord);
+  ignore (Live.Children.wait coord);
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   let finished =
     match Dist.Checkpoint.load ckpt with

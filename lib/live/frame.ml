@@ -7,9 +7,7 @@ type t =
   | Catchup of { instance : int; value : int; round : int }
 
 let magic0 = '\xFA'
-let magic1_v1 = '\xCE'
-let magic1_v2 = '\xCF'
-let magic1_v3 = '\xD0'
+let magic1 = '\xD0'
 let max_body = 65536
 let max_instance = (1 lsl 30) - 1
 
@@ -107,7 +105,8 @@ let body_of = function
     add_be32 b value;
     Buffer.contents b
 
-let frame_of ~magic1 body =
+let encode frame =
+  let body = body_of frame in
   let len = String.length body in
   if len > max_body then invalid_arg "Frame.encode: body too large";
   let out = Buffer.create (10 + len) in
@@ -117,38 +116,6 @@ let frame_of ~magic1 body =
   Buffer.add_string out body;
   add_be32 out (Int32.to_int (Crc32.string body) land 0xFFFFFFFF);
   Buffer.contents out
-
-let encode frame = frame_of ~magic1:magic1_v3 (body_of frame)
-
-let encode_v2 frame =
-  (match frame with
-  | Catchup _ -> invalid_arg "Frame.encode_v2: kind not in v2"
-  | Hello _ | Data _ | Ctl _ | Submit _ | Decide _ -> ());
-  frame_of ~magic1:magic1_v2 (body_of frame)
-
-let body_of_v1 = function
-  | Hello { node } ->
-    let b = Buffer.create 5 in
-    Buffer.add_char b '\x01';
-    add_be32 b node;
-    Buffer.contents b
-  | Data { instance; round; payload } ->
-    if instance <> 0 then invalid_arg "Frame.encode_v1: nonzero instance id";
-    let b = Buffer.create (5 + String.length payload) in
-    Buffer.add_char b '\x02';
-    add_be32 b round;
-    Buffer.add_string b payload;
-    Buffer.contents b
-  | Ctl { instance; round } ->
-    if instance <> 0 then invalid_arg "Frame.encode_v1: nonzero instance id";
-    let b = Buffer.create 5 in
-    Buffer.add_char b '\x03';
-    add_be32 b round;
-    Buffer.contents b
-  | Submit _ | Decide _ | Catchup _ ->
-    invalid_arg "Frame.encode_v1: kind not in v1"
-
-let encode_v1 frame = frame_of ~magic1:magic1_v1 (body_of_v1 frame)
 
 (* --- Incremental decoding ------------------------------------------------- *)
 
@@ -250,105 +217,64 @@ let read_varint b ~off ~stop =
 (* Parse one CRC-validated body in place: [off..stop) inside [d.buf].
    Fills the decoder's reused [view]; Data payloads stay a window into the
    receive buffer. *)
-let parse_body d ~version ~off ~stop =
+let parse_body d ~off ~stop =
   if stop - off < 1 then fail d "body shorter than its fixed fields"
   else begin
     let v = d.view in
     let kind = Bytes.get d.buf off in
     let off = off + 1 in
-    match (version, kind) with
-    | _, '\x01' ->
+    match kind with
+    | '\x01' ->
       if stop - off <> 4 then fail d "hello body has trailing bytes"
       else begin
         v.kind <- K_hello;
         v.node <- be32 d.buf off;
         `View v
       end
-    | 1, '\x02' ->
-      if stop - off < 4 then fail d "body shorter than its fixed fields"
-      else begin
-        v.kind <- K_data;
-        v.instance <- 0;
-        v.round <- be32 d.buf off;
-        v.payload_buf <- d.buf;
-        v.payload_pos <- off + 4;
-        v.payload_len <- stop - off - 4;
-        `View v
-      end
-    | 1, '\x03' ->
-      if stop - off <> 4 then fail d "ctl body has trailing bytes"
-      else begin
-        v.kind <- K_ctl;
-        v.instance <- 0;
-        v.round <- be32 d.buf off;
-        `View v
-      end
-    | (2 | 3), '\x02' -> begin
+    | '\x02' .. '\x06' -> (
       match read_varint d.buf ~off ~stop with
       | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off < 4 then fail d "body shorter than its fixed fields"
-        else begin
-          v.kind <- K_data;
-          v.instance <- instance;
-          v.round <- be32 d.buf off;
-          v.payload_buf <- d.buf;
-          v.payload_pos <- off + 4;
-          v.payload_len <- stop - off - 4;
-          `View v
-        end
-    end
-    | (2 | 3), '\x03' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 4 then fail d "ctl body has trailing bytes"
-        else begin
-          v.kind <- K_ctl;
-          v.instance <- instance;
-          v.round <- be32 d.buf off;
-          `View v
-        end
-    end
-    | (2 | 3), '\x04' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 4 then fail d "submit body has trailing bytes"
-        else begin
-          v.kind <- K_submit;
-          v.instance <- instance;
-          v.value <- be32 d.buf off;
-          `View v
-        end
-    end
-    | (2 | 3), '\x05' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 8 then fail d "decide body has trailing bytes"
-        else begin
-          v.kind <- K_decide;
-          v.instance <- instance;
-          v.round <- be32 d.buf off;
-          v.value <- be32 d.buf (off + 4);
-          `View v
-        end
-    end
-    | 3, '\x06' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 8 then fail d "catchup body has trailing bytes"
-        else begin
-          v.kind <- K_catchup;
-          v.instance <- instance;
-          v.round <- be32 d.buf off;
-          v.value <- be32 d.buf (off + 4);
-          `View v
-        end
-    end
-    | _, c -> fail d (Printf.sprintf "unknown frame kind 0x%02x" (Char.code c))
+      | Some (instance, off) -> (
+        v.instance <- instance;
+        let rest = stop - off in
+        match kind with
+        | '\x02' ->
+          if rest < 4 then fail d "body shorter than its fixed fields"
+          else begin
+            v.kind <- K_data;
+            v.round <- be32 d.buf off;
+            v.payload_buf <- d.buf;
+            v.payload_pos <- off + 4;
+            v.payload_len <- rest - 4;
+            `View v
+          end
+        | '\x03' ->
+          if rest <> 4 then fail d "ctl body has trailing bytes"
+          else begin
+            v.kind <- K_ctl;
+            v.round <- be32 d.buf off;
+            `View v
+          end
+        | '\x04' ->
+          if rest <> 4 then fail d "submit body has trailing bytes"
+          else begin
+            v.kind <- K_submit;
+            v.value <- be32 d.buf off;
+            `View v
+          end
+        | _ ->
+          let decide = kind = '\x05' in
+          if rest <> 8 then
+            fail d
+              (if decide then "decide body has trailing bytes"
+               else "catchup body has trailing bytes")
+          else begin
+            v.kind <- (if decide then K_decide else K_catchup);
+            v.round <- be32 d.buf off;
+            v.value <- be32 d.buf (off + 4);
+            `View v
+          end))
+    | c -> fail d (Printf.sprintf "unknown frame kind 0x%02x" (Char.code c))
   end
 
 let pop_view d =
@@ -357,41 +283,35 @@ let pop_view d =
   | None ->
     let live = buffered d in
     if live < 6 then `Need_more
-    else if Bytes.get d.buf d.start <> magic0 then fail d "bad frame magic"
+    else if
+      Bytes.get d.buf d.start <> magic0
+      || Bytes.get d.buf (d.start + 1) <> magic1
+    then fail d "bad frame magic"
     else
-      let version =
-        let m1 = Bytes.get d.buf (d.start + 1) in
-        if m1 = magic1_v1 then 1
-        else if m1 = magic1_v2 then 2
-        else if m1 = magic1_v3 then 3
-        else 0
-      in
-      if version = 0 then fail d "bad frame magic"
-      else
-        let len = be32 d.buf (d.start + 2) in
-        if len > max_body then
-          fail d (Printf.sprintf "frame length %d exceeds limit %d" len max_body)
-        else if live < 6 + len + 4 then `Need_more
+      let len = be32 d.buf (d.start + 2) in
+      if len > max_body then
+        fail d (Printf.sprintf "frame length %d exceeds limit %d" len max_body)
+      else if live < 6 + len + 4 then `Need_more
+      else begin
+        let body = d.start + 6 in
+        let declared = be32 d.buf (body + len) in
+        let actual = Int32.to_int (Crc32.bytes d.buf ~pos:body ~len) land 0xFFFFFFFF in
+        if declared <> actual then
+          fail d (Printf.sprintf "CRC mismatch (wire %08x, computed %08x)" declared actual)
         else begin
-          let body = d.start + 6 in
-          let declared = be32 d.buf (body + len) in
-          let actual = Int32.to_int (Crc32.bytes d.buf ~pos:body ~len) land 0xFFFFFFFF in
-          if declared <> actual then
-            fail d (Printf.sprintf "CRC mismatch (wire %08x, computed %08x)" declared actual)
-          else begin
-            match parse_body d ~version ~off:body ~stop:(body + len) with
-            | `View v ->
-              (* Consuming only moves indices, never bytes, so the view's
-                 payload window stays valid until the next [feed]. *)
-              d.start <- body + len + 4;
-              if d.start = d.stop then begin
-                d.start <- 0;
-                d.stop <- 0
-              end;
-              `View v
-            | `Corrupt _ as c -> c
-          end
+          match parse_body d ~off:body ~stop:(body + len) with
+          | `View v ->
+            (* Consuming only moves indices, never bytes, so the view's
+               payload window stays valid until the next [feed]. *)
+            d.start <- body + len + 4;
+            if d.start = d.stop then begin
+              d.start <- 0;
+              d.stop <- 0
+            end;
+            `View v
+          | `Corrupt _ as c -> c
         end
+      end
 
 let view_payload v = Bytes.sub_string v.payload_buf v.payload_pos v.payload_len
 

@@ -4,20 +4,16 @@
 
     {v
       +------+------+----------------+-------+
-      | 0xFA | 0xCF | len (4 bytes)  | body  |  crc32(body) (4 bytes)
+      | 0xFA | 0xD0 | len (4 bytes)  | body  |  crc32(body) (4 bytes)
       +------+------+----------------+-------+
     v}
 
-    The second magic byte is the codec version: [0xD0] is the current (v3)
-    wire format, which extends v2 with a Catchup kind so a restarted engine
-    can be brought up to date on decisions taken while it was down.  The
-    decoder also accepts v2 frames ([0xCF], same bodies minus Catchup) and
-    the original single-instance v1 frames ([0xCE], no instance field —
-    decoded as instance 0), so transcripts, captures and WAL files from
-    older builds still parse; the encoder always emits v3 ([encode_v1] and
-    [encode_v2] exist for compatibility tests).
+    The second magic byte is the codec version, and [0xD0] (v3) is the
+    only one: any other second byte, including the retired [0xCE] (v1)
+    and [0xCF] (v2), is a bad magic.  v3 has a Catchup kind so a restarted
+    engine can be brought up to date on decisions taken while it was down.
 
-    The v3 body starts with a one-byte kind tag:
+    The body starts with a one-byte kind tag:
     - [0x01] Hello:  node id (4 bytes) — sent once per direction when a
       connection opens, so the receiving end learns who is talking; node id
       0 identifies a client connection rather than a mesh peer;
@@ -30,7 +26,7 @@
       node reports its decision for the instance back to clients;
     - [0x06] Catchup: varint instance + round (4 bytes) + value (4 bytes) —
       a peer replays one entry of its decision log to a node that
-      re-handshook into the mesh after a restart (v3 only).
+      re-handshook into the mesh after a restart.
 
     The same encoder/decoder pair runs under both the socket transport and
     the in-memory loopback, so loopback tests exercise the exact bytes that
@@ -51,17 +47,7 @@ type t =
   | Catchup of { instance : int; value : int; round : int }
 
 val encode : t -> string
-(** One full v3 frame, ready for a single sequential write. *)
-
-val encode_v1 : t -> string
-(** The pre-instance-id v1 encoding, kept so tests can pin backward
-    compatibility.  Raises [Invalid_argument] on a nonzero instance id or a
-    kind v1 cannot express (Submit/Decide/Catchup). *)
-
-val encode_v2 : t -> string
-(** The pre-catchup v2 encoding, kept so tests can pin backward
-    compatibility.  Raises [Invalid_argument] on a kind v2 cannot express
-    (Catchup). *)
+(** One full frame, ready for a single sequential write. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

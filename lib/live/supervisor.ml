@@ -56,168 +56,71 @@ let workspace cfg = match cfg.transport with `Unix d -> d | `Tcp (d, _) -> d
 let node_transport cfg =
   match cfg.transport with `Unix d -> `Unix d | `Tcp (_, base) -> `Tcp base
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && dir <> "" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let vlog cfg fmt =
   Printf.ksprintf
     (fun s -> if cfg.verbose then Printf.eprintf "live: %s\n%!" s)
     fmt
 
-type child = {
-  node : int;
-  mutable os_pid : int;
-  mutable status_fd : Unix.file_descr option;
-  mutable go_fd : Unix.file_descr option;
-  buf : Buffer.t;
+type node = {
+  proc : Children.child;
+  mutable go : Unix.file_descr option;  (* write end of the go pipe *)
   mutable rounds : Transcript.round_obs list;  (* newest first *)
   mutable decided : (int * int) option;  (* value, round *)
   mutable undecided_evt : bool;
   mutable ready : bool;
-  mutable exit_obs : [ `Exited of int | `Signaled of int | `Stop_killed ] option;
   mutable final : Transcript.status option;
-  mutable respawns : int;  (* startup respawns consumed *)
-  mutable awaiting_respawn : bool;  (* dead pre-mesh, backoff running *)
-  mutable next_respawn_at : float;
 }
 
-(* Parent-side pipe ends, closed inside every freshly forked child so that a
-   status pipe's EOF means "this node is gone", not "some sibling still
-   holds a copy".  Closing always goes through [close_parent_fd] so a
-   recycled descriptor number can never be closed out from under a later
-   child. *)
-let close_parent_fd parent_fds fd =
-  parent_fds := List.filter (fun f -> f <> fd) !parent_fds;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let handle_event c line =
-  match Obs.Json.of_string line with
-  | Error _ -> ()
-  | Ok j -> (
-    let int k =
-      match Obs.Json.member k j with Some (Obs.Json.Int i) -> Some i | _ -> None
-    in
-    let flt k =
-      match Obs.Json.member k j with
-      | Some (Obs.Json.Float f) -> f
-      | Some (Obs.Json.Int i) -> float_of_int i
-      | _ -> 0.0
-    in
-    match Obs.Json.member "event" j with
-    | Some (Obs.Json.String "ready") -> c.ready <- true
-    | Some (Obs.Json.String "round") -> (
-      match (int "round", int "data_recv", int "ctl_recv") with
-      | Some round, Some data_recv, Some ctl_recv ->
-        c.rounds <-
-          {
-            Transcript.round;
-            open_skew = flt "open_skew";
-            close_skew = flt "close_skew";
-            data_recv;
-            ctl_recv;
-          }
-          :: c.rounds
-      | _ -> ())
-    | Some (Obs.Json.String "decide") -> (
-      match (int "value", int "round") with
-      | Some v, Some r -> c.decided <- Some (v, r)
-      | _ -> ())
-    | Some (Obs.Json.String "undecided") -> c.undecided_evt <- true
-    | _ -> ())
-
-let process_lines c =
-  let rec go () =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
-    | None -> ()
-    | Some i ->
-      let line = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf rest;
-      handle_event c line;
-      go ()
+let handle_event nd j =
+  let int k =
+    match Obs.Json.member k j with Some (Obs.Json.Int i) -> Some i | _ -> None
   in
-  go ()
+  let flt k =
+    match Obs.Json.member k j with
+    | Some (Obs.Json.Float f) -> f
+    | Some (Obs.Json.Int i) -> float_of_int i
+    | _ -> 0.0
+  in
+  match Obs.Json.member "event" j with
+  | Some (Obs.Json.String "ready") -> nd.ready <- true
+  | Some (Obs.Json.String "round") -> (
+    match (int "round", int "data_recv", int "ctl_recv") with
+    | Some round, Some data_recv, Some ctl_recv ->
+      nd.rounds <-
+        {
+          Transcript.round;
+          open_skew = flt "open_skew";
+          close_skew = flt "close_skew";
+          data_recv;
+          ctl_recv;
+        }
+        :: nd.rounds
+    | _ -> ())
+  | Some (Obs.Json.String "decide") -> (
+    match (int "value", int "round") with
+    | Some v, Some r -> nd.decided <- Some (v, r)
+    | _ -> ())
+  | Some (Obs.Json.String "undecided") -> nd.undecided_evt <- true
+  | _ -> ()
 
-let pump parent_fds c =
-  match c.status_fd with
-  | None -> ()
-  | Some fd -> (
-    let b = Bytes.create 4096 in
-    match Unix.read fd b 0 4096 with
-    | 0 ->
-      close_parent_fd parent_fds fd;
-      c.status_fd <- None
-    | k ->
-      Buffer.add_subbytes c.buf b 0 k;
-      process_lines c
-    | exception
-        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ())
+let last_round nd =
+  match nd.rounds with [] -> 0 | r :: _ -> r.Transcript.round
 
-let select_pump ~timeout parent_fds children =
-  let fds = Array.to_list children |> List.filter_map (fun c -> c.status_fd) in
-  if fds = [] then (
-    if timeout > 0.0 then Sockets.sleep_until (Sockets.now () +. timeout))
-  else
-    match Unix.select fds [] [] timeout with
-    | [], _, _ -> ()
-    | ready, _, _ ->
-      Array.iter
-        (fun c ->
-          match c.status_fd with
-          | Some fd when List.mem fd ready -> pump parent_fds c
-          | _ -> ())
-        children
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let last_round c =
-  match c.rounds with [] -> 0 | r :: _ -> r.Transcript.round
-
-let finalize cfg c obs =
+let finalize cfg nd obs =
   match obs with
   | `Stop_killed -> (
-    match Script.find cfg.script (Pid.of_int c.node) with
+    match Script.find cfg.script (Pid.of_int nd.proc.Children.id) with
     | Some k -> Transcript.Killed { at_round = k.Script.round; scripted = true }
-    | None -> Transcript.Killed { at_round = last_round c + 1; scripted = false })
+    | None ->
+      Transcript.Killed { at_round = last_round nd + 1; scripted = false })
   | `Exited 0 -> (
-    match c.decided with
+    match nd.decided with
     | Some (value, at_round) -> Transcript.Decided { value; at_round }
     | None ->
-      if c.undecided_evt then Transcript.Undecided
-      else Transcript.Killed { at_round = last_round c + 1; scripted = false })
+      if nd.undecided_evt then Transcript.Undecided
+      else Transcript.Killed { at_round = last_round nd + 1; scripted = false })
   | `Exited _ | `Signaled _ ->
-    Transcript.Killed { at_round = last_round c + 1; scripted = false }
-
-let cleanup cfg parent_fds children =
-  Array.iter
-    (fun c ->
-      if c.exit_obs = None then begin
-        (try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] c.os_pid) with Unix.Unix_error _ -> ());
-        c.exit_obs <- Some (`Signaled Sys.sigkill)
-      end)
-    children;
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    !parent_fds;
-  parent_fds := [];
-  Array.iter
-    (fun c ->
-      c.status_fd <- None;
-      c.go_fd <- None)
-    children;
-  match cfg.transport with
-  | `Unix dir ->
-    for i = 1 to cfg.n do
-      try Unix.unlink (Filename.concat dir (Printf.sprintf "node-%d.sock" i))
-      with Unix.Unix_error _ -> ()
-    done
-  | `Tcp _ -> ()
+    Transcript.Killed { at_round = last_round nd + 1; scripted = false }
 
 let run cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -239,59 +142,35 @@ let run cfg =
           match cfg.max_rounds with Some m -> m | None -> t + 2
         in
         let dir = workspace cfg in
-        mkdir_p dir;
-        let parent_fds = ref [] in
-        let spawn_child i =
-          let status_r, status_w = Unix.pipe () in
+        Children.mkdir_p dir;
+        let kids = Children.create () in
+        (* Every (re)spawn gets a fresh go pipe.  The parent keeps the write
+           end registered, so each later child closes it. *)
+        let launch i spawn =
           let go_r, go_w = Unix.pipe () in
-          match Unix.fork () with
-          | 0 ->
-            (* the node process: never returns *)
-            (try
-               Unix.close status_r;
-               Unix.close go_w;
-               List.iter
-                 (fun fd ->
-                   try Unix.close fd with Unix.Unix_error _ -> ())
-                 !parent_fds;
-               let log =
-                 open_out (Filename.concat dir (Printf.sprintf "node-%d.log" i))
-               in
-               let ncfg =
-                 {
-                   Node.me = i;
-                   n;
-                   t;
-                   proposal = proposals.(i - 1);
-                   transport = node_transport cfg;
-                   big_d = cfg.big_d;
-                   delta = cfg.delta;
-                   max_rounds;
-                   kill = Script.find cfg.script (Pid.of_int i);
-                   status = Unix.out_channel_of_descr status_w;
-                   go = Unix.in_channel_of_descr go_r;
-                   log;
-                 }
-               in
-               Node.Rwwc.main ncfg;
-               Unix._exit 0
-             with e ->
-               (try
-                  let oc =
-                    open_out_gen
-                      [ Open_append; Open_creat ]
-                      0o644
-                      (Filename.concat dir (Printf.sprintf "node-%d.log" i))
-                  in
-                  Printf.fprintf oc "fatal: %s\n" (Printexc.to_string e);
-                  close_out oc
-                with _ -> ());
-               Unix._exit 3)
-          | pid ->
-            Unix.close status_w;
-            Unix.close go_r;
-            parent_fds := status_r :: go_w :: !parent_fds;
-            (pid, status_r, go_w)
+          Children.register kids go_w;
+          let log = Filename.concat dir (Printf.sprintf "node-%d.log" i) in
+          let spawned =
+            spawn ~log (fun status_w ->
+                Node.Rwwc.main
+                  {
+                    Node.me = i;
+                    n;
+                    t;
+                    proposal = proposals.(i - 1);
+                    transport = node_transport cfg;
+                    big_d = cfg.big_d;
+                    delta = cfg.delta;
+                    max_rounds;
+                    kill = Script.find cfg.script (Pid.of_int i);
+                    status = Unix.out_channel_of_descr status_w;
+                    go = Unix.in_channel_of_descr go_r;
+                    log = open_out log;
+                  };
+                0)
+          in
+          Unix.close go_r;
+          (spawned, go_w)
         in
         (* Fault-injection bookkeeping: how many times each node is still
            owed a chaos SIGKILL right after (re)spawn. *)
@@ -301,103 +180,86 @@ let run cfg =
             Hashtbl.replace startup_kills node
               (1 + Option.value ~default:0 (Hashtbl.find_opt startup_kills node)))
           cfg.chaos_startup_kills;
-        let chaos_kill_fresh node pid =
-          match Hashtbl.find_opt startup_kills node with
+        let chaos_kill_fresh (c : Children.child) =
+          match Hashtbl.find_opt startup_kills c.id with
           | Some k when k > 0 ->
-            Hashtbl.replace startup_kills node (k - 1);
-            vlog cfg "chaos: SIGKILL node %d during startup" node;
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+            Hashtbl.replace startup_kills c.id (k - 1);
+            vlog cfg "chaos: SIGKILL node %d during startup" c.id;
+            ignore (Children.kill c)
           | Some _ | None -> ()
         in
-        let children =
+        let nodes =
           Array.init n (fun idx ->
               let i = idx + 1 in
-              let pid, status_r, go_w = spawn_child i in
+              let proc, go =
+                launch i (fun ~log body -> Children.spawn kids ~log ~id:i body)
+              in
               {
-                node = i;
-                os_pid = pid;
-                status_fd = Some status_r;
-                go_fd = Some go_w;
-                buf = Buffer.create 256;
+                proc;
+                go = Some go;
                 rounds = [];
                 decided = None;
                 undecided_evt = false;
                 ready = false;
-                exit_obs = None;
                 final = None;
-                respawns = 0;
-                awaiting_respawn = false;
-                next_respawn_at = 0.0;
               })
         in
-        Array.iter (fun c -> chaos_kill_fresh c.node c.os_pid) children;
+        Array.iter (fun nd -> chaos_kill_fresh nd.proc) nodes;
         vlog cfg "spawned %d nodes" n;
+        let pump timeout =
+          Children.pump kids ~timeout ~on_event:(fun c ->
+              handle_event nodes.(c.Children.id - 1))
+        in
+        (* The self-healing window: before the mesh forms, a fresh process
+           can still take a dead one's place once its backoff has elapsed. *)
+        let startup_step nd =
+          let c = nd.proc in
+          if nd.ready then None
+          else if Children.respawn_due c then begin
+            let (), go =
+              launch c.id (fun ~log body -> Children.respawn kids ~log c body)
+            in
+            nd.go <- Some go;
+            vlog cfg "node %d respawned (attempt %d of %d)" c.id c.respawns
+              cfg.respawn_budget;
+            Obs.Instrument.emit cfg.instrument
+              (Respawned { node = c.id; attempt = c.respawns });
+            chaos_kill_fresh c;
+            None
+          end
+          else
+            match Children.reap c with
+            | None -> None
+            | Some _ -> (
+              match
+                Children.schedule_respawn c ~budget:cfg.respawn_budget
+                  ~base:cfg.respawn_backoff
+              with
+              | None ->
+                Some
+                  (Printf.sprintf
+                     "live: node %d died %d times during startup (respawn \
+                      budget %d exhausted)"
+                     c.id (c.respawns + 1) cfg.respawn_budget)
+              | Some backoff ->
+                vlog cfg "node %d died during startup; respawning in %.2fs"
+                  c.id backoff;
+                Children.close_status kids c;
+                Option.iter (Children.release kids) nd.go;
+                nd.go <- None;
+                None)
+        in
         let wait_ready () =
           let deadline = Sockets.now () +. 15.0 in
           let rec go () =
-            if Array.for_all (fun c -> c.ready) children then Ok ()
+            if Array.for_all (fun nd -> nd.ready) nodes then Ok ()
             else if Sockets.now () > deadline then
               Error "live: startup timeout — not every node became ready"
             else begin
-              select_pump ~timeout:0.05 parent_fds children;
-              let failure = ref None in
-              Array.iter
-                (fun c ->
-                  if (not c.ready) && c.exit_obs = None && !failure = None then
-                    if c.awaiting_respawn then begin
-                      (* self-healing window: before the mesh forms a fresh
-                         process can still take the dead one's place, after
-                         this attempt's backoff has elapsed *)
-                      if Sockets.now () >= c.next_respawn_at then begin
-                        Buffer.clear c.buf;
-                        let pid, status_r, go_w = spawn_child c.node in
-                        c.os_pid <- pid;
-                        c.status_fd <- Some status_r;
-                        c.go_fd <- Some go_w;
-                        c.awaiting_respawn <- false;
-                        c.respawns <- c.respawns + 1;
-                        vlog cfg "node %d respawned (attempt %d of %d)" c.node
-                          c.respawns cfg.respawn_budget;
-                        Obs.Instrument.emit cfg.instrument
-                          (Respawned { node = c.node; attempt = c.respawns });
-                        chaos_kill_fresh c.node pid
-                      end
-                    end
-                    else
-                      match Unix.waitpid [ Unix.WNOHANG ] c.os_pid with
-                      | 0, _ -> ()
-                      | _, _ ->
-                        if c.respawns >= cfg.respawn_budget then
-                          failure :=
-                            Some
-                              (Printf.sprintf
-                                 "live: node %d died %d times during startup \
-                                  (respawn budget %d exhausted)"
-                                 c.node (c.respawns + 1) cfg.respawn_budget)
-                        else begin
-                          let backoff =
-                            cfg.respawn_backoff
-                            *. Float.of_int (1 lsl c.respawns)
-                          in
-                          vlog cfg
-                            "node %d died during startup; respawning in %.2fs"
-                            c.node backoff;
-                          (match c.status_fd with
-                          | Some fd ->
-                            close_parent_fd parent_fds fd;
-                            c.status_fd <- None
-                          | None -> ());
-                          (match c.go_fd with
-                          | Some fd ->
-                            close_parent_fd parent_fds fd;
-                            c.go_fd <- None
-                          | None -> ());
-                          c.awaiting_respawn <- true;
-                          c.next_respawn_at <- Sockets.now () +. backoff
-                        end
-                      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ())
-                children;
-              match !failure with Some e -> Error e | None -> go ()
+              pump 0.05;
+              match Array.find_map startup_step nodes with
+              | Some e -> Error e
+              | None -> go ()
             end
           in
           go ()
@@ -408,29 +270,32 @@ let run cfg =
           | Ok () ->
             let t0 = Sockets.now () +. 0.3 in
             vlog cfg "all nodes ready; t0 in 0.3 s";
+            let line = Printf.sprintf "go %.6f\n" t0 in
             Array.iter
-              (fun c ->
-                match c.go_fd with
-                | None -> ()
-                | Some fd -> (
-                  let line = Printf.sprintf "go %.6f\n" t0 in
-                  try ignore (Unix.write_substring fd line 0 (String.length line))
-                  with Unix.Unix_error _ -> ()))
-              children;
+              (fun nd ->
+                Option.iter
+                  (fun fd ->
+                    let len = String.length line in
+                    try ignore (Unix.write_substring fd line 0 len)
+                    with Unix.Unix_error _ -> ())
+                  nd.go)
+              nodes;
             let period = cfg.big_d +. cfg.delta in
             let watchdog =
               t0 +. (float_of_int max_rounds *. period) +. cfg.big_d +. 2.0
             in
-            let unresolved () = Array.exists (fun c -> c.final = None) children in
-            let record_final c st =
+            let unresolved () =
+              Array.exists (fun nd -> nd.final = None) nodes
+            in
+            let record_final nd st =
               (match st with
               | Transcript.Killed { at_round; scripted = false } ->
                 Obs.Instrument.emit cfg.instrument
-                  (Absorbed { node = c.node; at_round })
+                  (Absorbed { node = nd.proc.Children.id; at_round })
               | Transcript.Killed _ | Transcript.Decided _ | Transcript.Undecided
                 ->
                 ());
-              c.final <- Some st
+              nd.final <- Some st
             in
             let run_kills = ref cfg.chaos_run_kills in
             let fire_run_kills () =
@@ -439,14 +304,14 @@ let run cfg =
                   (fun (node, delay) ->
                     if Sockets.now () >= t0 +. delay then begin
                       Array.iter
-                        (fun c ->
-                          if c.node = node && c.exit_obs = None then begin
+                        (fun nd ->
+                          let c = nd.proc in
+                          if c.id = node && c.exit = None then begin
                             vlog cfg "chaos: SIGKILL node %d at t0+%.2fs" node
                               delay;
-                            try Unix.kill c.os_pid Sys.sigkill
-                            with Unix.Unix_error _ -> ()
+                            ignore (Children.kill c)
                           end)
-                        children;
+                        nodes;
                       false
                     end
                     else true)
@@ -454,34 +319,20 @@ let run cfg =
             in
             while unresolved () && Sockets.now () < watchdog do
               fire_run_kills ();
-              select_pump ~timeout:0.05 parent_fds children;
+              pump 0.05;
               Array.iter
-                (fun c ->
-                  if c.final = None then begin
-                    (if c.exit_obs = None then
-                       match
-                         Unix.waitpid [ Unix.WNOHANG; Unix.WUNTRACED ] c.os_pid
-                       with
-                       | 0, _ -> ()
-                       | _, Unix.WSTOPPED _ ->
-                         (* the scripted crash point: answer the node's
-                            self-stop with the real kill *)
-                         vlog cfg "node %d stopped at its kill point; SIGKILL"
-                           c.node;
-                         (try Unix.kill c.os_pid Sys.sigkill
-                          with Unix.Unix_error _ -> ());
-                         (try ignore (Unix.waitpid [] c.os_pid)
-                          with Unix.Unix_error _ -> ());
-                         c.exit_obs <- Some `Stop_killed
-                       | _, Unix.WEXITED code ->
-                         c.exit_obs <- Some (`Exited code)
-                       | _, Unix.WSIGNALED s -> c.exit_obs <- Some (`Signaled s)
-                       | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                         c.exit_obs <- Some (`Exited 0));
-                    match c.exit_obs with
-                    | Some obs when c.status_fd = None ->
-                      let st = finalize cfg c obs in
-                      vlog cfg "node %d: %s" c.node
+                (fun nd ->
+                  let c = nd.proc in
+                  if nd.final = None then begin
+                    (* the scripted crash point: the node's self-stop was
+                       answered with the real kill *)
+                    if Children.reap c = Some `Stop_killed then
+                      vlog cfg "node %d stopped at its kill point; SIGKILL"
+                        c.id;
+                    match c.exit with
+                    | Some obs when c.status = None ->
+                      let st = finalize cfg nd obs in
+                      vlog cfg "node %d: %s" c.id
                         (match st with
                         | Transcript.Decided { value; at_round } ->
                           Printf.sprintf "decided %d in round %d" value at_round
@@ -489,51 +340,46 @@ let run cfg =
                           Printf.sprintf "killed in round %d (%s)" at_round
                             (if scripted then "scripted" else "unscripted")
                         | Transcript.Undecided -> "undecided");
-                      record_final c st
+                      record_final nd st
                     | _ -> ()
                   end)
-                children
+                nodes
             done;
-            (* watchdog: anything still unresolved gets drained once more,
-               then killed and closed out *)
-            select_pump ~timeout:0.05 parent_fds children;
+            (* watchdog: anything still unresolved gets drained once more;
+               teardown kills the stragglers *)
+            pump 0.05;
             Array.iter
-              (fun c ->
-                if c.final = None then begin
-                  (match c.exit_obs with
+              (fun nd ->
+                if nd.final = None then
+                  match nd.proc.exit with
                   | None ->
-                    vlog cfg "node %d past the watchdog; SIGKILL" c.node;
-                    (try Unix.kill c.os_pid Sys.sigkill
-                     with Unix.Unix_error _ -> ());
-                    (try ignore (Unix.waitpid [] c.os_pid)
-                     with Unix.Unix_error _ -> ());
-                    c.final <-
+                    vlog cfg "node %d past the watchdog; SIGKILL" nd.proc.id;
+                    nd.final <-
                       Some
-                        (match c.decided with
+                        (match nd.decided with
                         | Some (value, at_round) ->
                           Transcript.Decided { value; at_round }
                         | None -> Transcript.Undecided)
-                  | Some obs -> record_final c (finalize cfg c obs))
-                end)
-              children;
+                  | Some obs -> record_final nd (finalize cfg nd obs))
+              nodes;
             let statuses =
               Array.map
-                (fun c -> Option.value c.final ~default:Transcript.Undecided)
-                children
+                (fun nd -> Option.value nd.final ~default:Transcript.Undecided)
+                nodes
             in
-            let rounds = Array.map (fun c -> List.rev c.rounds) children in
+            let rounds = Array.map (fun nd -> List.rev nd.rounds) nodes in
             let max_round =
               Array.fold_left
-                (fun acc c ->
+                (fun acc nd ->
                   let from_status =
-                    match c.final with
+                    match nd.final with
                     | Some (Transcript.Decided { at_round; _ })
                     | Some (Transcript.Killed { at_round; _ }) ->
                       at_round
                     | _ -> 0
                   in
-                  max acc (max from_status (last_round c)))
-                0 children
+                  max acc (max from_status (last_round nd)))
+                0 nodes
             in
             let tr =
               { Transcript.n; t; proposals; statuses; rounds; max_round }
@@ -549,6 +395,6 @@ let run cfg =
           try body ()
           with e -> Error ("live: supervisor: " ^ Printexc.to_string e)
         in
-        cleanup cfg parent_fds children;
+        Children.teardown ~sockets:(node_transport cfg, n) kids;
         result
       end)

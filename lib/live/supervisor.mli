@@ -4,15 +4,16 @@
 
     Lifecycle:
 
-    + fork the fleet (one [Node] process each, with a status pipe back to
-      the supervisor, a go pipe forward, and a per-node log file);
+    + fork the fleet through {!Children} (one [Node] process each, with a
+      status pipe back to the supervisor, a go pipe forward, and a
+      per-node log file);
     + wait for every node's [ready] — a node that dies during startup is
       respawned with exponential backoff, up to [respawn_budget] times (the
       self-healing window: before the mesh forms, a fresh process can still
       take its place); exhausting the budget or the readiness timeout
       aborts the run;
     + broadcast [go t0], the common round-clock origin;
-    + collect events, watching children with [waitpid(WUNTRACED)]: a
+    + collect events, watching children with {!Children.reap}: a
       SIGSTOP is a node at its scripted crash point, answered with a real
       [SIGKILL]; an unexpected death is absorbed as one more (unscripted)
       crash and the run continues; a watchdog kills stragglers past the

@@ -226,18 +226,17 @@ let proxy_main ~transport ~lfd link =
   serve ()
 
 let spawn ~transport ~n link =
-  match proxy_addr ~transport ~n ~src:link.src ~dst:link.dst with
-  | addr -> (
-    match Live.Sockets.listen addr with
-    | Error e ->
-      Error
-        (Printf.sprintf "chaos proxy %d->%d: %s" link.src link.dst
-           (Live.Sockets.error_to_string e))
-    | Ok lfd -> (
-      match Unix.fork () with
-      | 0 ->
-        (try proxy_main ~transport ~lfd link with _ -> ());
-        Unix._exit 0
-      | pid ->
-        (try Unix.close lfd with Unix.Unix_error _ -> ());
-        Ok pid))
+  let addr = proxy_addr ~transport ~n ~src:link.src ~dst:link.dst in
+  match Live.Sockets.listen addr with
+  | Error e ->
+    Error
+      (Printf.sprintf "chaos proxy %d->%d: %s" link.src link.dst
+         (Live.Sockets.error_to_string e))
+  | Ok lfd ->
+    let pid =
+      Live.Children.fork (fun () ->
+          proxy_main ~transport ~lfd link;
+          0)
+    in
+    (try Unix.close lfd with Unix.Unix_error _ -> ());
+    Ok pid

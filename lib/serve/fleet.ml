@@ -20,185 +20,74 @@ type config = {
   verbose : bool;
 }
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && dir <> "" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let vlog cfg fmt =
   Printf.ksprintf
     (fun s -> if cfg.verbose then Printf.eprintf "serve: %s\n%!" s)
     fmt
 
-type child = {
-  node : int;
-  mutable os_pid : int;
-  mutable status_fd : Unix.file_descr option;
-  buf : Buffer.t;
+type node = {
+  proc : Live.Children.child;
   mutable ready : bool;
   mutable realized : Mux.realized list option;  (* from a "halted" event *)
   mutable stats : Stats.t option;  (* summed across lives *)
-  mutable reaped : bool;
-  mutable respawns : int;  (* respawn-budget consumed, Supervisor-style *)
-  mutable respawn_at : float;  (* 0.0 = no respawn pending *)
 }
 
-let close_parent_fd parent_fds fd =
-  parent_fds := List.filter (fun f -> f <> fd) !parent_fds;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let handle_event c line =
-  match Obs.Json.of_string line with
-  | Error _ -> ()
-  | Ok j -> (
-    (* A respawned engine reports a fresh stats block at its own exit;
-       sum across lives so the report sees the node's total work. *)
-    let merge_stats () =
-      match Obs.Json.member "stats" j with
-      | Some sj -> (
-        match Stats.of_json sj with
-        | Error _ -> ()
-        | Ok s -> (
-          match c.stats with
-          | None -> c.stats <- Some s
-          | Some old ->
-            Stats.add old s;
-            c.stats <- Some old))
-      | None -> ()
-    in
-    match Obs.Json.member "event" j with
-    | Some (Obs.Json.String "ready") -> c.ready <- true
-    | Some (Obs.Json.String "stats") -> merge_stats ()
-    | Some (Obs.Json.String "halted") ->
-      merge_stats ();
-      (match Obs.Json.member "realized" j with
-      | Some (Obs.Json.List items) ->
-        let rs =
-          List.filter_map
-            (fun item ->
-              match Mux.realized_of_json item with
-              | Ok r -> Some r
-              | Error _ -> None)
-            items
-        in
-        c.realized <- Some rs
-      | _ -> c.realized <- Some [])
-    | _ -> ())
-
-let process_lines c =
-  let rec go () =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
+let handle_event nd j =
+  (* A respawned engine reports a fresh stats block at its own exit;
+     sum across lives so the report sees the node's total work. *)
+  let merge_stats () =
+    match Obs.Json.member "stats" j with
+    | Some sj -> (
+      match Stats.of_json sj with
+      | Error _ -> ()
+      | Ok s -> (
+        match nd.stats with
+        | None -> nd.stats <- Some s
+        | Some old ->
+          Stats.add old s;
+          nd.stats <- Some old))
     | None -> ()
-    | Some i ->
-      let line = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf rest;
-      handle_event c line;
-      go ()
   in
-  go ()
-
-let pump parent_fds c =
-  match c.status_fd with
-  | None -> ()
-  | Some fd -> (
-    let b = Bytes.create 4096 in
-    match Unix.read fd b 0 4096 with
-    | 0 ->
-      close_parent_fd parent_fds fd;
-      c.status_fd <- None
-    | k ->
-      Buffer.add_subbytes c.buf b 0 k;
-      process_lines c
-    | exception
-        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ())
-
-let select_pump ~timeout parent_fds children =
-  let fds = Array.to_list children |> List.filter_map (fun c -> c.status_fd) in
-  if fds = [] then (
-    if timeout > 0.0 then
-      Live.Sockets.sleep_until (Live.Sockets.now () +. timeout))
-  else
-    match Unix.select fds [] [] timeout with
-    | [], _, _ -> ()
-    | ready, _, _ ->
-      Array.iter
-        (fun c ->
-          match c.status_fd with
-          | Some fd when List.mem fd ready -> pump parent_fds c
-          | _ -> ())
-        children
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  match Obs.Json.member "event" j with
+  | Some (Obs.Json.String "ready") -> nd.ready <- true
+  | Some (Obs.Json.String "stats") -> merge_stats ()
+  | Some (Obs.Json.String "halted") ->
+    merge_stats ();
+    (match Obs.Json.member "realized" j with
+    | Some (Obs.Json.List items) ->
+      let rs =
+        List.filter_map
+          (fun item ->
+            match Mux.realized_of_json item with
+            | Ok r -> Some r
+            | Error _ -> None)
+          items
+      in
+      nd.realized <- Some rs
+    | _ -> nd.realized <- Some [])
+  | _ -> ()
 
 (* A killed engine (SIGSTOP answered with SIGKILL, or a direct SIGKILL
-   from the driver / a chaos script) is eligible for a supervised
-   respawn: budgeted attempts with exponential backoff, the
-   {!Live.Supervisor} idiom.  A clean exit is never respawned. *)
-let schedule_respawn cfg ~accepting c =
-  if cfg.respawn && accepting then
-    if c.respawns >= cfg.respawn_budget then
-      vlog cfg "node %d: respawn budget (%d) exhausted" c.node
-        cfg.respawn_budget
-    else begin
-      let backoff =
-        cfg.respawn_backoff *. (2.0 ** float_of_int c.respawns)
-      in
-      c.respawn_at <- Live.Sockets.now () +. backoff;
-      vlog cfg "node %d died; respawn in %.2fs (attempt %d of %d)" c.node
-        backoff (c.respawns + 1) cfg.respawn_budget
-    end
-
-(* SIGSTOP from a kill-budget halt is answered with the real SIGKILL;
-   normal exits are just reaped. *)
-let reap_one cfg ~accepting c =
-  if not c.reaped then
-    match Unix.waitpid [ Unix.WNOHANG; Unix.WUNTRACED ] c.os_pid with
-    | 0, _ -> ()
-    | _, Unix.WSTOPPED _ ->
-      vlog cfg "node %d stopped at its kill point; SIGKILL" c.node;
-      (try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] c.os_pid) with Unix.Unix_error _ -> ());
-      c.reaped <- true;
-      schedule_respawn cfg ~accepting c
-    | _, Unix.WSIGNALED _ ->
-      c.reaped <- true;
-      schedule_respawn cfg ~accepting c
-    | _, Unix.WEXITED _ -> c.reaped <- true
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> c.reaped <- true
-
-let cleanup cfg parent_fds children proxies =
-  Array.iter
-    (fun c ->
-      if not c.reaped then begin
-        (try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] c.os_pid) with Unix.Unix_error _ -> ());
-        c.reaped <- true
-      end)
-    children;
-  List.iter
-    (fun pid ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    proxies;
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    !parent_fds;
-  parent_fds := [];
-  Array.iter (fun c -> c.status_fd <- None) children;
-  List.iter
-    (fun link -> Chaosproxy.cleanup ~transport:cfg.transport ~n:cfg.n link)
-    cfg.chaos;
-  match cfg.transport with
-  | `Unix dir ->
-    for i = 1 to cfg.n do
-      try Unix.unlink (Filename.concat dir (Printf.sprintf "node-%d.sock" i))
-      with Unix.Unix_error _ -> ()
-    done
-  | `Tcp _ -> ()
+   from the driver / a chaos script) is eligible for a supervised respawn:
+   budgeted attempts with exponential backoff.  A clean exit is never
+   respawned, and neither is anything once the drive is over. *)
+let reap_one cfg ~accepting (c : Live.Children.child) =
+  match Live.Children.reap c with
+  | None | Some (`Exited _) -> ()
+  | Some ((`Stop_killed | `Signaled _) as obs) -> (
+    if obs = `Stop_killed then
+      vlog cfg "node %d stopped at its kill point; SIGKILL" c.id;
+    if cfg.respawn && accepting then
+      match
+        Live.Children.schedule_respawn c ~budget:cfg.respawn_budget
+          ~base:cfg.respawn_backoff
+      with
+      | None ->
+        vlog cfg "node %d: respawn budget (%d) exhausted" c.id
+          cfg.respawn_budget
+      | Some backoff ->
+        vlog cfg "node %d died; respawn in %.2fs (attempt %d of %d)" c.id
+          backoff (c.respawns + 1) cfg.respawn_budget)
 
 type mesh = {
   victim : (int * Mux.realized list) option;
@@ -219,25 +108,31 @@ let with_mesh cfg drive =
     let max_rounds =
       match cfg.max_rounds with Some m -> m | None -> cfg.t + 1
     in
-    mkdir_p cfg.workspace;
-    let parent_fds = ref [] in
+    Live.Children.mkdir_p cfg.workspace;
+    let kids = Live.Children.create () in
+    let teardown () =
+      Live.Children.teardown ~sockets:(cfg.transport, cfg.n) kids;
+      List.iter
+        (fun link -> Chaosproxy.cleanup ~transport:cfg.transport ~n:cfg.n link)
+        cfg.chaos
+    in
     (* Chaos proxies come up before any engine, so the first dial through
        an interposed link already finds its listener. *)
-    let proxies = ref [] in
-    let proxy_err = ref None in
-    List.iter
-      (fun link ->
-        if !proxy_err = None then
+    let proxy_err =
+      List.find_map
+        (fun link ->
           match Chaosproxy.spawn ~transport:cfg.transport ~n:cfg.n link with
           | Ok pid ->
             vlog cfg "chaos proxy %d->%d up (pid %d)" link.Chaosproxy.src
               link.Chaosproxy.dst pid;
-            proxies := pid :: !proxies
-          | Error e -> proxy_err := Some e)
-      cfg.chaos;
-    match !proxy_err with
+            Live.Children.adopt kids pid;
+            None
+          | Error e -> Some e)
+        cfg.chaos
+    in
+    match proxy_err with
     | Some e ->
-      cleanup cfg parent_fds [||] !proxies;
+      teardown ();
       Error ("serve fleet: " ^ e)
     | None ->
       let wal_dir =
@@ -257,138 +152,84 @@ let with_mesh cfg drive =
                   ~dst:p
               else Live.Sockets.addr_of ~transport:cfg.transport p)
       in
-      let spawn_child ~rejoin i =
-        let status_r, status_w = Unix.pipe () in
-        match Unix.fork () with
-        | 0 ->
-          (try
-             Unix.close status_r;
-             List.iter
-               (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-               !parent_fds;
-             let log =
-               open_out_gen
-                 [ Open_append; Open_creat ]
-                 0o644
-                 (Filename.concat cfg.workspace
-                    (Printf.sprintf "serve-%d.log" i))
-             in
-             let kill_after =
-               match cfg.kill with
-               | Some k when k.Report.node = i && not rejoin ->
-                 Some k.Report.after_frames
-               | _ -> None
-             in
-             Engine.Rwwc.main
-               {
-                 Engine.me = i;
-                 n = cfg.n;
-                 t = cfg.t;
-                 transport = cfg.transport;
-                 big_d = cfg.big_d;
-                 max_rounds;
-                 batch = cfg.batch;
-                 backend = cfg.backend;
-                 kill_after;
-                 linger = false;
-                 wal_dir;
-                 rejoin;
-                 dial = dial_for i;
-                 status = Unix.out_channel_of_descr status_w;
-                 log;
-               };
-             Unix._exit 0
-           with e ->
-             (try
-                let oc =
-                  open_out_gen
-                    [ Open_append; Open_creat ]
-                    0o644
-                    (Filename.concat cfg.workspace
-                       (Printf.sprintf "serve-%d.log" i))
-                in
-                Printf.fprintf oc "fatal: %s\n" (Printexc.to_string e);
-                close_out oc
-              with _ -> ());
-             Unix._exit 3)
-        | pid ->
-          Unix.close status_w;
-          parent_fds := status_r :: !parent_fds;
-          (pid, status_r)
+      let log i =
+        Filename.concat cfg.workspace (Printf.sprintf "serve-%d.log" i)
       in
-      let children =
+      let engine ~rejoin i status_w =
+        let kill_after =
+          match cfg.kill with
+          | Some k when k.Report.node = i && not rejoin ->
+            Some k.Report.after_frames
+          | _ -> None
+        in
+        Engine.Rwwc.main
+          {
+            Engine.me = i;
+            n = cfg.n;
+            t = cfg.t;
+            transport = cfg.transport;
+            big_d = cfg.big_d;
+            max_rounds;
+            batch = cfg.batch;
+            backend = cfg.backend;
+            kill_after;
+            linger = false;
+            wal_dir;
+            rejoin;
+            dial = dial_for i;
+            status = Unix.out_channel_of_descr status_w;
+            log = open_out_gen [ Open_append; Open_creat ] 0o644 (log i);
+          };
+        0
+      in
+      let nodes =
         Array.init cfg.n (fun idx ->
             let i = idx + 1 in
-            let pid, status_r = spawn_child ~rejoin:false i in
             {
-              node = i;
-              os_pid = pid;
-              status_fd = Some status_r;
-              buf = Buffer.create 256;
+              proc =
+                Live.Children.spawn kids ~log:(log i) ~id:i
+                  (engine ~rejoin:false i);
               ready = false;
               realized = None;
               stats = None;
-              reaped = false;
-              respawns = 0;
-              respawn_at = 0.0;
             })
       in
       vlog cfg "spawned %d engines" cfg.n;
+      let pump timeout =
+        Live.Children.pump kids ~timeout ~on_event:(fun c ->
+            handle_event nodes.(c.Live.Children.id - 1))
+      in
       (* Respawns stop once the drive is over: a victim dying during
          teardown stays down. *)
       let accepting = ref true in
       let maybe_respawn () =
         if !accepting then
           Array.iter
-            (fun c ->
-              if
-                c.reaped && c.respawn_at > 0.0
-                && Live.Sockets.now () >= c.respawn_at
-              then begin
-                (match c.status_fd with
-                | Some fd ->
-                  close_parent_fd parent_fds fd;
-                  c.status_fd <- None
-                | None -> ());
-                let pid, status_r = spawn_child ~rejoin:true c.node in
-                c.os_pid <- pid;
-                c.status_fd <- Some status_r;
-                Buffer.clear c.buf;
-                c.ready <- false;
-                c.reaped <- false;
-                c.respawn_at <- 0.0;
-                c.respawns <- c.respawns + 1;
-                vlog cfg "node %d respawned (attempt %d of %d, pid %d)"
-                  c.node c.respawns cfg.respawn_budget pid
+            (fun nd ->
+              let c = nd.proc in
+              if Live.Children.respawn_due c then begin
+                Live.Children.respawn kids ~log:(log c.id) c
+                  (engine ~rejoin:true c.id);
+                nd.ready <- false;
+                vlog cfg "node %d respawned (attempt %d of %d, pid %d)" c.id
+                  c.respawns cfg.respawn_budget c.pid
               end)
-            children
+            nodes
       in
       let body () =
         (* Startup: every engine reports ready once its mesh is up. *)
         let start_deadline = Live.Sockets.now () +. 15.0 in
         let rec wait_ready () =
-          if Array.for_all (fun c -> c.ready) children then Ok ()
+          if Array.for_all (fun nd -> nd.ready) nodes then Ok ()
           else if Live.Sockets.now () > start_deadline then
             Error "serve fleet: startup timeout — not every engine became ready"
           else begin
-            select_pump ~timeout:0.05 parent_fds children;
-            let died =
+            pump 0.05;
+            if
               Array.exists
-                (fun c ->
-                  (not c.ready)
-                  &&
-                  match Unix.waitpid [ Unix.WNOHANG ] c.os_pid with
-                  | 0, _ -> false
-                  | _, _ ->
-                    c.reaped <- true;
-                    true
-                  | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                    c.reaped <- true;
-                    true)
-                children
-            in
-            if died then
-              Error "serve fleet: an engine died during startup (see logs)"
+                (fun nd -> (not nd.ready) && Live.Children.reap nd.proc <> None)
+                nodes
+            then Error "serve fleet: an engine died during startup (see logs)"
             else wait_ready ()
           end
         in
@@ -396,21 +237,22 @@ let with_mesh cfg drive =
         | Error e -> Error e
         | Ok () ->
           vlog cfg "all engines ready";
+          let reap_all ~accepting =
+            Array.iter (fun nd -> reap_one cfg ~accepting nd.proc) nodes
+          in
           let on_idle () =
-            select_pump ~timeout:0.0 parent_fds children;
-            Array.iter (reap_one cfg ~accepting:!accepting) children;
+            pump 0.0;
+            reap_all ~accepting:!accepting;
             maybe_respawn ()
           in
           (* A direct SIGKILL for drivers that storm the fleet with
              scheduled crashes ([--kill-every]); the reap path then
              applies the same respawn policy as a budget kill. *)
           let kill node =
-            match Array.find_opt (fun c -> c.node = node) children with
-            | Some c when not c.reaped -> (
-              vlog cfg "driver kills node %d (pid %d)" node c.os_pid;
-              match Unix.kill c.os_pid Sys.sigkill with
-              | () -> true
-              | exception Unix.Unix_error _ -> false)
+            match Array.find_opt (fun nd -> nd.proc.id = node) nodes with
+            | Some nd when nd.proc.exit = None ->
+              vlog cfg "driver kills node %d (pid %d)" node nd.proc.pid;
+              Live.Children.kill nd.proc
             | _ -> false
           in
           (match drive ~on_idle ~kill with
@@ -422,32 +264,26 @@ let with_mesh cfg drive =
                out. *)
             let grace = Live.Sockets.now () +. 5.0 in
             while
-              Array.exists (fun c -> c.status_fd <> None) children
+              Array.exists (fun nd -> nd.proc.status <> None) nodes
               && Live.Sockets.now () < grace
             do
-              select_pump ~timeout:0.05 parent_fds children;
-              Array.iter (reap_one cfg ~accepting:false) children
+              pump 0.05;
+              reap_all ~accepting:false
             done;
-            Array.iter (reap_one cfg ~accepting:false) children;
+            reap_all ~accepting:false;
+            let collect f = List.filter_map f (Array.to_list nodes) in
             let victim =
-              Array.to_list children
-              |> List.find_map (fun c ->
-                     match c.realized with
-                     | Some rs -> Some (c.node, rs)
-                     | None -> None)
+              List.find_map
+                (fun nd -> Option.map (fun rs -> (nd.proc.id, rs)) nd.realized)
+                (Array.to_list nodes)
             in
             let node_stats =
-              Array.to_list children
-              |> List.filter_map (fun c ->
-                     match c.stats with
-                     | Some s -> Some (c.node, s)
-                     | None -> None)
+              collect (fun nd -> Option.map (fun s -> (nd.proc.id, s)) nd.stats)
             in
             let respawned =
-              Array.to_list children
-              |> List.filter_map (fun c ->
-                     if c.respawns > 0 then Some (c.node, c.respawns)
-                     else None)
+              collect (fun { proc; _ } ->
+                  if proc.respawns > 0 then Some (proc.id, proc.respawns)
+                  else None)
             in
             Ok (v, { victim; node_stats; respawned }))
       in
@@ -455,7 +291,7 @@ let with_mesh cfg drive =
         try body ()
         with e -> Error ("serve fleet: " ^ Printexc.to_string e)
       in
-      cleanup cfg parent_fds children !proxies;
+      teardown ();
       result
   end
 

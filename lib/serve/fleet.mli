@@ -9,8 +9,8 @@
 
     With [respawn], a killed engine does not stay dead: the same hook
     re-forks it with {!Engine.config.rejoin} set (replay the WAL, re-dial
-    the mesh, catch up before serving), under the {!Live.Supervisor}
-    respawn-budget / exponential-backoff idiom.  Clean exits are never
+    the mesh, catch up before serving), under {!Live.Children}'s
+    respawn budget and exponential backoff.  Clean exits are never
     respawned.  [chaos] interposes a {!Chaosproxy} on each listed mesh
     link via the dialing engine's [dial] override. *)
 

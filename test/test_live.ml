@@ -120,11 +120,20 @@ let test_frame_corruption () =
   | `Frame _ | `Need_more -> Alcotest.fail "corruption not sticky"
 
 let test_frame_bad_magic () =
-  let d = Live.Frame.decoder () in
-  Live.Frame.feed_string d "nonsense bytes";
-  match Live.Frame.pop d with
-  | `Corrupt _ -> ()
-  | `Frame _ | `Need_more -> Alcotest.fail "bad magic accepted"
+  (* Anything but 0xFA 0xD0 is a bad magic, including the retired v1 (0xCE)
+     and v2 (0xCF) version bytes in front of an otherwise valid frame. *)
+  let v3 = Live.Frame.encode (Live.Frame.Hello { node = 1 }) in
+  let retired b = "\xFA" ^ String.make 1 b ^ String.sub v3 2 (String.length v3 - 2) in
+  List.iter
+    (fun bytes ->
+      let d = Live.Frame.decoder () in
+      Live.Frame.feed_string d bytes;
+      match Live.Frame.pop d with
+      | `Corrupt why ->
+        Alcotest.(check bool) "reported as bad magic" true
+          (contains ~affix:"magic" why)
+      | `Frame _ | `Need_more -> Alcotest.fail "bad magic accepted")
+    [ "nonsense bytes"; retired '\xCE'; retired '\xCF' ]
 
 (* The LEB128 boundaries: every value where the varint grows a byte, plus
    the largest id the codec admits. *)
@@ -272,103 +281,6 @@ let prop_frame_fuzz_corruption =
           | `Frame _ ->
             QCheck2.Test.fail_reportf "decoder resumed after terminal state");
           true))
-
-let test_frame_v1_compat () =
-  (* Captures from pre-instance-id builds still parse: v1 bytes decode to
-     the same frames with instance 0. *)
-  let olds =
-    [
-      Live.Frame.Hello { node = 2 };
-      Live.Frame.Data { instance = 0; round = 3; payload = "\x01\x02" };
-      Live.Frame.Ctl { instance = 0; round = 5 };
-    ]
-  in
-  let d = Live.Frame.decoder () in
-  List.iter
-    (fun f -> Live.Frame.feed_string d (Live.Frame.encode_v1 f))
-    olds;
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "v1 frame decodes unchanged" true
-        (Live.Frame.equal f (pop_frame d)))
-    olds;
-  (* v1 cannot express a nonzero instance or the client-facing kinds. *)
-  List.iter
-    (fun f ->
-      match Live.Frame.encode_v1 f with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "encode_v1 accepted an inexpressible frame")
-    [
-      Live.Frame.Data { instance = 1; round = 1; payload = "" };
-      Live.Frame.Submit { instance = 0; proposal = 1 };
-      Live.Frame.Decide { instance = 0; value = 1; round = 1 };
-      Live.Frame.Catchup { instance = 0; value = 1; round = 1 };
-    ]
-
-let test_frame_v2_compat () =
-  (* v2 is v3 minus the Catchup kind: same bodies, older version byte.
-     Pin the byte-level relationship and that the v3 decoder still reads
-     v2 streams unchanged. *)
-  let olds =
-    [
-      Live.Frame.Hello { node = 3 };
-      Live.Frame.Data { instance = 7; round = 2; payload = "\xff\x00" };
-      Live.Frame.Ctl { instance = 12; round = 4 };
-      Live.Frame.Submit { instance = 9; proposal = 41 };
-      Live.Frame.Decide { instance = 9; value = 41; round = 2 };
-    ]
-  in
-  List.iter
-    (fun f ->
-      let v3 = Live.Frame.encode f and v2 = Live.Frame.encode_v2 f in
-      let patched = Bytes.of_string v3 in
-      Bytes.set patched 1 v2.[1];
-      Alcotest.(check string) "v2 = v3 with the older version byte"
-        (Bytes.to_string patched) v2)
-    olds;
-  let d = Live.Frame.decoder () in
-  List.iter
-    (fun f -> Live.Frame.feed_string d (Live.Frame.encode_v2 f))
-    olds;
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "v2 frame decodes unchanged" true
-        (Live.Frame.equal f (pop_frame d)))
-    olds;
-  (* Catchup is the one thing v2 cannot say *)
-  match Live.Frame.encode_v2 (Live.Frame.Catchup { instance = 1; value = 2; round = 1 }) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "encode_v2 accepted a Catchup"
-
-let test_frame_mixed_version_stream () =
-  (* One connection replaying captures from three codec generations: the
-     decoder switches per frame on the version byte. *)
-  let stream =
-    [
-      Live.Frame.encode_v1 (Live.Frame.Hello { node = 1 });
-      Live.Frame.encode_v2 (Live.Frame.Data { instance = 3; round = 1; payload = "x" });
-      Live.Frame.encode (Live.Frame.Catchup { instance = 3; value = 8; round = 2 });
-      Live.Frame.encode_v1 (Live.Frame.Ctl { instance = 0; round = 2 });
-      Live.Frame.encode (Live.Frame.Decide { instance = 3; value = 8; round = 2 });
-    ]
-  in
-  let expect =
-    [
-      Live.Frame.Hello { node = 1 };
-      Live.Frame.Data { instance = 3; round = 1; payload = "x" };
-      Live.Frame.Catchup { instance = 3; value = 8; round = 2 };
-      Live.Frame.Ctl { instance = 0; round = 2 };
-      Live.Frame.Decide { instance = 3; value = 8; round = 2 };
-    ]
-  in
-  let d = Live.Frame.decoder () in
-  Live.Frame.feed_string d (String.concat "" stream);
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "mixed-version frame" true
-        (Live.Frame.equal f (pop_frame d)))
-    expect;
-  Alcotest.(check int) "stream fully consumed" 0 (Live.Frame.buffered d)
 
 let test_retry_wait_jitter_envelope () =
   (* Without a jitter stream the wait is the backoff level itself. *)
@@ -764,6 +676,116 @@ let test_supervisor_absorbs_run_kill () =
     Alcotest.(check bool) "the dead node shows as crashed" true
       (Live.Transcript.f_actual tr >= 1)
 
+(* --- Children: fork, status pipes, reaping, respawn, teardown -------------- *)
+
+let rec reap_within (c : Live.Children.child) tries =
+  match Live.Children.reap c with
+  | Some obs -> obs
+  | None ->
+    if tries = 0 then Alcotest.fail "child never observed dead"
+    else begin
+      Unix.sleepf 0.01;
+      reap_within c (tries - 1)
+    end
+
+let no_such_child pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+let test_children_stop_killed () =
+  let kids = Live.Children.create () in
+  let c =
+    Live.Children.spawn kids ~id:1 (fun _ ->
+        Unix.kill (Unix.getpid ()) Sys.sigstop;
+        0)
+  in
+  Alcotest.(check bool) "reported as Stop_killed" true
+    (reap_within c 500 = `Stop_killed);
+  Alcotest.(check bool) "no zombie left" true (no_such_child c.pid);
+  Alcotest.(check bool) "reported once" true (Live.Children.reap c = None);
+  Live.Children.teardown kids
+
+let test_children_fatal () =
+  let log = Filename.temp_file "children" ".log" in
+  let pid = Live.Children.fork ~log (fun () -> failwith "boom") in
+  Alcotest.(check bool) "exit 3" true (Live.Children.wait pid = `Exited 3);
+  let ic = open_in log in
+  let line = input_line ic in
+  close_in ic;
+  Sys.remove log;
+  Alcotest.(check bool) "fatal line" true
+    (contains ~sub:"fatal:" line && contains ~sub:"boom" line)
+
+let test_children_lines () =
+  let kids = Live.Children.create () in
+  let c =
+    Live.Children.spawn kids ~id:7 (fun w ->
+        List.iter
+          (fun s ->
+            ignore (Unix.write_substring w s 0 (String.length s));
+            Unix.sleepf 0.03)
+          [ "{\"seq\":1}\n{\"se"; "q\":2}\nnot json\n{\"seq\""; ":3}"; "\n" ];
+        0)
+  in
+  let got = ref [] in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while c.status <> None && Unix.gettimeofday () < deadline do
+    Live.Children.pump kids ~timeout:0.1 ~on_event:(fun c' j ->
+        Alcotest.(check int) "event names its child" 7 c'.id;
+        match Obs.Json.member "seq" j with
+        | Some (Obs.Json.Int i) -> got := i :: !got
+        | _ -> Alcotest.fail "unexpected event")
+  done;
+  Alcotest.(check (list int)) "whole lines, in order" [ 1; 2; 3 ] (List.rev !got);
+  Live.Children.teardown kids
+
+let test_children_teardown () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  let kids = Live.Children.create () in
+  let r, w = Unix.pipe () in
+  Live.Children.register kids r;
+  Live.Children.register kids w;
+  let live = Live.Children.spawn kids ~id:1 (fun _ -> Unix.sleepf 60.0; 0) in
+  let stopped =
+    Live.Children.spawn kids ~id:2 (fun _ ->
+        Unix.kill (Unix.getpid ()) Sys.sigstop;
+        0)
+  in
+  let exited = Live.Children.spawn kids ~id:3 (fun _ -> 0) in
+  Unix.sleepf 0.2;
+  Live.Children.teardown kids;
+  List.iter
+    (fun (c : Live.Children.child) ->
+      Alcotest.(check bool) (Printf.sprintf "child %d reaped" c.id) true
+        (c.exit <> None && no_such_child c.pid))
+    [ live; stopped; exited ];
+  Alcotest.(check int) "every parent fd closed" before (fds ())
+
+let test_children_respawn_budget () =
+  Alcotest.(check (list (option (float 1e-9))))
+    "delay doubles, then stops at the budget"
+    [ Some 0.05; Some 0.1; Some 0.2; None; None ]
+    (List.map (Live.Children.respawn_delay ~budget:3 ~base:0.05) [ 0; 1; 2; 3; 4 ]);
+  let kids = Live.Children.create () in
+  let body _ = 0 in
+  let c = Live.Children.spawn kids ~id:1 body in
+  let cycle () =
+    ignore (reap_within c 500);
+    Live.Children.schedule_respawn c ~budget:2 ~base:0.0
+  in
+  for attempt = 1 to 2 do
+    Alcotest.(check bool) "scheduled" true (cycle () <> None);
+    Alcotest.(check bool) "due" true (Live.Children.respawn_due c);
+    Live.Children.respawn kids c body;
+    Alcotest.(check int) "attempts counted" attempt c.respawns;
+    Alcotest.(check bool) "due cleared" false (Live.Children.respawn_due c)
+  done;
+  Alcotest.(check bool) "budget spent" true (cycle () = None);
+  Alcotest.(check bool) "nothing scheduled" false (Live.Children.respawn_due c);
+  Live.Children.teardown kids
+
 let () =
   Alcotest.run "live"
     [
@@ -780,10 +802,6 @@ let () =
           Alcotest.test_case "corruption" `Quick test_frame_corruption;
           Alcotest.test_case "bad magic" `Quick test_frame_bad_magic;
           Alcotest.test_case "varint edges" `Quick test_frame_varint_edges;
-          Alcotest.test_case "v1 compat" `Quick test_frame_v1_compat;
-          Alcotest.test_case "v2 compat" `Quick test_frame_v2_compat;
-          Alcotest.test_case "mixed-version stream" `Quick
-            test_frame_mixed_version_stream;
           prop_frame_varint_roundtrip;
           prop_frame_fuzz_interleaved_truncation;
           prop_frame_fuzz_corruption;
@@ -826,5 +844,17 @@ let () =
             test_supervisor_respawn_budget_exhausted;
           Alcotest.test_case "absorbs an unscripted run kill" `Quick
             test_supervisor_absorbs_run_kill;
+        ] );
+      ( "children",
+        [
+          Alcotest.test_case "stopped child is Stop_killed" `Quick
+            test_children_stop_killed;
+          Alcotest.test_case "raising body exits 3" `Quick test_children_fatal;
+          Alcotest.test_case "status lines split and skipped" `Quick
+            test_children_lines;
+          Alcotest.test_case "teardown reaps and closes" `Quick
+            test_children_teardown;
+          Alcotest.test_case "respawn delay and budget" `Quick
+            test_children_respawn_budget;
         ] );
     ]
