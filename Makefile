@@ -54,34 +54,32 @@ dist-smoke:
 
 # Consensus-as-a-service smoke: a 1000-instance loopback storm that must
 # clear the decisions/sec floor, then a real TCP fleet with a scripted
-# mid-storm node kill, then the same unix fleet on the poll(2) readiness
-# backend; every instance is judged against the abstract engine and any
-# failure exits nonzero.
+# mid-storm node kill, then a unix fleet; every instance is judged
+# against the abstract engine and any failure exits nonzero.
 serve-smoke:
 	dune exec bin/main.exe -- serve --instances 1000 --min-dps 10000
 	dune exec bin/main.exe -- serve --transport tcp --port-base 7930 \
 	  --instances 200 --window 32 --round-d 0.15 \
 	  --kill-node 1 --kill-after-frame 57
-	dune exec bin/main.exe -- serve --transport unix --instances 200 \
-	  --backend poll
+	dune exec bin/main.exe -- serve --transport unix --instances 200
 
 # Sustained-load soak: 20 seconds of windowed storms through a unix
-# fleet on the poll backend, reporting time-bucketed latency percentiles
-# and failing on any disagreement or a sub-floor decisions/sec rate.
+# fleet, reporting time-bucketed latency percentiles and failing on any
+# disagreement or a sub-floor decisions/sec rate.
 serve-soak:
 	dune exec bin/main.exe -- serve --transport unix -n 5 --window 32 \
-	  --backend poll --soak 20 --bucket 5 --min-dps 200
+	  --soak 20 --bucket 5 --min-dps 200
 
 # Crash-recovery contract: a SIGKILLed engine is respawned, replays its
 # fsync'd decision WAL, catches up over the mesh, and the judged storm
-# stays clean on both readiness backends; a sub-big_d chaos cut is
-# delay, not failure; and a kill-storm soak holds the decisions/sec
-# floor across the recovery dips.
+# stays clean at two kill points; a sub-big_d chaos cut is delay, not
+# failure; and a kill-storm soak holds the decisions/sec floor across
+# the recovery dips.
 serve-recover:
 	dune exec bin/main.exe -- serve --transport unix --instances 200 \
 	  --respawn --kill-node 1 --kill-after-frame 57
 	dune exec bin/main.exe -- serve --transport unix --instances 120 \
-	  --backend poll --respawn --kill-node 1 --kill-after-frame 157
+	  --respawn --kill-node 1 --kill-after-frame 157
 	dune exec bin/main.exe -- serve --transport unix --instances 100 \
 	  --chaos-link 1:2 --chaos-cuts 3 --chaos-seed 11
 	dune exec bin/main.exe -- serve --transport unix -n 3 --window 32 \

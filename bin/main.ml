@@ -1423,16 +1423,6 @@ let serve_cmd =
              ~doc:"Fail (exit 1) if the storm settles fewer than $(docv) \
                    decisions per second.")
   in
-  let backend =
-    Arg.(value
-         & opt (enum [ ("select", Serve.Evloop.Select); ("poll", Serve.Evloop.Poll) ])
-             Serve.Evloop.Select
-         & info [ "backend" ]
-             ~doc:
-               "Readiness backend for the engine event loops: $(b,select) \
-                (portable, FD_SETSIZE-bounded) or $(b,poll) (no fd-count \
-                cliff).")
-  in
   let soak =
     Arg.(value & opt (some float) None
          & info [ "soak" ] ~docv:"SECONDS"
@@ -1458,7 +1448,7 @@ let serve_cmd =
                "Respawn killed engines: each victim is re-forked in rejoin \
                 mode (replay its decision WAL, re-dial the mesh, catch up \
                 from the peers' logs) under a budgeted exponential backoff; \
-                the storm client re-dials and re-submits. Implies durable \
+                the storm client re-dials it. Implies durable \
                 WALs in the workspace.")
   in
   let respawn_budget =
@@ -1533,9 +1523,9 @@ let serve_cmd =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Fleet progress on stderr.")
   in
   let go n t instances window transport dir port big_d no_batch kill_node
-      kill_after min_dps backend soak bucket max_rounds respawn respawn_budget
-      wal kill_every chaos_links chaos_seed chaos_cuts chaos_resets
-      chaos_corrupts chaos_horizon json node verbose =
+      kill_after min_dps soak bucket max_rounds respawn respawn_budget wal
+      kill_every chaos_links chaos_seed chaos_cuts chaos_resets chaos_corrupts
+      chaos_horizon json node verbose =
     let t = Option.value t ~default:(max 1 (n - 2)) in
     let kill =
       match (kill_node, kill_after) with
@@ -1587,7 +1577,6 @@ let serve_cmd =
               big_d;
               max_rounds = Option.value max_rounds ~default:(t + 1);
               batch = not no_batch;
-              backend;
               kill_after;
               linger = true;
               wal_dir = (if wal || respawn then Some dir else None);
@@ -1662,7 +1651,7 @@ let serve_cmd =
               window;
               big_d;
               batch = not no_batch;
-              backend;
+              backend = Serve.Evloop.Poll;
               kill;
               max_rounds;
               proposals = serve_proposals n;
@@ -1714,9 +1703,9 @@ let serve_cmd =
           decisions/sec and latency percentiles, and judge every instance — \
           including under a scripted mid-storm node kill.")
     Term.(const go $ n $ t $ instances $ window $ transport $ dir $ port
-          $ big_d $ no_batch $ kill_node $ kill_after $ min_dps $ backend
-          $ soak $ bucket $ max_rounds $ respawn $ respawn_budget $ wal
-          $ kill_every $ chaos_links $ chaos_seed $ chaos_cuts $ chaos_resets
+          $ big_d $ no_batch $ kill_node $ kill_after $ min_dps $ soak
+          $ bucket $ max_rounds $ respawn $ respawn_budget $ wal $ kill_every
+          $ chaos_links $ chaos_seed $ chaos_cuts $ chaos_resets
           $ chaos_corrupts $ chaos_horizon $ json $ node $ verbose)
 
 let submit_cmd =
@@ -1751,8 +1740,9 @@ let submit_cmd =
     Arg.(value & flag
          & info [ "reconnect" ]
              ~doc:
-               "Re-dial a dead engine with jittered backoff and re-submit \
-                its unanswered instances (pair with serve --respawn).")
+               "Re-dial a dead engine with jittered backoff and count it \
+                live again for the instances submitted after the re-dial \
+                (pair with serve --respawn).")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the outcome as one JSON object.")
@@ -1775,7 +1765,7 @@ let submit_cmd =
           Serve.Client.n;
           transport;
           first = 0;
-          instances;
+          load = Serve.Client.Count instances;
           window;
           proposals = serve_proposals n;
           timeout;
@@ -1826,7 +1816,6 @@ let submit_cmd =
                          (fun p -> Obs.Json.Int p)
                          o.Serve.Client.dead_nodes) );
                   ("reconnects", Obs.Json.Int o.Serve.Client.reconnects);
-                  ("resubmits", Obs.Json.Int o.Serve.Client.resubmits);
                 ]))
       else begin
         Format.printf
@@ -1842,8 +1831,7 @@ let submit_cmd =
             (String.concat ","
                (List.map string_of_int o.Serve.Client.dead_nodes));
         if o.Serve.Client.reconnects > 0 then
-          Format.printf "reconnects: %d (resubmitted %d instance(s))@."
-            o.Serve.Client.reconnects o.Serve.Client.resubmits
+          Format.printf "reconnects: %d@." o.Serve.Client.reconnects
       end;
       if disagreements <> [] || settled < instances then 1 else 0
   in

@@ -52,7 +52,7 @@ let run_cell ~tag ?kill ?(chaos = []) ~instances () =
       window = 16;
       big_d = 0.3;
       batch = true;
-      backend = Serve.Evloop.Select;
+      backend = Serve.Evloop.Poll;
       kill;
       max_rounds = None;
       proposals = (fun i node -> (i * n) + node);
@@ -67,12 +67,12 @@ let run_cell ~tag ?kill ?(chaos = []) ~instances () =
   in
   let result =
     Serve.Fleet.with_mesh cfg (fun ~on_idle ~kill:_ ->
-        Serve.Client.run ~on_idle ~tick:0.05
+        Serve.Client.run ~on_idle
           {
             Serve.Client.n;
             transport = cfg.Serve.Fleet.transport;
             first = 0;
-            instances;
+            load = Serve.Client.Count instances;
             window = cfg.Serve.Fleet.window;
             proposals = cfg.Serve.Fleet.proposals;
             timeout = Serve.Fleet.default_timeout cfg;

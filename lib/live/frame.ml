@@ -331,3 +331,16 @@ let pop d =
   | `View v -> `Frame (frame_of_view v)
   | `Need_more -> `Need_more
   | `Corrupt msg -> `Corrupt msg
+
+(* Every Hello encodes to the same size, so a handshake can read exactly
+   one — no peer bytes beyond it ever land in the wrong decoder. *)
+let hello_size = String.length (encode (Hello { node = 1 }))
+
+let hello_of_string bytes =
+  let d = decoder () in
+  feed_string d bytes;
+  match pop d with
+  | `Frame (Hello { node }) -> Ok node
+  | `Frame f -> Error (Format.asprintf "handshake: unexpected %a" pp f)
+  | `Corrupt why -> Error ("handshake: " ^ why)
+  | `Need_more -> Error "handshake: short hello"

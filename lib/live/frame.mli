@@ -107,3 +107,11 @@ val frame_of_view : view -> t
 
 val buffered : decoder -> int
 (** Bytes fed but not yet consumed by popped frames. *)
+
+val hello_size : int
+(** Encoded size of every Hello frame: a handshake reads exactly this many
+    bytes, so no bytes beyond it land in the wrong decoder. *)
+
+val hello_of_string : string -> (int, string) result
+(** The node id of one encoded Hello; any other frame, a corrupt one or a
+    short read is an [Error] starting with ["handshake: "]. *)

@@ -159,3 +159,27 @@ let read_chunk fd buf =
     ->
     `Nothing
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Closed
+
+let read_exact ~deadline fd n =
+  let buf = Bytes.create n in
+  let rec go off =
+    if off >= n then Ok (Bytes.to_string buf)
+    else
+      let dt = deadline -. now () in
+      if dt <= 0.0 then err "handshake" "timed out"
+      else
+        match Unix.select [ fd ] [] [] dt with
+        | [], _, _ -> go off
+        | _ :: _, _, _ -> (
+          match Unix.read fd buf off (n - off) with
+          | 0 -> err "handshake" "peer closed"
+          | k -> go (off + k)
+          | exception
+              Unix.Unix_error
+                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+            go off
+          | exception Unix.Unix_error (errno, _, _) ->
+            err ~errno "handshake" "peer closed")
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0

@@ -80,3 +80,11 @@ val read_chunk :
   Unix.file_descr -> bytes -> [ `Data of int | `Closed | `Nothing ]
 (** One nonblocking read: bytes read, orderly/abortive close, or nothing
     available. *)
+
+val read_exact :
+  deadline:float -> Unix.file_descr -> int -> (string, error) result
+(** Read exactly [n] bytes — a connection's Hello — waiting for
+    readability up to [deadline]: the handshake reader of both the live
+    node and the serve engine, so neither reads past the Hello into
+    bytes that belong to the connection's frame decoder.  [Error] on
+    timeout or when the peer closes first. *)

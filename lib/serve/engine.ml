@@ -6,7 +6,6 @@ type config = {
   big_d : float;
   max_rounds : int;
   batch : bool;
-  backend : Evloop.backend;
   kill_after : int option;
   linger : bool;
   wal_dir : string option;
@@ -84,40 +83,6 @@ module Make (A : Binding.ALGO) = struct
     output_string cfg.status (Obs.Json.to_string (Obs.Json.Obj fields));
     output_char cfg.status '\n';
     flush cfg.status
-
-  let hello_size =
-    String.length (Live.Frame.encode (Live.Frame.Hello { node = 1 }))
-
-  let read_exact ~deadline fd n =
-    let buf = Bytes.create n in
-    let rec go off =
-      if off >= n then Ok (Bytes.to_string buf)
-      else
-        let dt = deadline -. Live.Sockets.now () in
-        if dt <= 0.0 then Error "handshake: timed out"
-        else
-          match Unix.select [ fd ] [] [] dt with
-          | [], _, _ -> go off
-          | _ :: _, _, _ -> (
-            match Unix.read fd buf off (n - off) with
-            | 0 -> Error "handshake: peer closed"
-            | k -> go (off + k)
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              go off)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
-
-  let hello_of bytes =
-    let d = Live.Frame.decoder () in
-    Live.Frame.feed_string d bytes;
-    match Live.Frame.pop d with
-    | `Frame (Live.Frame.Hello { node }) -> Ok node
-    | `Frame f -> Error (Format.asprintf "handshake: unexpected %a" Live.Frame.pp f)
-    | `Corrupt why -> Error ("handshake: " ^ why)
-    | `Need_more -> Error "handshake: short hello"
 
   (* One loop's worth of mutable wiring: the registry maps each live fd to
      what it is, and the client list is what the round-robin rotates over. *)
@@ -254,10 +219,10 @@ module Make (A : Binding.ALGO) = struct
         match Live.Sockets.accept_timeout ~deadline lfd with
         | Error e -> failwith (Live.Sockets.error_to_string e)
         | Ok fd -> (
-          match read_exact ~deadline fd hello_size with
-          | Error why -> failwith why
+          match Live.Sockets.read_exact ~deadline fd Live.Frame.hello_size with
+          | Error e -> failwith (Live.Sockets.error_to_string e)
           | Ok bytes -> (
-            match hello_of bytes with
+            match Live.Frame.hello_of_string bytes with
             | Error why -> failwith why
             | Ok 0 ->
               Unix.set_nonblock fd;
@@ -315,7 +280,7 @@ module Make (A : Binding.ALGO) = struct
     let lp =
       {
         cfg;
-        ev = Evloop.create ~backend:cfg.backend ();
+        ev = Evloop.create ();
         registry = Hashtbl.create 64;
         peers =
           Array.init cfg.n (fun i ->
@@ -489,7 +454,7 @@ module Make (A : Binding.ALGO) = struct
         ("node", Obs.Json.Int cfg.me);
         ("recovered", Obs.Json.Int (List.length recovered));
       ];
-    logf cfg "mesh up; serving (%s backend)" (Evloop.backend_to_string cfg.backend);
+    logf cfg "mesh up; serving";
     let buf = Bytes.create 65536 in
     let drain_peer peer =
       let rec go () =
@@ -564,7 +529,7 @@ module Make (A : Binding.ALGO) = struct
           let p =
             {
               pfd = fd;
-              pbuf = Bytes.create hello_size;
+              pbuf = Bytes.create Live.Frame.hello_size;
               got = 0;
               pdeadline = Live.Sockets.now () +. hello_deadline;
             }
@@ -579,13 +544,13 @@ module Make (A : Binding.ALGO) = struct
       done
     in
     let pending_read p =
-      match Unix.read p.pfd p.pbuf p.got (hello_size - p.got) with
+      match Unix.read p.pfd p.pbuf p.got (Live.Frame.hello_size - p.got) with
       | 0 -> drop_pending lp p "closed before hello"
       | k ->
         p.got <- p.got + k;
-        if p.got >= hello_size then begin
+        if p.got >= Live.Frame.hello_size then begin
           lp.pendings <- List.filter (fun q -> q != p) lp.pendings;
-          match hello_of (Bytes.to_string p.pbuf) with
+          match Live.Frame.hello_of_string (Bytes.to_string p.pbuf) with
           | Ok 0 ->
             Hashtbl.remove lp.registry p.pfd;
             Evloop.deregister lp.ev p.pfd;

@@ -1,7 +1,10 @@
-(** The per-node serve event loop: one single-threaded readiness loop
-    ({!Evloop}, select- or poll-backed) multiplexing the whole socket
-    mesh, every connected client, and the mux's round deadlines — with
-    the invariant that {b no syscall inside the loop can block}.
+(** The per-node serve event loop: one single-threaded [poll(2)]
+    readiness loop ({!Evloop}) multiplexing the whole socket mesh, every
+    connected client, and the mux's round deadlines — with the invariant
+    that {b no socket syscall inside the loop can block}.  The one
+    blocking call is the WAL's: with [wal_dir] set, each decide's
+    {!Wal.append} fsyncs inline, so the loop waits out one disk flush per
+    decision.
 
     Reads are nonblocking and feed incremental frame decoders into the
     {!Mux}; writes never touch a socket directly — {!Batch.flush} hands
@@ -51,7 +54,6 @@ type config = {
   big_d : float;  (** per-round receive window, seconds *)
   max_rounds : int;
   batch : bool;  (** coalesce mesh frames per peer per loop iteration *)
-  backend : Evloop.backend;  (** readiness backend: [Select] or [Poll] *)
   kill_after : int option;  (** mesh-frame kill budget (see {!Mux}) *)
   linger : bool;  (** keep serving after the last client disconnects *)
   wal_dir : string option;  (** durable decision log directory (see {!Wal}) *)

@@ -1,76 +1,27 @@
-type backend = Select | Poll
-
-external poll_stub_available : unit -> bool = "serve_poll_available"
+type backend = Poll
 
 external poll_wait :
   Unix.file_descr array -> int array -> int -> int array = "serve_poll_wait"
 
-let poll_available = poll_stub_available ()
-
-let backend_of_string = function
-  | "select" -> Ok Select
-  | "poll" ->
-    if poll_available then Ok Poll
-    else Error "evloop: poll backend not available on this platform"
-  | s -> Error (Printf.sprintf "evloop: unknown backend %S (select|poll)" s)
-
-let backend_to_string = function Select -> "select" | Poll -> "poll"
-
 type interest = { mutable read : bool; mutable write : bool }
+type t = (Unix.file_descr, interest) Hashtbl.t
 
-type t = {
-  backend : backend;
-  tbl : (Unix.file_descr, interest) Hashtbl.t;
-}
-
-let create ?(backend = Select) () = { backend; tbl = Hashtbl.create 64 }
-let backend t = t.backend
+let create ?backend:_ () = Hashtbl.create 64
 
 let register t fd ~read ~write =
-  match Hashtbl.find_opt t.tbl fd with
+  match Hashtbl.find_opt t fd with
   | Some i ->
     i.read <- read;
     i.write <- write
-  | None -> Hashtbl.replace t.tbl fd { read; write }
+  | None -> Hashtbl.replace t fd { read; write }
 
-let deregister t fd = Hashtbl.remove t.tbl fd
+let deregister t fd = Hashtbl.remove t fd
+let registered t = Hashtbl.length t
 
-let interest t fd =
-  Option.map (fun i -> (i.read, i.write)) (Hashtbl.find_opt t.tbl fd)
-
-let registered t = Hashtbl.length t.tbl
-
-(* Both backends snapshot the registry into arrays before blocking:
-   callbacks run against the snapshot, never against the live table. *)
-
-let wait_select t ~timeout ~handle =
-  let rd = ref [] and wr = ref [] in
-  Hashtbl.iter
-    (fun fd i ->
-      if i.read then rd := fd :: !rd;
-      if i.write then wr := fd :: !wr)
-    t.tbl;
-  match Unix.select !rd !wr [] (Float.max 0.0 timeout) with
-  | readable, writable, _ ->
-    (* One callback per fd, merging the two ready sets. *)
-    let count = ref 0 in
-    List.iter
-      (fun fd ->
-        incr count;
-        handle fd ~readable:true ~writable:(List.memq fd writable))
-      readable;
-    List.iter
-      (fun fd ->
-        if not (List.memq fd readable) then begin
-          incr count;
-          handle fd ~readable:false ~writable:true
-        end)
-      writable;
-    !count
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-
-let wait_poll t ~timeout ~handle =
-  let n = Hashtbl.length t.tbl in
+(* The registry is snapshotted into arrays before blocking: callbacks run
+   against the snapshot, never against the live table. *)
+let wait t ~timeout ~handle =
+  let n = Hashtbl.length t in
   let fds = Array.make n Unix.stdin in
   let events = Array.make n 0 in
   let k = ref 0 in
@@ -79,7 +30,7 @@ let wait_poll t ~timeout ~handle =
       fds.(!k) <- fd;
       events.(!k) <- (if i.read then 1 else 0) lor (if i.write then 2 else 0);
       incr k)
-    t.tbl;
+    t;
   let timeout_ms =
     if timeout <= 0.0 then 0
     else
@@ -91,7 +42,8 @@ let wait_poll t ~timeout ~handle =
   Array.iteri
     (fun i r ->
       (* Only report events the caller asked for: poll flags HUP/ERR
-         unconditionally, select only flags fds in the interest sets. *)
+         whatever the interest, and a hung-up fd registered for neither
+         direction must stay silent. *)
       let r = r land events.(i) in
       if r <> 0 then begin
         incr count;
@@ -99,8 +51,3 @@ let wait_poll t ~timeout ~handle =
       end)
     revents;
   !count
-
-let wait t ~timeout ~handle =
-  match t.backend with
-  | Select -> wait_select t ~timeout ~handle
-  | Poll -> wait_poll t ~timeout ~handle

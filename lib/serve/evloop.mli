@@ -1,31 +1,23 @@
 (** Readiness multiplexing for the serve event loop.
 
-    One registry of fd interest (read, write, or both) behind two
-    interchangeable backends: a portable [Unix.select] one and a
-    [poll(2)] one via a small C stub.  select silently fails past
-    [FD_SETSIZE] (1024) descriptors — the cliff that caps how many
-    clients a node can serve — while poll has no limit; the engine picks
-    at runtime via [--backend] and the qcheck suite pins both backends
-    to identical readiness sets on random interest updates.
+    One registry of fd interest (read, write, or both) waited on with
+    [poll(2)] through a small C stub.  poll has no [FD_SETSIZE] (1024)
+    cliff, so a node's client count is bounded by its fd limit, not by
+    the readiness call.  Readiness is reported only for the directions a
+    fd is registered for — a hung-up fd with write interest only is
+    writable, never readable.
 
     [wait] snapshots the registry before blocking, so a callback may
     freely register or deregister fds (accepting a connection, marking a
     peer dead) without invalidating the iteration. *)
 
-type backend = Select | Poll
-
-val poll_available : bool
-(** Whether the poll stub is compiled in on this platform. *)
-
-val backend_of_string : string -> (backend, string) result
-val backend_to_string : backend -> string
+type backend = Poll
+(** The one readiness backend; kept as a type so existing
+    [create ~backend:Poll] call sites keep compiling. *)
 
 type t
 
 val create : ?backend:backend -> unit -> t
-(** Default backend: [Select] (portable, deterministic baseline). *)
-
-val backend : t -> backend
 
 val register : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 (** Set (or update) the interest for a fd.  [read:false ~write:false]
@@ -34,9 +26,6 @@ val register : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 
 val deregister : t -> Unix.file_descr -> unit
 (** Forget a fd.  Safe to call for a fd that was never registered. *)
-
-val interest : t -> Unix.file_descr -> (bool * bool) option
-(** [(read, write)] interest currently registered, if any. *)
 
 val registered : t -> int
 

@@ -171,7 +171,6 @@ let with_mesh cfg drive =
             big_d = cfg.big_d;
             max_rounds;
             batch = cfg.batch;
-            backend = cfg.backend;
             kill_after;
             linger = false;
             wal_dir;
@@ -313,14 +312,14 @@ let run cfg =
         Client.n = cfg.n;
         transport = cfg.transport;
         first = 0;
-        instances = cfg.instances;
+        load = Client.Count cfg.instances;
         window = cfg.window;
         proposals = cfg.proposals;
         timeout;
         reconnect = cfg.respawn;
       }
     in
-    match Client.run ~on_idle ~tick:0.05 client_cfg with
+    match Client.run ~on_idle client_cfg with
     | Error e -> Error ("serve fleet: client: " ^ e)
     | Ok outcome -> Ok outcome
   in

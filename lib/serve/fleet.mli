@@ -3,7 +3,7 @@
     latencies, per-engine stats, and any realized kill into a {!Report}.
 
     Engine status pipes (ready / halted / stats JSON lines) are pumped
-    from the driver's [on_idle] hook, so one select loop serves both
+    from the driver's [on_idle] hook, so one event loop serves both
     jobs; a kill-budget victim's SIGSTOP is answered with SIGKILL from
     the same hook — mid-storm, while the other engines keep deciding.
 
@@ -23,7 +23,7 @@ type config = {
   window : int;
   big_d : float;
   batch : bool;
-  backend : Evloop.backend;  (** readiness backend for every engine *)
+  backend : Evloop.backend;  (** always [Poll], the one readiness backend *)
   kill : Report.kill_spec option;
   max_rounds : int option;  (** default [t + 1] *)
   proposals : int -> int -> int;  (** instance -> node -> proposal *)

@@ -5,7 +5,7 @@
     (socket or loopback) feeds it decoded frame views, submits, and the
     current time; it answers through the [emit] callback (destination 0 is
     the client channel, 1..n are mesh peers) and exposes the earliest
-    pending round deadline for the event loop's select timeout.
+    pending round deadline for the event loop's readiness-wait timeout.
 
     Rounds are pipelined across instances: each instance tracks its own
     round and deadline, advancing {e early} the moment its

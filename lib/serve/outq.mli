@@ -2,7 +2,7 @@
     guarantee.
 
     The old engine called a blocking [write_all] (2 s deadline) for every
-    send inside the select loop: one slow client stalled the whole mesh
+    send inside the event loop: one slow client stalled the whole mesh
     node and blew the round deadline for every instance — exactly the
     synchrony violation [lib/net] injects on purpose.  Now a send only
     {e enqueues} bytes; the event loop drains a queue when its fd reports

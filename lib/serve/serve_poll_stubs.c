@@ -1,10 +1,10 @@
-/* poll(2) backend for Serve.Evloop.
+/* poll(2) readiness wait for Serve.Evloop.
  *
- * Unix.select caps at FD_SETSIZE (1024) file descriptors — a hard cliff
- * for a node serving hundreds of clients on top of its mesh.  poll has
- * no such limit.  The stub copies the interest arrays into a C pollfd
- * array, releases the OCaml runtime for the wait, and hands back one
- * revents bit set per fd (bit 0 = readable, bit 1 = writable).
+ * poll has no FD_SETSIZE (1024) limit, so a node serving hundreds of
+ * clients on top of its mesh never meets a descriptor-count cliff.  The
+ * stub copies the interest arrays into a C pollfd array, releases the
+ * OCaml runtime for the wait, and hands back one revents bit set per fd
+ * (bit 0 = readable, bit 1 = writable).
  *
  * On Unix a Unix.file_descr is an immediate int, so the fd array is
  * read with Int_val directly; no conversion module is needed.
@@ -20,19 +20,13 @@
 #include <caml/mlvalues.h>
 #include <caml/threads.h>
 
-CAMLprim value serve_poll_available(value unit)
-{
-  (void) unit;
-  return Val_true;
-}
-
 /* serve_poll_wait fds events timeout_ms
  *
  * [fds] and [events] have the same length; events bit 0 asks for POLLIN,
  * bit 1 for POLLOUT.  Returns a fresh int array of result bits: bit 0 is
  * set when the fd is readable (or hung up / in error — the caller's read
  * will surface the close), bit 1 when writable.  EINTR reports as "no fd
- * ready", exactly like the select backend.
+ * ready", like a timeout.
  */
 CAMLprim value serve_poll_wait(value v_fds, value v_events, value v_timeout)
 {

@@ -20,16 +20,9 @@ type t = {
   ok : bool;
 }
 
-type flight = {
-  t0 : float;
-  mutable miss : int;
-  mutable value : int option;
-  mutable bad : bool;
-}
-
+(* After the stream stops submitting, in-flight instances get this long
+   to settle before the soak closes and counts them undrained. *)
 let drain_grace = 3.0
-let reconnect_backoff = 0.1
-let reconnect_backoff_max = 1.0
 
 let run ?kill_every cfg ~duration ~bucket =
   if duration <= 0.0 then Error "serve soak: duration must be positive"
@@ -38,264 +31,64 @@ let run ?kill_every cfg ~duration ~bucket =
     Error "serve soak: --kill-every needs the respawn policy enabled"
   else
     let drive ~on_idle ~kill =
-      let nodes_fd = Array.make cfg.Fleet.n None in
-      let decoders =
-        Array.init cfg.Fleet.n (fun _ -> Live.Frame.decoder ())
-      in
-      (* Reconnect state mirrors {!Client}: a dead engine is re-dialed
-         under jittered backoff, so a respawned node rejoins the
-         soak's agreement cross-check instead of shrinking it. *)
-      let attempts = Array.make cfg.Fleet.n 0 in
-      let next_try = Array.make cfg.Fleet.n infinity in
-      let jitter = Prng.Rng.of_int 0x50a1 in
-      let reconnects = ref 0 in
+      let started = Live.Sockets.now () in
+      (* The periodic chaos kill: SIGKILL the next engine round-robin and
+         let the fleet's respawn policy bring it back through the
+         WAL-replay / catch-up path, while the client re-dials it. *)
       let kills = ref 0 in
-      let hello = Live.Frame.encode (Live.Frame.Hello { node = 0 }) in
-      let deadline = Live.Sockets.now () +. 10.0 in
-      let connect_err = ref None in
-      for p = 1 to cfg.Fleet.n do
-        if !connect_err = None then
-          match
-            Live.Sockets.connect_retry ~deadline
-              (Live.Sockets.addr_of ~transport:cfg.Fleet.transport p)
-          with
-          | Error e ->
-            connect_err :=
-              Some
-                (Printf.sprintf "connect to p%d: %s" p
-                   (Live.Sockets.error_to_string e))
-          | Ok fd -> (
-            match Live.Sockets.write_all ~deadline fd hello with
-            | Ok () ->
-              Unix.set_nonblock fd;
-              nodes_fd.(p - 1) <- Some fd
-            | Error e ->
-              connect_err :=
-                Some
-                  (Printf.sprintf "hello to p%d: %s" p
-                     (Live.Sockets.error_to_string e)))
-      done;
-      match !connect_err with
-      | Some e ->
-        Array.iter
-          (function
-            | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-            | None -> ())
-          nodes_fd;
-        Error ("serve soak: " ^ e)
-      | None ->
-        let window = max 1 cfg.Fleet.window in
-        let live = ref cfg.Fleet.n in
-        let inflight : (int, flight) Hashtbl.t = Hashtbl.create 256 in
-        let next_id = ref 0 in
-        let settled = ref 0 in
-        let disagreements = ref 0 in
-        (* settle-time latencies keyed by bucket index *)
-        let lat_buckets : (int, float list ref) Hashtbl.t = Hashtbl.create 32 in
-        let started = Live.Sockets.now () in
-        let soak_end = started +. duration in
-        let next_kill =
-          ref
-            (match kill_every with
-            | Some ke -> started +. ke
-            | None -> infinity)
+      let next_victim = ref 1 in
+      let next_kill =
+        ref (match kill_every with Some ke -> started +. ke | None -> infinity)
+      in
+      let on_idle () =
+        (match kill_every with
+        | Some ke when Live.Sockets.now () >= !next_kill ->
+          if kill !next_victim then incr kills;
+          next_victim := (!next_victim mod cfg.Fleet.n) + 1;
+          next_kill := Live.Sockets.now () +. ke
+        | Some _ | None -> ());
+        on_idle ()
+      in
+      (* Agreement is checked on each settled row; the settle-time
+         latency lands in the bucket its settle time falls in. *)
+      let settled = ref 0 in
+      let disagreements = ref 0 in
+      let lat_buckets : (int, float list ref) Hashtbl.t = Hashtbl.create 32 in
+      let on_settle (s : Client.settled) =
+        incr settled;
+        let values =
+          Array.to_list s.Client.row
+          |> List.filter_map (Option.map fst)
+          |> List.sort_uniq compare
         in
-        let next_victim = ref 1 in
-        let settle id f =
-          Hashtbl.remove inflight id;
-          incr settled;
-          let now = Live.Sockets.now () in
-          let idx = int_of_float ((now -. started) /. bucket) in
-          let cell =
-            match Hashtbl.find_opt lat_buckets idx with
-            | Some r -> r
-            | None ->
-              let r = ref [] in
-              Hashtbl.replace lat_buckets idx r;
-              r
-          in
-          cell := (now -. f.t0) :: !cell
+        if List.length values > 1 then incr disagreements;
+        let idx = int_of_float ((s.Client.at -. started) /. bucket) in
+        let cell =
+          match Hashtbl.find_opt lat_buckets idx with
+          | Some r -> r
+          | None ->
+            let r = ref [] in
+            Hashtbl.replace lat_buckets idx r;
+            r
         in
-        let submit_burst fresh =
-          let per_node = Array.init cfg.Fleet.n (fun _ -> Buffer.create 256) in
-          List.iter
-            (fun id ->
-              Hashtbl.replace inflight id
-                { t0 = Live.Sockets.now (); miss = !live; value = None; bad = false };
-              for p = 1 to cfg.Fleet.n do
-                if nodes_fd.(p - 1) <> None then
-                  Buffer.add_string per_node.(p - 1)
-                    (Live.Frame.encode
-                       (Live.Frame.Submit
-                          { instance = id; proposal = cfg.Fleet.proposals id p }))
-              done)
-            fresh;
-          Array.iteri
-            (fun i fdo ->
-              match fdo with
-              | None -> ()
-              | Some fd ->
-                let wire = Buffer.contents per_node.(i) in
-                if wire <> "" then (
-                  match
-                    Live.Sockets.write_all
-                      ~deadline:(Live.Sockets.now () +. 2.0)
-                      fd wire
-                  with
-                  | Ok () -> ()
-                  | Error _ -> ()))
-            nodes_fd
-        in
-        let refill () =
-          if Live.Sockets.now () < soak_end && !live > 0 then begin
-            let fresh = ref [] in
-            while Hashtbl.length inflight + List.length !fresh < window do
-              fresh := !next_id :: !fresh;
-              incr next_id
-            done;
-            if !fresh <> [] then submit_burst (List.rev !fresh)
-          end
-        in
-        let mark_dead p =
-          match nodes_fd.(p - 1) with
-          | None -> ()
-          | Some fd ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            nodes_fd.(p - 1) <- None;
-            decr live;
-            if cfg.Fleet.respawn then begin
-              attempts.(p - 1) <- 0;
-              next_try.(p - 1) <-
-                Live.Sockets.now ()
-                +. Live.Sockets.retry_wait ~jitter reconnect_backoff
-            end;
-            let freed = ref [] in
-            Hashtbl.iter
-              (fun id f ->
-                f.miss <- f.miss - 1;
-                if f.miss <= 0 then freed := (id, f) :: !freed)
-              inflight;
-            List.iter (fun (id, f) -> settle id f) !freed
-        in
-        let try_reconnects () =
-          for p = 1 to cfg.Fleet.n do
-            if
-              nodes_fd.(p - 1) = None
-              && Live.Sockets.now () >= next_try.(p - 1)
-            then begin
-              next_try.(p - 1) <- infinity;
-              match
-                Live.Sockets.connect_retry
-                  ~deadline:(Live.Sockets.now () +. 0.2)
-                  (Live.Sockets.addr_of ~transport:cfg.Fleet.transport p)
-              with
-              | Error _ ->
-                attempts.(p - 1) <- attempts.(p - 1) + 1;
-                let backoff =
-                  Float.min reconnect_backoff_max
-                    (reconnect_backoff
-                    *. (2.0 ** float_of_int attempts.(p - 1)))
-                in
-                next_try.(p - 1) <-
-                  Live.Sockets.now () +. Live.Sockets.retry_wait ~jitter backoff
-              | Ok fd -> (
-                match
-                  Live.Sockets.write_all
-                    ~deadline:(Live.Sockets.now () +. 2.0)
-                    fd hello
-                with
-                | Error _ ->
-                  (try Unix.close fd with Unix.Unix_error _ -> ());
-                  attempts.(p - 1) <- attempts.(p - 1) + 1;
-                  next_try.(p - 1) <-
-                    Live.Sockets.now ()
-                    +. Live.Sockets.retry_wait ~jitter reconnect_backoff
-                | Ok () ->
-                  Unix.set_nonblock fd;
-                  nodes_fd.(p - 1) <- Some fd;
-                  decoders.(p - 1) <- Live.Frame.decoder ();
-                  incr reconnects)
-            end
-          done
-        in
-        let drain p =
-          let dec = decoders.(p - 1) in
-          let rec go () =
-            match Live.Frame.pop_view dec with
-            | `View v ->
-              (match v.Live.Frame.kind with
-              | Live.Frame.K_decide -> (
-                match Hashtbl.find_opt inflight v.Live.Frame.instance with
-                | None -> ()
-                | Some f ->
-                  (match f.value with
-                  | None -> f.value <- Some v.Live.Frame.value
-                  | Some w ->
-                    if w <> v.Live.Frame.value && not f.bad then begin
-                      f.bad <- true;
-                      incr disagreements
-                    end);
-                  f.miss <- f.miss - 1;
-                  if f.miss <= 0 then settle v.Live.Frame.instance f)
-              | _ -> ());
-              go ()
-            | `Need_more -> ()
-            | `Corrupt _ -> mark_dead p
-          in
-          go ()
-        in
-        let buf = Bytes.create 65536 in
-        refill ();
-        let hard_end = soak_end +. drain_grace in
-        while
-          (Live.Sockets.now () < soak_end
-          || (Hashtbl.length inflight > 0 && Live.Sockets.now () < hard_end))
-          && (!live > 0
-             || Array.exists (fun t -> t < infinity) next_try)
-        do
-          (* The periodic chaos kill: SIGKILL the next engine round-robin
-             and let the fleet's respawn policy bring it back through the
-             WAL-replay / catch-up path. *)
-          if Live.Sockets.now () >= !next_kill then begin
-            if kill !next_victim then incr kills;
-            next_victim := (!next_victim mod cfg.Fleet.n) + 1;
-            (match kill_every with
-            | Some ke -> next_kill := Live.Sockets.now () +. ke
-            | None -> next_kill := infinity)
-          end;
-          let fds =
-            Array.to_list nodes_fd |> List.filter_map (fun fdo -> fdo)
-          in
-          let timeout =
-            Float.min 0.05
-              (Float.max 0.0 (hard_end -. Live.Sockets.now ()))
-          in
-          (match Unix.select fds [] [] timeout with
-          | ready, _, _ ->
-            for p = 1 to cfg.Fleet.n do
-              match nodes_fd.(p - 1) with
-              | Some fd when List.memq fd ready -> (
-                match Live.Sockets.read_chunk fd buf with
-                | `Data k ->
-                  Live.Frame.feed decoders.(p - 1) (Bytes.unsafe_to_string buf)
-                    ~pos:0 ~len:k;
-                  drain p
-                | `Closed -> mark_dead p
-                | `Nothing -> ())
-              | _ -> ()
-            done
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          try_reconnects ();
-          refill ();
-          on_idle ()
-        done;
+        cell := (s.Client.at -. s.Client.submitted) :: !cell
+      in
+      match
+        Client.run ~on_idle ~on_settle
+          {
+            Client.n = cfg.Fleet.n;
+            transport = cfg.Fleet.transport;
+            first = 0;
+            load = Client.Until (started +. duration);
+            window = cfg.Fleet.window;
+            proposals = cfg.Fleet.proposals;
+            timeout = duration +. drain_grace;
+            reconnect = cfg.Fleet.respawn;
+          }
+      with
+      | Error e -> Error ("serve soak: " ^ e)
+      | Ok outcome ->
         let elapsed = Live.Sockets.now () -. started in
-        let undrained = Hashtbl.length inflight in
-        Array.iter
-          (function
-            | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-            | None -> ())
-          nodes_fd;
         let buckets =
           Hashtbl.fold (fun idx lats acc -> (idx, !lats) :: acc) lat_buckets []
           |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -317,11 +110,11 @@ let run ?kill_every cfg ~duration ~bucket =
             elapsed;
             settled = !settled;
             disagreements = !disagreements;
-            undrained;
+            undrained = List.length outcome.Client.undecided;
             decisions_per_sec =
               (if elapsed > 0.0 then float_of_int !settled /. elapsed else 0.0);
             kills = !kills;
-            reconnects = !reconnects;
+            reconnects = outcome.Client.reconnects;
             buckets;
             ok = !disagreements = 0;
           }

@@ -4,17 +4,22 @@
     degradation over time (queue growth, allocator drift, fd leaks)
     which a fixed-instance storm's single aggregate hides.
 
-    Instances are submitted with the same windowed pipelining as
-    {!Client}; each settled instance files its submit-to-settle latency
-    into the bucket its settle time falls in.  Agreement is checked on
-    the fly: any instance where two nodes report different values counts
-    as a disagreement (and fails {!ok}).
+    The soak {e is} a {!Client} run inside {!Fleet.with_mesh}: the
+    client in stream mode ({!Client.Until}) keeps [cfg.window] instances
+    in flight until [duration] has passed, then drains.  The soak adds
+    only what it observes: each settled instance files its
+    submit-to-settle latency into the bucket its settle time falls in,
+    and its per-node row is checked for agreement — two nodes reporting
+    different values is a disagreement, and fails {!ok}.
 
-    With [kill_every] (requires the fleet's respawn policy), a periodic
-    round-robin SIGKILL storms the mesh: the fleet respawns each victim
-    through the WAL-replay / catch-up path while the soak's own client
-    re-dials it — the bucketed percentiles then show the recovery dips,
-    and {!ok} still demands zero disagreements across every kill. *)
+    With [kill_every] (requires the fleet's respawn policy), the fleet's
+    [on_idle] hook is wrapped by a round-robin SIGKILL schedule: the
+    fleet respawns each victim through the WAL-replay / catch-up path
+    and the client re-dials it exactly as it does for any storm
+    (re-Hello, a fresh decoder, counted live again for the instances
+    submitted after the re-dial).  The bucketed percentiles then show
+    the recovery dips, and {!ok} still demands zero disagreements
+    across every kill. *)
 
 type bucket = {
   since : float;  (** bucket start, seconds from soak start *)

@@ -274,77 +274,99 @@ let wait_events ev ~timeout =
   in
   (n, !seen)
 
-let test_evloop_backend backend () =
-  if backend = Serve.Evloop.Poll && not Serve.Evloop.poll_available then ()
-  else begin
+let test_evloop_poll () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock a;
+  Unix.set_nonblock b;
+  let ev = Serve.Evloop.create () in
+  Serve.Evloop.register ev a ~read:true ~write:false;
+  Alcotest.(check int) "registered" 1 (Serve.Evloop.registered ev);
+  let n, _ = wait_events ev ~timeout:0.0 in
+  Alcotest.(check int) "quiet" 0 n;
+  ignore (Unix.write b (Bytes.of_string "x") 0 1);
+  let n, seen = wait_events ev ~timeout:1.0 in
+  Alcotest.(check int) "one ready" 1 n;
+  (match seen with
+  | [ (fd, true, false) ] when fd = a -> ()
+  | _ -> Alcotest.fail "expected a readable, not writable");
+  (* write interest: a fresh socket is writable immediately; readable
+     state must be reported in the same callback *)
+  Serve.Evloop.register ev a ~read:true ~write:true;
+  let _, seen = wait_events ev ~timeout:1.0 in
+  (match seen with
+  | [ (fd, true, true) ] when fd = a -> ()
+  | _ -> Alcotest.fail "expected a readable and writable");
+  Serve.Evloop.deregister ev a;
+  Alcotest.(check int) "deregistered" 0 (Serve.Evloop.registered ev);
+  let n, _ = wait_events ev ~timeout:0.0 in
+  Alcotest.(check int) "nothing watched" 0 n;
+  Unix.close a;
+  Unix.close b
+
+(* poll flags a hang-up whatever the interest; the loop must only ever
+   see the directions it registered for. *)
+let test_evloop_hangup_masked () =
+  let expect ~read ~write =
     let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.set_nonblock a;
-    Unix.set_nonblock b;
-    let ev = Serve.Evloop.create ~backend () in
-    Serve.Evloop.register ev a ~read:true ~write:false;
-    Alcotest.(check int) "registered" 1 (Serve.Evloop.registered ev);
-    let n, _ = wait_events ev ~timeout:0.0 in
-    Alcotest.(check int) "quiet" 0 n;
-    ignore (Unix.write b (Bytes.of_string "x") 0 1);
-    let n, seen = wait_events ev ~timeout:1.0 in
-    Alcotest.(check int) "one ready" 1 n;
-    (match seen with
-    | [ (fd, true, false) ] when fd = a -> ()
-    | _ -> Alcotest.fail "expected a readable, not writable");
-    (* write interest: a fresh socket is writable immediately; readable
-       state must be reported in the same callback *)
-    Serve.Evloop.register ev a ~read:true ~write:true;
-    let _, seen = wait_events ev ~timeout:1.0 in
-    (match seen with
-    | [ (fd, true, true) ] when fd = a -> ()
-    | _ -> Alcotest.fail "expected a readable and writable");
-    Serve.Evloop.deregister ev a;
-    Alcotest.(check int) "deregistered" 0 (Serve.Evloop.registered ev);
-    let n, _ = wait_events ev ~timeout:0.0 in
-    Alcotest.(check int) "nothing watched" 0 n;
+    Unix.close b;
+    let ev = Serve.Evloop.create () in
+    Serve.Evloop.register ev a ~read ~write;
+    let n, seen = wait_events ev ~timeout:0.05 in
     Unix.close a;
-    Unix.close b
-  end
+    let label = Printf.sprintf "hang-up, read=%b write=%b" read write in
+    if read || write then begin
+      Alcotest.(check int) (label ^ ": one ready") 1 n;
+      match seen with
+      | [ (_, r, w) ] ->
+        Alcotest.(check (pair bool bool)) label (read, write) (r, w)
+      | _ -> Alcotest.fail label
+    end
+    else Alcotest.(check int) (label ^ ": silent") 0 n
+  in
+  expect ~read:true ~write:false;
+  expect ~read:false ~write:true;
+  expect ~read:true ~write:true;
+  expect ~read:false ~write:false
 
-(* Property: on the same fd state and the same interest sets, the poll
-   backend reports exactly the readiness sets the select backend does. *)
-let prop_backends_agree =
-  QCheck.Test.make ~count:100 ~name:"evloop-select-vs-poll-agree"
+(* Property: on random interest sets over socketpairs, poll reports
+   exactly the model's readiness — readable iff read interest and data
+   was written, writable iff write interest. *)
+let prop_poll_matches_model =
+  QCheck.Test.make ~count:100 ~name:"evloop-poll-matches-model"
     QCheck.(
       list_of_size (Gen.return 4) (triple bool bool bool))
     (fun specs ->
-      QCheck.assume (Serve.Evloop.poll_available);
       let pairs =
         List.map
           (fun spec -> (spec, Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0))
           specs
       in
-      let observe backend =
-        let ev = Serve.Evloop.create ~backend () in
-        List.iter
-          (fun ((read, write, _), (a, _)) ->
-            Unix.set_nonblock a;
-            Serve.Evloop.register ev a ~read ~write)
-          pairs;
-        let seen = ref [] in
-        ignore
-          (Serve.Evloop.wait ev ~timeout:0.05
-             ~handle:(fun fd ~readable ~writable ->
-               seen := (fd, readable, writable) :: !seen));
-        List.sort compare !seen
-      in
+      let ev = Serve.Evloop.create () in
       List.iter
-        (fun ((_, _, data), (_, b)) ->
+        (fun ((read, write, data), (a, b)) ->
+          Unix.set_nonblock a;
+          Serve.Evloop.register ev a ~read ~write;
           if data then ignore (Unix.write b (Bytes.of_string "d") 0 1))
         pairs;
-      let from_select = observe Serve.Evloop.Select in
-      let from_poll = observe Serve.Evloop.Poll in
+      let seen = ref [] in
+      ignore
+        (Serve.Evloop.wait ev ~timeout:0.05
+           ~handle:(fun fd ~readable ~writable ->
+             seen := (fd, readable, writable) :: !seen));
+      let model =
+        List.filter_map
+          (fun ((read, write, data), (a, _)) ->
+            let readable = read && data in
+            if readable || write then Some (a, readable, write) else None)
+          pairs
+      in
       List.iter
         (fun (_, (a, b)) ->
           Unix.close a;
           Unix.close b)
         pairs;
-      from_select = from_poll)
+      List.sort compare !seen = List.sort compare model)
 
 (* --- Outq -------------------------------------------------------------------- *)
 
@@ -447,8 +469,7 @@ let fleet_workspace tag =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   dir
 
-let fleet_config ?(n = 3) ?(t = 1) ?(window = 16)
-    ?(backend = Serve.Evloop.Select) ?kill ?(respawn = false)
+let fleet_config ?(n = 3) ?(t = 1) ?(window = 16) ?kill ?(respawn = false)
     ?(respawn_budget = 3) ?(respawn_backoff = 0.1) ?(wal = false)
     ?(chaos = []) ~tag instances =
   let dir = fleet_workspace tag in
@@ -461,7 +482,7 @@ let fleet_config ?(n = 3) ?(t = 1) ?(window = 16)
     window;
     big_d = 0.3;
     batch = true;
-    backend;
+    backend = Serve.Evloop.Poll;
     kill;
     max_rounds = None;
     proposals = (fun i node -> (i * n) + node);
@@ -474,8 +495,8 @@ let fleet_config ?(n = 3) ?(t = 1) ?(window = 16)
     chaos;
   }
 
-let run_fleet ?n ?t ?window ?backend ?kill ~tag instances =
-  Serve.Fleet.run (fleet_config ?n ?t ?window ?backend ?kill ~tag instances)
+let run_fleet ?n ?t ?window ?kill ~tag instances =
+  Serve.Fleet.run (fleet_config ?n ?t ?window ?kill ~tag instances)
 
 let test_fleet_smoke () =
   match run_fleet ~tag:"smoke" 50 with
@@ -507,12 +528,12 @@ let stalled_conn ~transport node =
     | Error e -> Alcotest.fail (Live.Sockets.error_to_string e))
 
 let storm_drive ?(reconnect = false) cfg ~on_idle =
-  Serve.Client.run ~on_idle ~tick:0.05
+  Serve.Client.run ~on_idle
     {
       Serve.Client.n = cfg.Serve.Fleet.n;
       transport = cfg.Serve.Fleet.transport;
       first = 0;
-      instances = cfg.Serve.Fleet.instances;
+      load = Serve.Client.Count cfg.Serve.Fleet.instances;
       window = cfg.Serve.Fleet.window;
       proposals = cfg.Serve.Fleet.proposals;
       timeout = Serve.Fleet.default_timeout cfg;
@@ -598,11 +619,12 @@ let test_fleet_latency_not_tick_quantized () =
         (l.Serve.Report.p50 < 0.05))
 
 (* 64 concurrent client processes against one mesh: every child drives
-   its own instance range, reports each instance's decided values, and
-   the merged verdict map must be identical across Evloop backends. *)
-let many_clients_verdicts ~backend ~tag =
+   its own instance range and reports each instance's decided values;
+   every instance must be reported, and none with two values. *)
+let test_fleet_many_clients () =
+  let tag = "many-clients" in
   let n_clients = 64 and per_client = 3 in
-  let cfg = fleet_config ~backend ~window:4 ~tag (n_clients * per_client) in
+  let cfg = fleet_config ~window:4 ~tag (n_clients * per_client) in
   let result =
     Serve.Fleet.with_mesh cfg (fun ~on_idle ~kill:_ ->
         (* Engines exit once their last client disconnects with nothing
@@ -627,7 +649,7 @@ let many_clients_verdicts ~backend ~tag =
                           Serve.Client.n = cfg.Serve.Fleet.n;
                           transport = cfg.Serve.Fleet.transport;
                           first = c * per_client;
-                          instances = per_client;
+                          load = Serve.Client.Count per_client;
                           window = 4;
                           proposals = cfg.Serve.Fleet.proposals;
                           timeout = 30.0;
@@ -713,34 +735,7 @@ let many_clients_verdicts ~backend ~tag =
         if String.contains vs ',' then
           Alcotest.fail
             (Printf.sprintf "%s: instance %d disagreement: %s" tag i vs))
-      verdicts;
-    verdicts
-
-let test_fleet_many_clients_both_backends () =
-  let from_select = many_clients_verdicts ~backend:Serve.Evloop.Select ~tag:"mc-select" in
-  if Serve.Evloop.poll_available then begin
-    let from_poll = many_clients_verdicts ~backend:Serve.Evloop.Poll ~tag:"mc-poll" in
-    Alcotest.(check int) "same instance count"
-      (Hashtbl.length from_select) (Hashtbl.length from_poll);
-    Hashtbl.iter
-      (fun i vs ->
-        match Hashtbl.find_opt from_poll i with
-        | Some vs' when vs = vs' -> ()
-        | Some vs' ->
-          Alcotest.fail
-            (Printf.sprintf "instance %d: select=%s poll=%s" i vs vs')
-        | None ->
-          Alcotest.fail (Printf.sprintf "instance %d missing under poll" i))
-      from_select
-  end
-
-let test_fleet_poll_backend_smoke () =
-  if Serve.Evloop.poll_available then
-    match run_fleet ~backend:Serve.Evloop.Poll ~tag:"poll-smoke" 50 with
-    | Error e -> Alcotest.fail e
-    | Ok r ->
-      Alcotest.(check bool) "ok" true r.Serve.Report.ok;
-      Alcotest.(check int) "completed" 50 r.Serve.Report.completed
+      verdicts
 
 let test_fleet_kill_mid_storm () =
   match
@@ -1167,6 +1162,34 @@ let test_fleet_respawn_recovers () =
                (List.length values)))
       outcome.Serve.Client.decisions
 
+let test_soak_kill_storm_runs_full_duration () =
+  (* Regression: a rolling kill storm that takes down every node at
+     least once must not end the soak early.  The soak's client has to
+     count each re-dialed node live again, or the live count reaches
+     zero once every node has died and the soak stops short of
+     [duration] while still reporting ok. *)
+  let n = 3 and kill_every = 1.0 in
+  let duration = float_of_int (n + 1) *. kill_every in
+  let cfg = fleet_config ~tag:"soak-storm" ~n ~t:1 ~respawn:true 0 in
+  match Serve.Soak.run ~kill_every cfg ~duration ~bucket:1.0 with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+    Alcotest.(check bool)
+      (Printf.sprintf "every node killed (%d kills)" s.Serve.Soak.kills)
+      true
+      (s.Serve.Soak.kills >= n);
+    Alcotest.(check bool)
+      (Printf.sprintf "ran the full %.1fs (elapsed %.2fs)" duration
+         s.Serve.Soak.elapsed)
+      true
+      (s.Serve.Soak.elapsed >= duration);
+    Alcotest.(check bool)
+      (Printf.sprintf "victims re-dialed (%d reconnects, %d kills)"
+         s.Serve.Soak.reconnects s.Serve.Soak.kills)
+      true
+      (s.Serve.Soak.reconnects >= s.Serve.Soak.kills - 1);
+    Alcotest.(check bool) "no disagreement" true s.Serve.Soak.ok
+
 let test_fleet_chaos_safe_cut () =
   (* A cut shorter than big_d on one mesh link is delay, not failure —
      TCP backpressure holds the bytes and the round deadlines absorb the
@@ -1219,11 +1242,10 @@ let () =
         ] );
       ( "evloop",
         [
-          Alcotest.test_case "select-backend" `Quick
-            (test_evloop_backend Serve.Evloop.Select);
-          Alcotest.test_case "poll-backend" `Quick
-            (test_evloop_backend Serve.Evloop.Poll);
-          QCheck_alcotest.to_alcotest prop_backends_agree;
+          Alcotest.test_case "poll-backend" `Quick test_evloop_poll;
+          Alcotest.test_case "hangup-masked-to-interest" `Quick
+            test_evloop_hangup_masked;
+          QCheck_alcotest.to_alcotest prop_poll_matches_model;
         ] );
       ( "outq",
         [
@@ -1256,8 +1278,6 @@ let () =
       ( "fleet",
         [
           Alcotest.test_case "unix-smoke" `Slow test_fleet_smoke;
-          Alcotest.test_case "unix-poll-smoke" `Slow
-            test_fleet_poll_backend_smoke;
           Alcotest.test_case "unix-kill-mid-storm" `Slow
             test_fleet_kill_mid_storm;
           Alcotest.test_case "stalled-client-no-stall" `Slow
@@ -1266,10 +1286,12 @@ let () =
             test_fleet_half_open_handshake;
           Alcotest.test_case "latency-not-tick-quantized" `Slow
             test_fleet_latency_not_tick_quantized;
-          Alcotest.test_case "sixty-four-clients-both-backends" `Slow
-            test_fleet_many_clients_both_backends;
+          Alcotest.test_case "sixty-four-clients" `Slow
+            test_fleet_many_clients;
           Alcotest.test_case "respawn-recovers" `Slow
             test_fleet_respawn_recovers;
           Alcotest.test_case "chaos-safe-cut" `Slow test_fleet_chaos_safe_cut;
+          Alcotest.test_case "soak-kill-storm-runs-full-duration" `Slow
+            test_soak_kill_storm_runs_full_duration;
         ] );
     ]
