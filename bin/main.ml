@@ -1675,8 +1675,10 @@ let serve_cmd =
                 print_endline (Obs.Json.to_string (Serve.Soak.to_json s))
               else Format.printf "%a" Serve.Soak.pp s;
               if not s.Serve.Soak.ok then begin
-                Format.eprintf "serve: soak saw %d disagreement(s)@."
-                  s.Serve.Soak.disagreements;
+                Format.eprintf
+                  "serve: soak saw %d disagreement(s), %d instance(s) \
+                   undrained@."
+                  s.Serve.Soak.disagreements s.Serve.Soak.undrained;
                 1
               end
               else (

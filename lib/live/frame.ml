@@ -105,17 +105,22 @@ let body_of = function
     add_be32 b value;
     Buffer.contents b
 
-let encode frame =
-  let body = body_of frame in
+let add_framed out body =
   let len = String.length body in
   if len > max_body then invalid_arg "Frame.encode: body too large";
-  let out = Buffer.create (10 + len) in
   Buffer.add_char out magic0;
   Buffer.add_char out magic1;
   add_be32 out len;
   Buffer.add_string out body;
-  add_be32 out (Int32.to_int (Crc32.string body) land 0xFFFFFFFF);
+  add_be32 out (Int32.to_int (Crc32.string body) land 0xFFFFFFFF)
+
+let encode frame =
+  let body = body_of frame in
+  let out = Buffer.create (10 + String.length body) in
+  add_framed out body;
   Buffer.contents out
+
+let encode_into out frame = add_framed out (body_of frame)
 
 (* --- Incremental decoding ------------------------------------------------- *)
 

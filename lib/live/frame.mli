@@ -49,6 +49,9 @@ type t =
 val encode : t -> string
 (** One full frame, ready for a single sequential write. *)
 
+val encode_into : Buffer.t -> t -> unit
+(** Append {!encode}'s bytes to a buffer the caller reuses. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

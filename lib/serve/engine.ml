@@ -255,26 +255,27 @@ module Make (A : Binding.ALGO) = struct
 
   let main cfg =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    (* Recover the durable decision log before touching the network: a
+    (* Open the durable decision log before touching the network: a
        rejected WAL (torn header, foreign node, unknown version) degrades
        to a clean fresh join — delete and re-create — never to replaying
-       suspect decisions. *)
-    let wal, recovered =
+       suspect decisions.  The valid prefix is replayed into the mux below,
+       streamed, once the mux exists. *)
+    let wal =
       match cfg.wal_dir with
-      | None -> (None, [])
+      | None -> None
       | Some dir -> (
         let path = Wal.path ~dir ~node:cfg.me in
-        match Wal.recover ~path ~node:cfg.me with
-        | Ok (w, r) ->
-          if r.Wal.discarded > 0 then
+        match Wal.reopen ~path ~node:cfg.me with
+        | Ok (w, discarded) ->
+          if discarded > 0 then
             logf cfg "wal: rejected %d torn/corrupt trailing bytes"
-              r.Wal.discarded;
-          (Some w, r.Wal.entries)
+              discarded;
+          Some w
         | Error why ->
           logf cfg "wal rejected (%s); degrading to a fresh join" why;
           (try Sys.remove path with Sys_error _ -> ());
-          (match Wal.recover ~path ~node:cfg.me with
-          | Ok (w, r) -> (Some w, r.Wal.entries)
+          (match Wal.reopen ~path ~node:cfg.me with
+          | Ok (w, _) -> Some w
           | Error why -> failwith ("wal: " ^ why)))
     in
     let lp =
@@ -351,27 +352,31 @@ module Make (A : Binding.ALGO) = struct
           max_rounds = cfg.max_rounds;
           kill_after = cfg.kill_after;
         }
-        ?persist:
-          (Option.map
-             (fun w ~instance ~value ~round ->
-               Wal.append w ~instance ~value ~round)
-             wal)
+        ?persist:(Option.map Wal.add wal) ?recall:(Option.map Wal.iter wal)
         ~emit:(fun ~dest frame ->
           Batch.add (the_batch ()) ~dest (Live.Frame.encode frame))
         ()
     in
-    List.iter
-      (fun e ->
-        M.seed_decision mux ~instance:e.Wal.instance ~value:e.Wal.value
-          ~round:e.Wal.round)
-      recovered;
-    if recovered <> [] then
-      logf cfg "wal: replayed %d decisions" (List.length recovered);
+    let stats = M.stats mux in
+    (* Group commit: one write + fsync for everything the mux staged this
+       turn, before any of the turn's frames reaches a socket. *)
+    let commit () =
+      Option.iter
+        (fun w ->
+          if Wal.commit w > 0 then
+            stats.Stats.wal_appends <- stats.Stats.wal_appends + 1)
+        wal;
+      M.committed mux
+    in
+    Option.iter (fun w -> Wal.iter w (M.seed_decision mux)) wal;
+    (* Replayed decisions are durable already: their full chunks spill. *)
+    commit ();
+    let recovered = stats.Stats.wal_replayed in
+    if recovered > 0 then logf cfg "wal: replayed %d decisions" recovered;
     let batch =
       Batch.create ~n:cfg.n ~batch:cfg.batch ~stats:(M.stats mux) ~send
     in
     batch_cell := Some batch;
-    let stats = M.stats mux in
     (* Rejoin catch-up gate: until every reached peer has pushed its
        decision-log batch (or the fallback deadline passes), client
        Submits stay unread — re-running an instance the mesh already
@@ -452,7 +457,7 @@ module Make (A : Binding.ALGO) = struct
       [
         ("event", Obs.Json.String "ready");
         ("node", Obs.Json.Int cfg.me);
-        ("recovered", Obs.Json.Int (List.length recovered));
+        ("recovered", Obs.Json.Int recovered);
       ];
     logf cfg "mesh up; serving";
     let buf = Bytes.create 65536 in
@@ -560,10 +565,11 @@ module Make (A : Binding.ALGO) = struct
             (* A restarted peer re-handshaking into the mesh.  Reattach it
                on the fresh connection (the old one, if still registered,
                is from its previous life), then replay the whole decision
-               log as a Catchup batch — FIFO on the new link, so the
-               batch and its end marker arrive before any round traffic
-               we send the peer afterwards — and mirror new decisions to
-               it for a full horizon. *)
+               log as a Catchup batch — committed first, so the stream
+               read back from the WAL holds every decision; FIFO on the
+               new link, so the batch and its end marker arrive before any
+               round traffic we send the peer afterwards — and mirror new
+               decisions to it for a full horizon. *)
             let peer = lp.peers.(node - 1) in
             mark_dead lp peer "replaced by rejoin";
             Hashtbl.remove lp.registry p.pfd;
@@ -572,15 +578,8 @@ module Make (A : Binding.ALGO) = struct
             peer.decoder <- Live.Frame.decoder ();
             Hashtbl.replace lp.registry p.pfd (K_peer peer);
             Evloop.register lp.ev p.pfd ~read:true ~write:false;
-            let count = M.decided_count mux in
-            M.iter_decided mux (fun ~instance ~value ~round ->
-                stats.Stats.catchup_out <- stats.Stats.catchup_out + 1;
-                Batch.add (the_batch ()) ~dest:node
-                  (Live.Frame.encode
-                     (Live.Frame.Catchup { instance; value; round })));
-            Batch.add (the_batch ()) ~dest:node
-              (Live.Frame.encode
-                 (Live.Frame.Catchup { instance = 0; value = count; round = 0 }));
+            commit ();
+            let count = M.catchup mux ~peer:node in
             mirror_until.(node - 1) <- Live.Sockets.now () +. mirror_window;
             mirror_refresh ();
             logf cfg "p%d rejoined; replaying %d decisions" node count
@@ -600,17 +599,15 @@ module Make (A : Binding.ALGO) = struct
     in
     let ready_clients : client list ref = ref [] in
     let lfd_ready = ref false in
-    let handle fd ~readable ~writable =
+    (* Reads only: a writable fd is served by [pump_all] after the turn's
+       commit — the one place a turn's frames reach a socket. *)
+    let handle fd ~readable ~writable:_ =
       match Hashtbl.find_opt lp.registry fd with
       | None -> ()  (* dropped by an earlier callback this round *)
       | Some K_listen -> if readable then lfd_ready := true
       | Some (K_pending p) -> if readable then pending_read p
-      | Some (K_peer peer) ->
-        (* Peers are latency-critical (round progress): serve in place. *)
-        if writable then pump_peer peer;
-        if readable then read_peer peer
+      | Some (K_peer peer) -> if readable then read_peer peer
       | Some (K_client c) ->
-        if writable then pump_client c;
         if readable && not (List.memq c !ready_clients) then
           ready_clients := c :: !ready_clients
     in
@@ -677,11 +674,14 @@ module Make (A : Binding.ALGO) = struct
         mirror_until;
       if !mirror_changed then mirror_refresh ();
       M.expire mux ~now:(Live.Sockets.now ());
-      (* Everything this iteration produced goes to the queues — including,
-         on a halt, the pre-crash prefix the budget allowed (the kernel
-         would have flushed those buffers; the mux already stopped
-         counting) — and the queues drain only as far as the kernel
-         accepts without blocking. *)
+      (* Durability before visibility: the turn's decisions hit the disk
+         before any of its frames leaves the process.  Then everything
+         this iteration produced goes to the queues — including, on a
+         halt, the pre-crash prefix the budget allowed (the kernel would
+         have flushed those buffers; the mux already stopped counting) —
+         and the queues drain only as far as the kernel accepts without
+         blocking. *)
+      commit ();
       Batch.flush batch;
       pump_all ();
       lp.clients <- List.filter (fun c -> c.alive) lp.clients;

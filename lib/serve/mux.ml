@@ -61,13 +61,18 @@ module Make (A : Binding.ALGO) = struct
     stats : Stats.t;
     slab : slot Slab.t;
     early : (int, entry list) Hashtbl.t;  (* frames before the submit *)
-    finished : Bitvec.t;  (* decided or horizon-released instances *)
-    decided : (int, int * int) Hashtbl.t;
-        (* instance -> (value, round): the durable decision log — a
-           re-submitted finished instance is answered from here *)
+    decided : Decided.t;
+        (* decided and horizon-released instances — a re-submitted
+           finished instance is answered from here, or from the log once
+           its chunk has spilled *)
     persist : (instance:int -> value:int -> round:int -> unit) option;
-        (* WAL append: runs before the Decide frame is emitted, so a
-           decision a client can observe is already durable *)
+        (* WAL staging: runs before the Decide frame is emitted; the
+           owner commits before any emitted frame reaches a socket *)
+    recall : ((instance:int -> value:int -> round:int -> unit) -> unit) option;
+        (* streams the committed log; set only together with [persist],
+           and then complete chunks spill *)
+    asks : (int, unit) Hashtbl.t;
+        (* re-submitted spilled instances, answered at the next commit *)
     emit : dest:int -> Live.Frame.t -> unit;
     mutable mirror : int list;
         (* recently-rejoined peers: every new decision is also sent to
@@ -79,15 +84,17 @@ module Make (A : Binding.ALGO) = struct
     mutable gave_up : int;
   }
 
-  let create cfg ?persist ~emit () =
+  let create cfg ?persist ?recall ~emit () =
+    let recall = if persist = None then None else recall in
     {
       cfg;
       stats = Stats.create ();
       slab = Slab.create ~initial:256 ();
       early = Hashtbl.create 64;
-      finished = Bitvec.create ();
-      decided = Hashtbl.create 256;
+      decided = Decided.create ~spill:(recall <> None) ();
       persist;
+      recall;
+      asks = Hashtbl.create 16;
       emit;
       mirror = [];
       mesh_writes = 0;
@@ -105,21 +112,48 @@ module Make (A : Binding.ALGO) = struct
   let slab_capacity t = Slab.capacity t.slab
   let slab_reused t = Slab.reused t.slab
   let set_mirror t peers = t.mirror <- peers
-  let decided_count t = Hashtbl.length t.decided
-
-  let iter_decided t f =
-    Hashtbl.iter (fun instance (value, round) -> f ~instance ~value ~round)
-      t.decided
+  let decided_count t = Decided.count t.decided
+  let spilled_chunks t = Decided.spilled_chunks t.decided
 
   (* Replay one WAL entry: mark decided without emitting or re-persisting.
      Runs before any socket exists, so there is no one to tell yet —
      re-submits and rejoined peers are answered from the table later. *)
   let seed_decision t ~instance ~value ~round =
-    if not (Hashtbl.mem t.decided instance) then begin
+    if not (Decided.is_decided t.decided instance) then begin
       t.stats.Stats.wal_replayed <- t.stats.Stats.wal_replayed + 1;
-      Bitvec.set t.finished instance;
-      Hashtbl.replace t.decided instance (value, round)
+      Decided.decide t.decided instance ~value ~round
     end
+
+  (* The owner's commit returned: answer the spilled re-submits of this
+     turn with one pass over the log, then spill the chunks that
+     completed before the commit. *)
+  let committed t =
+    match t.recall with
+    | Some recall when not t.halted ->
+      if Hashtbl.length t.asks > 0 then begin
+        recall (fun ~instance ~value ~round ->
+            if Hashtbl.mem t.asks instance then begin
+              Hashtbl.remove t.asks instance;
+              t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
+            end);
+        Hashtbl.reset t.asks
+      end;
+      Decided.spill t.decided
+    | Some _ | None -> ()
+
+  let catchup t ~peer =
+    let count = ref 0 in
+    let send ~instance ~value ~round =
+      incr count;
+      t.stats.Stats.catchup_out <- t.stats.Stats.catchup_out + 1;
+      t.emit ~dest:peer (Live.Frame.Catchup { instance; value; round })
+    in
+    (match t.recall with
+    | Some recall -> recall send
+    | None -> Decided.iter t.decided send);
+    t.emit ~dest:peer
+      (Live.Frame.Catchup { instance = 0; value = !count; round = 0 });
+    !count
 
   (* Adopt a decision a peer reached (catch-up batch at rejoin, or a
      mirrored decide for an instance that was in flight while this node
@@ -128,15 +162,10 @@ module Make (A : Binding.ALGO) = struct
      value.  Also upgrades an instance this node gave up on — the peer's
      decision is the one its clients saw. *)
   let adopt t ~now:_ ~instance ~value ~round =
-    if not (Hashtbl.mem t.decided instance) then begin
+    if not (Decided.is_decided t.decided instance) then begin
       t.stats.Stats.catchup_in <- t.stats.Stats.catchup_in + 1;
-      Bitvec.set t.finished instance;
-      Hashtbl.replace t.decided instance (value, round);
-      (match t.persist with
-      | Some persist ->
-        persist ~instance ~value ~round;
-        t.stats.Stats.wal_appends <- t.stats.Stats.wal_appends + 1
-      | None -> ());
+      Decided.decide t.decided instance ~value ~round;
+      Option.iter (fun persist -> persist ~instance ~value ~round) t.persist;
       Hashtbl.remove t.early instance;
       if Slab.find t.slab ~instance <> None then
         Slab.release t.slab ~instance;
@@ -256,14 +285,9 @@ module Make (A : Binding.ALGO) = struct
     match decision with
     | Some value ->
       t.stats.Stats.decides <- t.stats.Stats.decides + 1;
-      Bitvec.set t.finished slot.instance;
-      Hashtbl.replace t.decided slot.instance (value, round);
       let instance = slot.instance in
-      (match t.persist with
-      | Some persist ->
-        persist ~instance ~value ~round;
-        t.stats.Stats.wal_appends <- t.stats.Stats.wal_appends + 1
-      | None -> ());
+      Decided.decide t.decided instance ~value ~round;
+      Option.iter (fun persist -> persist ~instance ~value ~round) t.persist;
       t.emit ~dest:0 (Live.Frame.Decide { instance; value; round });
       List.iter
         (fun peer ->
@@ -276,7 +300,7 @@ module Make (A : Binding.ALGO) = struct
         (* Past the horizon nothing can decide (more deaths than [t]);
            release the slot and let the client time the instance out. *)
         t.gave_up <- t.gave_up + 1;
-        Bitvec.set t.finished slot.instance;
+        Decided.give_up t.decided slot.instance;
         Slab.release t.slab ~instance:slot.instance
       end
       else begin
@@ -302,14 +326,16 @@ module Make (A : Binding.ALGO) = struct
 
   let submit t ~now ~instance ~proposal =
     if t.halted then ()
-    else if Bitvec.mem t.finished instance then (
+    else if Decided.finished t.decided instance then (
       (* Decided long ago (or given up): serve the logged decision instead
          of re-running the instance — a late or reconnecting client gets
-         the same answer the first one did. *)
-      match Hashtbl.find_opt t.decided instance with
-      | Some (value, round) ->
+         the same answer the first one did.  A spilled decision waits for
+         the turn's single pass over the log. *)
+      match Decided.status t.decided instance with
+      | Decided.Decided (value, round) ->
         t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
-      | None -> ())
+      | Decided.Spilled -> Hashtbl.replace t.asks instance ()
+      | Decided.Gave_up | Decided.Unfinished -> ())
     else if Slab.find t.slab ~instance = None then begin
       t.stats.Stats.submits <- t.stats.Stats.submits + 1;
       let me = Pid.of_int t.cfg.me in
@@ -363,7 +389,8 @@ module Make (A : Binding.ALGO) = struct
       | Live.Frame.K_catchup ->
         (* Round 0 is the end-of-batch marker, handled by the engine; a
            real decision always has round >= 1. *)
-        if v.Live.Frame.round >= 1 then
+        if v.Live.Frame.round >= 1 && v.Live.Frame.round <= Decided.max_round
+        then
           adopt t ~now ~instance:v.Live.Frame.instance
             ~value:v.Live.Frame.value ~round:v.Live.Frame.round
       | Live.Frame.K_submit ->
@@ -372,7 +399,7 @@ module Make (A : Binding.ALGO) = struct
       | Live.Frame.K_data | Live.Frame.K_ctl -> (
         let instance = v.Live.Frame.instance in
         let round = v.Live.Frame.round in
-        if Bitvec.mem t.finished instance then
+        if Decided.finished t.decided instance then
           t.stats.Stats.dropped_frames <- t.stats.Stats.dropped_frames + 1
         else
           match Slab.find t.slab ~instance with

@@ -43,14 +43,32 @@ module Make (A : Binding.ALGO) : sig
   val create :
     config ->
     ?persist:(instance:int -> value:int -> round:int -> unit) ->
+    ?recall:((instance:int -> value:int -> round:int -> unit) -> unit) ->
     emit:(dest:int -> Live.Frame.t -> unit) ->
     unit ->
     t
   (** [emit] receives every outbound frame; destination 0 means "to the
       clients", otherwise the mesh peer id.  Called synchronously from
-      {!submit}/{!on_view}/{!expire}.  [persist] (the WAL append) runs on
-      every new decision {e before} its Decide frame is emitted, so any
-      decision a client can observe is already durable. *)
+      {!submit}/{!on_view}/{!expire}.
+
+      [persist] (the WAL {e staging} call, {!Wal.add}) runs on every new
+      decision before its Decide frame is emitted.  The owner must make
+      what it staged durable before any emitted frame reaches a socket:
+      commit, then {!committed}, then flush.  {!Wal.append} as [persist]
+      satisfies that by itself.
+
+      [recall] streams every committed decision of the log [persist]
+      writes ({!Wal.iter}); it is ignored without [persist].  With both,
+      the decision table spills: a chunk of {!Decided.chunk_size}
+      instances that are all decided drops out of memory at the first
+      {!committed} after its last decision, and the log answers for it
+      from then on.  Without them every decision stays resident. *)
+
+  val committed : t -> unit
+  (** The owner's commit returned, so everything persisted so far is
+      durable.  Answers this turn's re-submits of spilled instances with
+      one pass of [recall] over the log, then spills every chunk that
+      completed before the commit.  A no-op without [recall]. *)
 
   val submit : t -> now:float -> instance:int -> proposal:int -> unit
   (** Start (or ignore, if known) an instance with this node's proposal. *)
@@ -64,15 +82,18 @@ module Make (A : Binding.ALGO) : sig
 
   val seed_decision : t -> instance:int -> value:int -> round:int -> unit
   (** Recovery: mark an instance decided (WAL replay) without emitting or
-      re-persisting.  Re-submits are then answered from the decision log
-      instead of re-running the instance. *)
+      re-persisting.  Re-submits are then answered from the decision table
+      (or the log) instead of re-running the instance.  Replayed chunks
+      spill at the next {!committed}. *)
 
-  val iter_decided :
-    t -> (instance:int -> value:int -> round:int -> unit) -> unit
-  (** Every decision in the log, in no particular order — the engine
-      replays these as Catchup frames to a peer that rejoins the mesh. *)
+  val catchup : t -> peer:int -> int
+  (** Emit every decision to [peer] as a Catchup frame, then the round-0
+      end-of-batch marker carrying the count; returns that count.  With
+      [recall] the decisions stream from the log, so call it right after
+      a commit; otherwise they come from the table, in instance order. *)
 
   val decided_count : t -> int
+  val spilled_chunks : t -> int
 
   val set_mirror : t -> int list -> unit
   (** Peers that recently rejoined: every {e new} decision is also sent to

@@ -103,6 +103,7 @@ let run ?kill_every cfg ~duration ~bucket =
                    p99 = Report.percentile arr 0.99;
                  })
         in
+        let undrained = List.length outcome.Client.undecided in
         Ok
           {
             duration;
@@ -110,13 +111,13 @@ let run ?kill_every cfg ~duration ~bucket =
             elapsed;
             settled = !settled;
             disagreements = !disagreements;
-            undrained = List.length outcome.Client.undecided;
+            undrained;
             decisions_per_sec =
               (if elapsed > 0.0 then float_of_int !settled /. elapsed else 0.0);
             kills = !kills;
             reconnects = outcome.Client.reconnects;
             buckets;
-            ok = !disagreements = 0;
+            ok = !disagreements = 0 && undrained = 0;
           }
     in
     match Fleet.with_mesh cfg drive with

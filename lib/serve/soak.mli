@@ -10,7 +10,9 @@
     only what it observes: each settled instance files its
     submit-to-settle latency into the bucket its settle time falls in,
     and its per-node row is checked for agreement — two nodes reporting
-    different values is a disagreement, and fails {!ok}.
+    different values is a disagreement, and fails {!ok}.  So does any
+    instance still in flight when the drain grace ends: a fleet that
+    stops settling is not healthy, however well it agreed before.
 
     With [kill_every] (requires the fleet's respawn policy), the fleet's
     [on_idle] hook is wrapped by a round-robin SIGKILL schedule: the
@@ -40,7 +42,7 @@ type t = {
   kills : int;  (** scheduled SIGKILLs delivered ([kill_every]) *)
   reconnects : int;  (** successful re-dials of respawned engines *)
   buckets : bucket list;  (** ascending by [since]; empty buckets omitted *)
-  ok : bool;  (** no disagreements *)
+  ok : bool;  (** no disagreements, and nothing left undrained *)
 }
 
 val run :

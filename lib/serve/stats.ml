@@ -167,6 +167,6 @@ let pp ppf s =
        Printf.sprintf " · %d overflow kills" s.overflow_kills
      else "")
     (if s.wal_appends + s.wal_replayed + s.catchup_in + s.catchup_out > 0 then
-       Printf.sprintf " · wal %d+%d replayed · catchup %d in / %d out"
+       Printf.sprintf " · wal %d fsyncs, %d replayed · catchup %d in / %d out"
          s.wal_appends s.wal_replayed s.catchup_in s.catchup_out
      else "")

@@ -25,7 +25,12 @@ type t = {
   mutable dropped_frames : int;  (** frames for decided/unknown instances *)
   mutable slab_capacity : int;  (** instance slots ever allocated (gauge) *)
   mutable slab_reused : int;  (** slots recycled through the free list *)
-  mutable wal_appends : int;  (** decisions made durable in the WAL *)
+  mutable wal_appends : int;
+      (** WAL commits that wrote something — one write + fsync each, so
+          this counts fsyncs, not entries.  The socket engine bumps it per
+          non-empty {!Wal.commit}; the {!Mux} never does, so an owner
+          that persists through {!Wal.append} on its own counts nothing
+          here. *)
   mutable wal_replayed : int;  (** decisions recovered from the WAL at restart *)
   mutable catchup_in : int;  (** peer catch-up decisions adopted *)
   mutable catchup_out : int;  (** decisions replayed/mirrored to rejoined peers *)

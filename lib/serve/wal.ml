@@ -2,7 +2,17 @@ let magic = "SAWL"
 let version = 1
 let header_len = 12
 
-type t = { fd : Unix.file_descr; mutable appended : int }
+(* A commit that staged more than this leaves a buffer worth shrinking. *)
+let staged_keep = 65536
+
+type t = {
+  fd : Unix.file_descr;
+  path : string;
+  staged : Buffer.t;  (* encoded Decides not yet written *)
+  mutable pending : int;  (* entries in [staged] *)
+  mutable appended : int;
+}
+
 type entry = { instance : int; value : int; round : int }
 type recovery = { entries : entry list; discarded : int }
 
@@ -36,41 +46,83 @@ let check_header ~node s =
     Error (Printf.sprintf "wal: log belongs to node %d, not %d" (be32 s 8) node)
   else Ok ()
 
-(* Pop CRC-valid Decide frames off the byte stream after the header.  The
-   first byte the decoder cannot account for — a torn tail, a flipped bit,
-   or a valid frame of a kind the writer never emits — ends the scan; the
-   entries popped before it are the recovered prefix. *)
-let scan bytes =
-  let dec = Live.Frame.decoder () in
-  Live.Frame.feed dec bytes ~pos:header_len
-    ~len:(String.length bytes - header_len);
-  let rec go acc =
-    (* Measured before the pop: a wrong-kind frame is consumed by [pop]
-       but still belongs to the rejected suffix. *)
-    let unread = Live.Frame.buffered dec in
-    match Live.Frame.pop dec with
-    | `Frame (Live.Frame.Decide { instance; value; round }) ->
-      go ({ instance; value; round } :: acc)
-    | `Frame _ | `Corrupt _ | `Need_more ->
-      { entries = List.rev acc; discarded = unread }
-  in
-  go []
+let rec read_some fd buf off len =
+  match Unix.read fd buf off len with
+  | k -> k
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_some fd buf off len
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+(* Up to [header_len] bytes: fewer only when the file is that short. *)
+let read_header fd =
+  let b = Bytes.create header_len in
+  let rec go off =
+    if off = header_len then off
+    else
+      match read_some fd b off (header_len - off) with
+      | 0 -> off
+      | k -> go (off + k)
+  in
+  Bytes.sub_string b 0 (go 0)
+
+(* Stream the CRC-valid Decide frames after the header through [f], one
+   read-sized slice at a time, so no log is ever held in memory whole.
+   The first byte the decoder cannot account for — a torn tail, a flipped
+   bit, or a valid frame of a kind the writer never emits — ends the scan.
+   Returns the length of the valid prefix, header included. *)
+let scan fd f =
+  let dec = Live.Frame.decoder () in
+  let buf = Bytes.create 65536 in
+  let fed = ref 0 in
+  (* [unread] is measured before each pop: a wrong-kind frame is consumed
+     by the pop but still belongs to the rejected suffix. *)
+  let rec pop () =
+    let unread = Live.Frame.buffered dec in
+    match Live.Frame.pop_view dec with
+    | `View v when v.Live.Frame.kind = Live.Frame.K_decide ->
+      f ~instance:v.Live.Frame.instance ~value:v.Live.Frame.value
+        ~round:v.Live.Frame.round;
+      pop ()
+    | `Need_more -> None
+    | `View _ | `Corrupt _ -> Some unread
+  in
+  let rec read () =
+    match read_some fd buf 0 (Bytes.length buf) with
+    | 0 -> header_len + !fed - Live.Frame.buffered dec
+    | k -> (
+      fed := !fed + k;
+      Live.Frame.feed dec (Bytes.unsafe_to_string buf) ~pos:0 ~len:k;
+      match pop () with
+      | None -> read ()
+      | Some unread -> header_len + !fed - unread)
+  in
+  read ()
+
+(* Check the header of the file open on [fd], then scan it: the valid
+   prefix's length and the rejected suffix's. *)
+let read_log fd ~node f =
+  let size = (Unix.fstat fd).Unix.st_size in
+  match check_header ~node (read_header fd) with
+  | Error _ as e -> e
+  | Ok () ->
+    let valid = scan fd f in
+    Ok (valid, size - valid)
+
+let collector () =
+  let acc = ref [] in
+  ( (fun ~instance ~value ~round -> acc := { instance; value; round } :: !acc),
+    fun () -> List.rev !acc )
 
 let load ~path ~node =
-  match read_file path with
-  | None -> Ok { entries = []; discarded = 0 }
-  | Some bytes -> (
-    match check_header ~node bytes with
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> Ok { entries = []; discarded = 0 }
+  | fd -> (
+    let f, entries = collector () in
+    match
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> read_log fd ~node f)
+    with
     | Error _ as e -> e
-    | Ok () -> Ok (scan bytes))
+    | Ok (_, discarded) -> Ok { entries = entries (); discarded })
 
 let write_all fd s =
   let len = String.length s in
@@ -80,33 +132,70 @@ let write_all fd s =
   in
   go 0
 
-let recover ~path ~node =
-  let fresh () =
+let handle fd path =
+  { fd; path; staged = Buffer.create 4096; pending = 0; appended = 0 }
+
+(* Open [path] for appending — creating it with a fresh header if
+   missing — and scan the valid prefix through [f]; the rejected suffix
+   is truncated in place (fsync'd) and the log left positioned at its
+   end.  Returns the discarded byte count. *)
+let open_log ~path ~node f =
+  match Unix.openfile path [ Unix.O_RDWR ] 0o644 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
     let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
     write_all fd (header ~node);
     Unix.fsync fd;
-    ({ fd; appended = 0 }, { entries = []; discarded = 0 })
-  in
-  match read_file path with
-  | None -> Ok (fresh ())
-  | Some bytes -> (
-    match check_header ~node bytes with
-    | Error _ as e -> e
-    | Ok () ->
-      let r = scan bytes in
-      let keep = String.length bytes - r.discarded in
-      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-      if r.discarded > 0 then begin
+    Ok (handle fd path, 0)
+  | fd -> (
+    match read_log fd ~node f with
+    | Error _ as e ->
+      Unix.close fd;
+      e
+    | Ok (keep, discarded) ->
+      if discarded > 0 then begin
         Unix.ftruncate fd keep;
         Unix.fsync fd
       end;
       ignore (Unix.lseek fd keep Unix.SEEK_SET);
-      Ok ({ fd; appended = 0 }, r))
+      Ok (handle fd path, discarded))
+
+let recover ~path ~node =
+  let f, entries = collector () in
+  Result.map
+    (fun (t, discarded) -> (t, { entries = entries (); discarded }))
+    (open_log ~path ~node f)
+
+let reopen ~path ~node =
+  open_log ~path ~node (fun ~instance:_ ~value:_ ~round:_ -> ())
+
+let add t ~instance ~value ~round =
+  Live.Frame.encode_into t.staged
+    (Live.Frame.Decide { instance; value; round });
+  t.pending <- t.pending + 1
+
+let commit t =
+  let k = t.pending in
+  if k > 0 then begin
+    write_all t.fd (Buffer.contents t.staged);
+    Unix.fsync t.fd;
+    if Buffer.length t.staged > staged_keep then Buffer.reset t.staged
+    else Buffer.clear t.staged;
+    t.pending <- 0;
+    t.appended <- t.appended + k
+  end;
+  k
 
 let append t ~instance ~value ~round =
-  write_all t.fd (Live.Frame.encode (Live.Frame.Decide { instance; value; round }));
-  Unix.fsync t.fd;
-  t.appended <- t.appended + 1
+  add t ~instance ~value ~round;
+  ignore (commit t)
+
+let iter t f =
+  let fd = Unix.openfile t.path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.lseek fd header_len Unix.SEEK_SET);
+      ignore (scan fd f))
 
 let appended t = t.appended
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -53,19 +53,96 @@ let test_slab_iter_order () =
   (* slot (allocation) order, not id order *)
   Alcotest.(check (list int)) "iter order" [ 30; 20 ] (List.rev !seen)
 
-(* --- Bitvec ----------------------------------------------------------------- *)
+(* --- Decided table ------------------------------------------------------- *)
 
-let test_bitvec () =
-  let bv = Serve.Bitvec.create () in
-  Alcotest.(check bool) "empty" false (Serve.Bitvec.mem bv 0);
-  Serve.Bitvec.set bv 0;
-  Serve.Bitvec.set bv 7;
-  Serve.Bitvec.set bv 100_000;
-  Alcotest.(check bool) "0" true (Serve.Bitvec.mem bv 0);
-  Alcotest.(check bool) "7" true (Serve.Bitvec.mem bv 7);
-  Alcotest.(check bool) "8" false (Serve.Bitvec.mem bv 8);
-  Alcotest.(check bool) "100000" true (Serve.Bitvec.mem bv 100_000);
-  Alcotest.(check bool) "99999" false (Serve.Bitvec.mem bv 99_999)
+let chunk = Serve.Decided.chunk_size
+
+let status_t =
+  Alcotest.testable
+    (fun ppf -> function
+      | Serve.Decided.Unfinished -> Format.pp_print_string ppf "unfinished"
+      | Serve.Decided.Gave_up -> Format.pp_print_string ppf "gave-up"
+      | Serve.Decided.Spilled -> Format.pp_print_string ppf "spilled"
+      | Serve.Decided.Decided (v, r) -> Format.fprintf ppf "decided(v%d,r%d)" v r)
+    ( = )
+
+let test_decided_spill_rule () =
+  let d = Serve.Decided.create ~spill:true () in
+  let gave = chunk + 5 in
+  for i = 0 to (2 * chunk) - 1 do
+    if i = gave then Serve.Decided.give_up d i
+    else Serve.Decided.decide d i ~value:i ~round:1
+  done;
+  Alcotest.(check status_t) "resident before a commit" (Serve.Decided.Decided (3, 1))
+    (Serve.Decided.status d 3);
+  Serve.Decided.spill d;
+  Alcotest.(check status_t) "complete chunk spilled" Serve.Decided.Spilled
+    (Serve.Decided.status d 3);
+  Alcotest.(check bool) "spilled still finished" true (Serve.Decided.finished d 3);
+  Alcotest.(check bool) "spilled still decided" true (Serve.Decided.is_decided d 3);
+  Alcotest.(check status_t) "a gave-up instance pins its chunk"
+    Serve.Decided.Gave_up (Serve.Decided.status d gave);
+  Alcotest.(check int) "one resident" 1 (Serve.Decided.resident_chunks d);
+  (* a peer's decision upgrades it; the chunk spills at the next commit *)
+  Serve.Decided.decide d gave ~value:9 ~round:2;
+  Alcotest.(check status_t) "upgraded" (Serve.Decided.Decided (9, 2))
+    (Serve.Decided.status d gave);
+  Serve.Decided.spill d;
+  Alcotest.(check int) "both spilled" 2 (Serve.Decided.spilled_chunks d);
+  Alcotest.(check int) "count keeps spilled decisions" (2 * chunk)
+    (Serve.Decided.count d);
+  Alcotest.(check status_t) "untouched id" Serve.Decided.Unfinished
+    (Serve.Decided.status d (5 * chunk));
+  (* the widest value and round survive the packed cell *)
+  Serve.Decided.decide d (5 * chunk) ~value:0xFFFF_FFFF
+    ~round:Serve.Decided.max_round;
+  Alcotest.(check status_t) "packed extremes"
+    (Serve.Decided.Decided (0xFFFF_FFFF, Serve.Decided.max_round))
+    (Serve.Decided.status d (5 * chunk));
+  (match Serve.Decided.decide d 3 ~value:1 ~round:1 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "re-deciding a spilled instance accepted");
+  (* without a log nothing is durable, so nothing spills *)
+  let m = Serve.Decided.create ~spill:false () in
+  for i = 0 to chunk - 1 do
+    Serve.Decided.decide m i ~value:1 ~round:1
+  done;
+  Serve.Decided.spill m;
+  Alcotest.(check int) "no log, no spill" 0 (Serve.Decided.spilled_chunks m);
+  let seen = ref 0 in
+  Serve.Decided.iter m (fun ~instance:_ ~value:_ ~round:_ -> incr seen);
+  Alcotest.(check int) "iter visits every resident decision" chunk !seen
+
+(* Bytes [f] allocates straight into the major heap, where every large
+   block goes: a chunk, a directory page, a rehashed bucket array, a
+   bitmap.  Minor-heap words are left out; OCaml 5 counts them in lumps
+   at each minor collection. *)
+let major_bytes f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  (m1 -. m0 -. (p1 -. p0)) *. float_of_int (Sys.word_size / 8)
+
+let test_decided_insert_never_rehashes () =
+  (* The table a Hashtbl replaced stalled every engine at once when it
+     doubled near 2^19 and 2^20 entries.  Here no insert may allocate more
+     than one chunk of cells plus one directory page, however many
+     decisions came before. *)
+  let d = Serve.Decided.create ~spill:false () in
+  let bound = float_of_int ((chunk * 8) + 8192) in
+  let worst = ref 0.0 in
+  for i = 0 to (1 lsl 21) - 1 do
+    let grew =
+      major_bytes (fun () -> Serve.Decided.decide d i ~value:(i land 1) ~round:1)
+    in
+    if grew > !worst then worst := grew
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "worst insert allocated %.0f B (bound %.0f B)" !worst bound)
+    true (!worst <= bound);
+  Alcotest.(check int) "all decided" (1 lsl 21) (Serve.Decided.count d);
+  Alcotest.(check int) "one chunk per 4096" ((1 lsl 21) / chunk)
+    (Serve.Decided.resident_chunks d)
 
 (* --- Mux: frames arriving before the submit --------------------------------- *)
 
@@ -154,6 +231,27 @@ let test_mux_resubmit_served_from_log () =
   Alcotest.(check int) "still no live slot" 0 (M.active mux);
   Alcotest.(check int) "decided exactly once" 1
     (M.stats mux).Serve.Stats.decides
+
+let test_mux_far_instance_bounded () =
+  (* A Submit near the top of the id space must cost one chunk, not a
+     bitmap up to the id: one client could otherwise make every engine
+     allocate 128 MiB. *)
+  let mux =
+    M.create
+      { Serve.Mux.me = 1; n = 3; t = 1; big_d = 1.0; max_rounds = 2; kill_after = None }
+      ~emit:(fun ~dest:_ _ -> ())
+      ()
+  in
+  M.submit mux ~now:0.0 ~instance:0 ~proposal:1;
+  let grew =
+    major_bytes (fun () ->
+        M.submit mux ~now:0.0 ~instance:Live.Frame.max_instance ~proposal:1)
+  in
+  Alcotest.(check int) "decided" 2 (M.decided_count mux);
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew %.0f B (< 1 MiB)" grew)
+    true
+    (grew < 1048576.0)
 
 (* --- Loopback storms --------------------------------------------------------- *)
 
@@ -469,9 +567,9 @@ let fleet_workspace tag =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   dir
 
-let fleet_config ?(n = 3) ?(t = 1) ?(window = 16) ?kill ?(respawn = false)
-    ?(respawn_budget = 3) ?(respawn_backoff = 0.1) ?(wal = false)
-    ?(chaos = []) ~tag instances =
+let fleet_config ?(n = 3) ?(t = 1) ?(window = 16) ?(batch = true) ?kill
+    ?(respawn = false) ?(respawn_budget = 3) ?(respawn_backoff = 0.1)
+    ?(wal = false) ?(chaos = []) ~tag instances =
   let dir = fleet_workspace tag in
   {
     Serve.Fleet.n;
@@ -481,7 +579,7 @@ let fleet_config ?(n = 3) ?(t = 1) ?(window = 16) ?kill ?(respawn = false)
     instances;
     window;
     big_d = 0.3;
-    batch = true;
+    batch;
     backend = Serve.Evloop.Poll;
     kill;
     max_rounds = None;
@@ -924,6 +1022,172 @@ let test_wal_byte_flip_sweep () =
       Serve.Wal.close w
   done
 
+let test_wal_torn_batch_sweep () =
+  (* A group commit writes many frames with one write: a crash can tear
+     it anywhere.  Every cut and every flipped byte keeps exactly the
+     whole frames before the damage, and a recovered log extends with
+     add + commit as cleanly as with append. *)
+  let path = wal_tmp "batch" in
+  (try Sys.remove path with Sys_error _ -> ());
+  let single = { Serve.Wal.instance = 0; value = 1; round = 1 } in
+  let batch =
+    List.init 40 (fun i ->
+        { Serve.Wal.instance = 1 + (i * 37); value = 300 + i; round = 1 + (i mod 3) })
+  in
+  let entries = single :: batch in
+  (match Serve.Wal.recover ~path ~node:1 with
+  | Error e -> Alcotest.fail e
+  | Ok (w, _) ->
+    Serve.Wal.append w ~instance:0 ~value:1 ~round:1;
+    List.iter
+      (fun (e : Serve.Wal.entry) ->
+        Serve.Wal.add w ~instance:e.instance ~value:e.value ~round:e.round)
+      batch;
+    Alcotest.(check int) "one commit, forty entries" 40 (Serve.Wal.commit w);
+    Alcotest.(check int) "nothing left to commit" 0 (Serve.Wal.commit w);
+    Serve.Wal.close w);
+  let bytes = read_file path in
+  (* [ends.(k)]: the byte offset where entry [k]'s frame ends *)
+  let ends =
+    let off = ref 12 in
+    Array.of_list
+      (List.map
+         (fun (e : Serve.Wal.entry) ->
+           off :=
+             !off
+             + String.length
+                 (Live.Frame.encode
+                    (Live.Frame.Decide
+                       { instance = e.instance; value = e.value; round = e.round }));
+           !off)
+         entries)
+  in
+  Alcotest.(check int) "frames tile the file" (String.length bytes)
+    ends.(Array.length ends - 1);
+  let whole_before len =
+    List.filteri (fun k _ -> ends.(k) <= len) entries
+  in
+  let cut = wal_tmp "batch-cut" in
+  for len = 12 to String.length bytes - 1 do
+    write_file cut (String.sub bytes 0 len);
+    match Serve.Wal.recover ~path:cut ~node:1 with
+    | Error e -> Alcotest.fail (Printf.sprintf "recover at %dB: %s" len e)
+    | Ok (w, r) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%dB: exactly the whole frames" len)
+        true
+        (r.Serve.Wal.entries = whole_before len);
+      Serve.Wal.add w ~instance:999 ~value:1 ~round:1;
+      Serve.Wal.add w ~instance:998 ~value:0 ~round:2;
+      ignore (Serve.Wal.commit w);
+      Serve.Wal.close w;
+      Alcotest.(check bool)
+        (Printf.sprintf "%dB: add + commit extends the truncated log" len)
+        true
+        (wal_entries cut
+        = whole_before len
+          @ [
+              { Serve.Wal.instance = 999; value = 1; round = 1 };
+              { Serve.Wal.instance = 998; value = 0; round = 2 };
+            ])
+  done;
+  let flip = wal_tmp "batch-flip" in
+  for pos = 12 to String.length bytes - 1 do
+    let b = Bytes.of_string bytes in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
+    write_file flip (Bytes.to_string b);
+    (* the damaged frame is the first whose end lies past [pos] *)
+    let damaged = List.filteri (fun k _ -> ends.(k) <= pos) entries in
+    Alcotest.(check bool)
+      (Printf.sprintf "flip %d: exactly the frames before it" pos)
+      true
+      (wal_entries flip = damaged)
+  done
+
+(* A WAL-backed mux as the engine wires it: [persist] stages, [recall]
+   streams the committed log; the test plays the loop's commit. *)
+let wal_mux tag =
+  let path = wal_tmp ("mux-" ^ tag) in
+  (try Sys.remove path with Sys_error _ -> ());
+  let w =
+    match Serve.Wal.recover ~path ~node:1 with
+    | Ok (w, _) -> w
+    | Error e -> Alcotest.fail e
+  in
+  let out = ref [] in
+  let mux =
+    M.create
+      { Serve.Mux.me = 1; n = 3; t = 1; big_d = 1.0; max_rounds = 2; kill_after = None }
+      ~persist:(Serve.Wal.add w) ~recall:(Serve.Wal.iter w)
+      ~emit:(fun ~dest f ->
+        match f with
+        | Live.Frame.Decide _ | Live.Frame.Catchup _ -> out := (dest, f) :: !out
+        | _ -> ())
+      ()
+  in
+  let commit () =
+    ignore (Serve.Wal.commit w);
+    M.committed mux
+  in
+  (* p1 coordinates round 1, so each submit decides on the spot. *)
+  let decide_upto k =
+    for i = 0 to k - 1 do
+      M.submit mux ~now:0.0 ~instance:i ~proposal:(1000 + i)
+    done
+  in
+  (w, mux, out, commit, decide_upto)
+
+let test_mux_spilled_resubmit_from_log () =
+  let w, mux, out, commit, decide_upto = wal_mux "spill" in
+  decide_upto ((2 * chunk) + 100);
+  Alcotest.(check int) "nothing spills before the commit" 0
+    (M.spilled_chunks mux);
+  commit ();
+  Alcotest.(check int) "two complete chunks spilled" 2 (M.spilled_chunks mux);
+  let first =
+    List.find_map
+      (function 0, Live.Frame.Decide { instance = 0; _ } as d -> Some d | _ -> None)
+      !out
+  in
+  out := [];
+  M.submit mux ~now:1.0 ~instance:0 ~proposal:5;
+  M.submit mux ~now:1.0 ~instance:0 ~proposal:5;
+  Alcotest.(check int) "spilled answers wait for the turn's log pass" 0
+    (List.length !out);
+  commit ();
+  Alcotest.(check bool) "the same Decide, once, from the log" true
+    (first <> None && !out = Option.to_list first);
+  Alcotest.(check int) "never re-run" ((2 * chunk) + 100)
+    (M.stats mux).Serve.Stats.decides;
+  Serve.Wal.close w
+
+let test_mux_catchup_after_spill () =
+  (* A rejoining peer's catch-up streams from the log once chunks have
+     spilled: its count is the whole decided table, and the rejoiner
+     adopts every decision. *)
+  let w, mux, out, commit, decide_upto = wal_mux "catchup" in
+  decide_upto ((2 * chunk) + 100);
+  commit ();
+  Alcotest.(check int) "spilled" 2 (M.spilled_chunks mux);
+  out := [];
+  let count = M.catchup mux ~peer:2 in
+  Alcotest.(check int) "count = decided" (M.decided_count mux) count;
+  let frames = List.rev !out in
+  (match List.rev frames with
+  | (2, Live.Frame.Catchup { instance = 0; value; round = 0 }) :: rest ->
+    Alcotest.(check int) "marker carries the count" count value;
+    Alcotest.(check int) "one frame per decision" count (List.length rest)
+  | _ -> Alcotest.fail "catch-up must end with its marker");
+  let rejoiner =
+    M.create
+      { Serve.Mux.me = 2; n = 3; t = 1; big_d = 1.0; max_rounds = 2; kill_after = None }
+      ~emit:(fun ~dest:_ _ -> ())
+      ()
+  in
+  List.iter (fun (_, f) -> M.on_view rejoiner ~now:0.0 ~from:1 (view_of_frame f)) frames;
+  Alcotest.(check int) "rejoiner adopted all" count (M.decided_count rejoiner);
+  Serve.Wal.close w
+
 (* --- Chaos proxy ------------------------------------------------------------- *)
 
 let chaos_rig ~tag actions =
@@ -1162,6 +1426,50 @@ let test_fleet_respawn_recovers () =
                (List.length values)))
       outcome.Serve.Client.decisions
 
+let test_fleet_client_decides_are_durable ~batch () =
+  (* Durability before visibility, checked from outside the engines:
+     across a mid-storm kill and respawn, every Decide the client
+     received from node k is in node k's log. *)
+  let tag = if batch then "durable-batch" else "durable-nobatch" in
+  let cfg =
+    fleet_config ~tag ~n:3 ~t:1 ~batch ~respawn:true
+      ~kill:{ Serve.Report.node = 1; after_frames = 57 }
+      200
+  in
+  match
+    Serve.Fleet.with_mesh cfg (fun ~on_idle ~kill:_ ->
+        storm_drive ~reconnect:true cfg ~on_idle)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (outcome, _) ->
+    for node = 1 to cfg.Serve.Fleet.n do
+      let path = Serve.Wal.path ~dir:cfg.Serve.Fleet.workspace ~node in
+      let logged = Hashtbl.create 256 in
+      (match Serve.Wal.load ~path ~node with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        List.iter
+          (fun (e : Serve.Wal.entry) ->
+            Hashtbl.replace logged e.instance (e.value, e.round))
+          r.Serve.Wal.entries);
+      let seen = ref 0 in
+      Array.iteri
+        (fun instance row ->
+          match row.(node - 1) with
+          | None -> ()
+          | Some answer ->
+            incr seen;
+            if Hashtbl.find_opt logged instance <> Some answer then
+              Alcotest.fail
+                (Printf.sprintf "p%d told the client about instance %d, \
+                                 which its log does not hold"
+                   node instance))
+        outcome.Serve.Client.decisions;
+      Alcotest.(check bool)
+        (Printf.sprintf "p%d answered the client" node)
+        true (!seen > 0)
+    done
+
 let test_soak_kill_storm_runs_full_duration () =
   (* Regression: a rolling kill storm that takes down every node at
      least once must not end the soak early.  The soak's client has to
@@ -1220,13 +1528,24 @@ let () =
           Alcotest.test_case "reuse-bounded" `Quick test_slab_reuse_bounded;
           Alcotest.test_case "iter-order" `Quick test_slab_iter_order;
         ] );
-      ("bitvec", [ Alcotest.test_case "grow-set-mem" `Quick test_bitvec ]);
+      ( "decided",
+        [
+          Alcotest.test_case "spill-rule" `Quick test_decided_spill_rule;
+          Alcotest.test_case "insert-never-rehashes" `Quick
+            test_decided_insert_never_rehashes;
+        ] );
       ( "mux",
         [
           Alcotest.test_case "early-frames" `Quick test_mux_early_frames;
           Alcotest.test_case "deadline-fallback" `Quick test_mux_deadline_fallback;
           Alcotest.test_case "resubmit-served-from-log" `Quick
             test_mux_resubmit_served_from_log;
+          Alcotest.test_case "far-instance-bounded" `Quick
+            test_mux_far_instance_bounded;
+          Alcotest.test_case "spilled-resubmit-from-log" `Quick
+            test_mux_spilled_resubmit_from_log;
+          Alcotest.test_case "catchup-after-spill" `Quick
+            test_mux_catchup_after_spill;
         ] );
       ( "loopback",
         [
@@ -1262,6 +1581,7 @@ let () =
           Alcotest.test_case "truncation-sweep" `Quick
             test_wal_truncation_sweep;
           Alcotest.test_case "byte-flip-sweep" `Quick test_wal_byte_flip_sweep;
+          Alcotest.test_case "torn-batch-sweep" `Quick test_wal_torn_batch_sweep;
         ] );
       ( "chaosproxy",
         [
@@ -1290,6 +1610,10 @@ let () =
             test_fleet_many_clients;
           Alcotest.test_case "respawn-recovers" `Slow
             test_fleet_respawn_recovers;
+          Alcotest.test_case "client-decides-durable-batched" `Slow
+            (test_fleet_client_decides_are_durable ~batch:true);
+          Alcotest.test_case "client-decides-durable-unbatched" `Slow
+            (test_fleet_client_decides_are_durable ~batch:false);
           Alcotest.test_case "chaos-safe-cut" `Slow test_fleet_chaos_safe_cut;
           Alcotest.test_case "soak-kill-storm-runs-full-duration" `Slow
             test_soak_kill_storm_runs_full_duration;
