@@ -415,10 +415,10 @@ let bench_dist_checkpoint () =
   | Error why -> failwith why
 
 (* Serve kernels — the consensus-as-a-service path (EXP-SERVE), timed in
-   ns per storm through the in-memory loopback mesh, not over sockets.
-   The storm kernel runs a full 1000-instance n=5 storm: every frame is
-   encoded, CRC'd and incrementally decoded exactly as on a real socket,
-   with per-destination batching on.  The kill-storm kernel is a
+   ns per storm through the deterministic loopback: five real engines
+   stepped over socketpairs on a virtual clock, so the time includes the
+   engines' own syscalls.  The storm kernel runs a full 1000-instance n=5
+   storm with per-destination batching on.  The kill-storm kernel is a
    500-instance storm with a mid-storm coordinator kill, so its cost
    includes instances that had to ride out an expired round.  Both assert
    the per-instance judge verdicts so a perf regression can never hide a
@@ -612,14 +612,43 @@ let run_benchmarks ~only () =
   print_string (Diag.Table.render table);
   rows
 
+(* One git query's trimmed output; [None] outside a git checkout. *)
+let git args =
+  match Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+    let out = String.trim (In_channel.input_all ic) in
+    match Unix.close_process_in ic with Unix.WEXITED 0 -> Some out | _ -> None)
+
+(* Where the numbers come from: the commit ("unknown" outside a git
+   checkout), whether tracked files differed from it, the processors the
+   machine offers and the compiler. *)
+let provenance () =
+  let commit =
+    match git "rev-parse HEAD" with Some c when c <> "" -> c | _ -> "unknown"
+  in
+  let dirty =
+    match git "status --porcelain --untracked-files=no" with
+    | Some changes -> Obs.Json.Bool (changes <> "")
+    | None -> Obs.Json.Null
+  in
+  Obs.Json.Obj
+    [
+      ("commit", Obs.Json.String commit);
+      ("dirty", dirty);
+      ("nproc", Obs.Json.Int (Domain.recommended_domain_count ()));
+      ("ocaml_version", Obs.Json.String Sys.ocaml_version);
+    ]
+
 (* BENCH_RESULTS.json: the machine-readable perf trajectory.  One document
    per bench run, one entry per registered kernel, so successive PRs can be
    diffed without scraping the rendered table. *)
-let json_doc rows =
+let json_doc ~provenance rows =
   let opt_float = function Some v -> Obs.Json.Float v | None -> Obs.Json.Null in
   Obs.Json.Obj
     [
       ("schema", Obs.Json.String "sync-agreement/bench/v1");
+      ("provenance", provenance);
       ("clock", Obs.Json.String "monotonic");
       ( "results",
         Obs.Json.List
@@ -634,28 +663,12 @@ let json_doc rows =
              rows) );
     ]
 
-(* Each table runs in its own forked child.  OCaml 5 refuses [Unix.fork]
-   once any domain has been spawned, and some experiments parallelize
-   across domains (EXP-T1) while later ones fork real processes
-   (EXP-LIVE, EXP-DIST, EXP-SERVE): a fresh child per table keeps every
-   fork legal, and the parent spawns no domain until the kernels run. *)
-let print_table (e : Harness.Experiment.t) =
-  flush_all ();
-  match Unix.fork () with
-  | 0 ->
-    let code =
-      match Harness.Experiment.print ~markdown:false e with
-      | () -> 0
-      | exception ex ->
-        prerr_endline (Printexc.to_string ex);
-        1
-    in
-    flush_all ();
-    Unix._exit code
-  | pid -> (
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> ()
-    | _ -> failwith ("bench: the " ^ e.Harness.Experiment.id ^ " table failed"))
+(* Each table runs in its own forked child; the parent spawns no domain
+   until the kernels run. *)
+let print_table e =
+  match Harness.Experiment.in_child e (Harness.Experiment.print ~markdown:false) with
+  | Ok () -> ()
+  | Error why -> failwith ("bench: " ^ why)
 
 let () =
   let json_file = ref None in
@@ -703,6 +716,9 @@ let () =
     exit 0
   end;
   print_endline "=== Micro-benchmarks ===\n";
+  (* Before any kernel spawns a domain: reading the commit starts a
+     process. *)
+  let provenance = provenance () in
   let rows = run_benchmarks ~only:!only () in
   match !json_file with
   | None -> ()
@@ -715,7 +731,7 @@ let () =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (Obs.Json.to_string (json_doc rows));
+        output_string oc (Obs.Json.to_string (json_doc ~provenance rows));
         output_char oc '\n');
     Sys.rename tmp file;
     Printf.printf "wrote %s\n" file

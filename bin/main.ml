@@ -764,21 +764,22 @@ let experiments_cmd =
           (String.concat ", " Harness.Registry.ids);
         2
       | Ok experiments -> (
-        try
-          List.iter
-            (fun e ->
-              match csv_dir with
-              | Some dir -> write_csv dir e
-              | None -> Harness.Experiment.print ~markdown e)
-            experiments;
-          0
-        with
-        | Failure why ->
-          Format.eprintf "experiment failed: %s@." why;
-          1
-        | Sys_error why ->
-          Format.eprintf "experiment failed: %s@." why;
-          1)
+        (* Every experiment in its own child: see [Experiment.in_child]. *)
+        let run =
+          match csv_dir with
+          | Some dir -> write_csv dir
+          | None -> Harness.Experiment.print ~markdown
+        in
+        let rec go = function
+          | [] -> 0
+          | e :: rest -> (
+            match Harness.Experiment.in_child e run with
+            | Ok () -> go rest
+            | Error why ->
+              Format.eprintf "experiment failed: %s@." why;
+              1)
+        in
+        go experiments)
     end
   in
   Cmd.v

@@ -1,7 +1,5 @@
 open Model
 
-let no_crash = Schedule.empty
-
 type killer_style = Silent | Greedy | Teasing of int
 
 let coordinator_killer ~n ~f ~style =

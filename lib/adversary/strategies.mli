@@ -6,10 +6,6 @@
 
 open Model
 
-val no_crash : Schedule.t
-(** The failure-free run ([f = 0]): Figure 1 decides in one round,
-    Theorem 2's best case. *)
-
 type killer_style =
   | Silent
       (** Each doomed coordinator crashes before sending anything in its own

@@ -144,4 +144,3 @@ let on_timer state ~now:_ ~tag:_ = (state, [])
 
 let on_suspicion state ~now:_ ~suspects = progress { state with suspects }
 
-let round_of state = state.round

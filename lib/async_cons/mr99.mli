@@ -21,6 +21,3 @@ type msg =
   | Decide of int
 
 include Timed_sim.Process_intf.S with type msg := msg
-
-val round_of : state -> int
-(** Current asynchronous round (for structural comparisons in EXP-MR99). *)

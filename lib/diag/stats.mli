@@ -31,6 +31,3 @@ val histogram : bins:int -> float list -> (float * float * int) array
 (** [histogram ~bins xs] partitions the sample range into [bins] equal-width
     buckets and returns [(lo, hi, count)] per bucket.  The last bucket is
     right-closed. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Render a summary on one line. *)

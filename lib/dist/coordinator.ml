@@ -49,13 +49,6 @@ let report_to_json r =
       ("duplicates", J.Int r.duplicates);
     ]
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>%d classes, %d violations@,\
-     shards: %d total, %d executed, %d resumed, %d regrants, %d duplicates@]"
-    r.classes r.violations_total r.shards_total (List.length r.executed)
-    (List.length r.resumed) r.regrants r.duplicates
-
 type client = {
   conn : P.conn;
   mutable worker : string;

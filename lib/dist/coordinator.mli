@@ -58,7 +58,6 @@ type report = {
 }
 
 val report_to_json : report -> Obs.Json.t
-val pp_report : Format.formatter -> report -> unit
 
 val serve : config -> (report, string) result
 (** [Error] only before the sweep is underway: unbindable address, a

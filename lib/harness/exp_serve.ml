@@ -1,9 +1,9 @@
 (** EXP-SERVE — consensus as a service: multiplexed RWWC storms.
 
     Runs thousands of concurrent Figure 1 instances through the serve
-    layer's deterministic loopback mesh — the exact mux, codec and
-    per-destination batching of the socket engine — and reports the three
-    claims the serve layer makes: storms complete and stay judge-clean at
+    layer's deterministic loopback — five real socket engines stepped over
+    [socketpair]s on a virtual clock — and reports the three claims the
+    serve layer makes: storms complete and stay judge-clean at
     scale, batching collapses write calls without changing any decision,
     and a mid-storm coordinator kill degrades per-instance (survivors ride
     out one expired round each) rather than globally.

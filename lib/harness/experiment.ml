@@ -22,3 +22,19 @@ let print ?(markdown = false) e =
          else Diag.Table.render table);
       print_newline ())
     (e.run ())
+
+let flush_out () =
+  Format.pp_print_flush Format.std_formatter ();
+  flush_all ()
+
+let in_child e f =
+  flush_out ();
+  let pid =
+    Live.Children.fork (fun () ->
+        Fun.protect ~finally:flush_out (fun () ->
+            f e;
+            0))
+  in
+  match Live.Children.wait pid with
+  | `Exited 0 -> Ok ()
+  | _ -> Error (Printf.sprintf "EXP-%s failed (its output says why)" e.id)

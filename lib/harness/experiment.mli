@@ -13,3 +13,9 @@ val pp_header : Format.formatter -> t -> unit
 
 val print : ?markdown:bool -> t -> unit
 (** Run the experiment and print its tables to stdout. *)
+
+val in_child : t -> (t -> unit) -> (unit, string) result
+(** [in_child e f] runs [f e] in a forked child and waits for it; [Error]
+    unless it exits 0.  OCaml 5 refuses [Unix.fork] once a domain exists,
+    and some experiments spawn domains (EXP-T1) while others fork (EXP-DIST,
+    EXP-SERVE): one child each keeps every fork legal. *)

@@ -17,6 +17,50 @@ type config = {
 
 let handshake_timeout = 10.0
 
+let dial_hello ?jitter ~deadline ~me addr =
+  match Sockets.connect_retry ?jitter ~deadline addr with
+  | Error e -> Error ("connect: " ^ Sockets.error_to_string e)
+  | Ok fd -> (
+    match
+      Sockets.write_all ~deadline fd (Frame.encode (Frame.Hello { node = me }))
+    with
+    | Ok () -> Ok fd
+    | Error e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error ("hello: " ^ Sockets.error_to_string e))
+
+let handshake ?jitter
+    ?(client = fun _ -> failwith "handshake: client hello before the mesh")
+    ~deadline ~me ~n ~addr ~log lfd =
+  let fds = Array.make n None in
+  for p = me + 1 to n do
+    match dial_hello ?jitter ~deadline ~me (addr p) with
+    | Ok fd ->
+      fds.(p - 1) <- Some fd;
+      log (Printf.sprintf "dialed p%d" p)
+    | Error why -> failwith (Printf.sprintf "p%d: %s" p why)
+  done;
+  let expected = ref (me - 1) in
+  while !expected > 0 do
+    match Sockets.accept_timeout ~deadline lfd with
+    | Error e -> failwith (Sockets.error_to_string e)
+    | Ok fd -> (
+      match Sockets.read_exact ~deadline fd Frame.hello_size with
+      | Error e -> failwith (Sockets.error_to_string e)
+      | Ok bytes -> (
+        match Frame.hello_of_string bytes with
+        | Error why -> failwith why
+        | Ok 0 -> client fd
+        | Ok node when node >= 1 && node < me ->
+          if fds.(node - 1) <> None then
+            failwith (Printf.sprintf "handshake: duplicate hello from p%d" node);
+          fds.(node - 1) <- Some fd;
+          decr expected;
+          log (Printf.sprintf "accepted p%d" node)
+        | Ok node -> failwith (Printf.sprintf "handshake: bad hello node %d" node)))
+  done;
+  fds
+
 module Make (A : Binding.ALGO) = struct
   type item = Data_item of string | Ctl_item
 
@@ -48,51 +92,16 @@ module Make (A : Binding.ALGO) = struct
       (try Unix.close fd with Unix.Unix_error _ -> ());
       peer.fd <- None
 
-  (* Listen first, dial the higher ids (with retry — peers come up in any
-     order), then accept the lower ids: every edge of the mesh has exactly
-     one dialer, so the handshake cannot deadlock. *)
   let establish cfg peers =
-    let deadline = Sockets.now () +. handshake_timeout in
     let lfd =
       match Sockets.listen (Sockets.addr_of ~transport:cfg.transport cfg.me) with
       | Ok fd -> fd
       | Error e -> failwith ("listen: " ^ Sockets.error_to_string e)
     in
-    let hello = Frame.encode (Frame.Hello { node = cfg.me }) in
-    for p = cfg.me + 1 to cfg.n do
-      match
-        Sockets.connect_retry ~deadline (Sockets.addr_of ~transport:cfg.transport p)
-      with
-      | Error e ->
-        failwith (Printf.sprintf "connect to p%d: %s" p (Sockets.error_to_string e))
-      | Ok fd -> (
-        match Sockets.write_all ~deadline fd hello with
-        | Ok () ->
-          peers.(p - 1).fd <- Some fd;
-          logf cfg "dialed p%d" p
-        | Error e ->
-          failwith
-            (Printf.sprintf "hello to p%d: %s" p (Sockets.error_to_string e)))
-    done;
-    for _ = 1 to cfg.me - 1 do
-      match Sockets.accept_timeout ~deadline lfd with
-      | Error e -> failwith (Sockets.error_to_string e)
-      | Ok fd -> (
-        match Sockets.read_exact ~deadline fd Frame.hello_size with
-        | Error e -> failwith (Sockets.error_to_string e)
-        | Ok bytes -> (
-          match Frame.hello_of_string bytes with
-          | Error why -> failwith why
-          | Ok node when node >= 1 && node < cfg.me ->
-            if peers.(node - 1).fd <> None then
-              failwith (Printf.sprintf "handshake: duplicate hello from p%d" node);
-            peers.(node - 1).fd <- Some fd;
-            logf cfg "accepted p%d" node
-          | Ok node ->
-            failwith
-              (Format.asprintf "handshake: unexpected %a" Frame.pp
-                 (Frame.Hello { node }))))
-    done;
+    handshake ~deadline:(Sockets.now () +. handshake_timeout) ~me:cfg.me
+      ~n:cfg.n ~addr:(Sockets.addr_of ~transport:cfg.transport)
+      ~log:(logf cfg "%s") lfd
+    |> Array.iteri (fun i fd -> peers.(i).fd <- fd);
     Unix.close lfd
 
   let wait_go cfg =

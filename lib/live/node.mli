@@ -32,6 +32,28 @@ type config = {
   log : out_channel;
 }
 
+val dial_hello :
+  ?jitter:Prng.Rng.t ->
+  deadline:float ->
+  me:int ->
+  Unix.sockaddr ->
+  (Unix.file_descr, string) result
+(** {!Sockets.connect_retry}, then say Hello as node [me] ([0]: a client). *)
+
+val handshake :
+  ?jitter:Prng.Rng.t ->
+  ?client:(Unix.file_descr -> unit) ->
+  deadline:float ->
+  me:int ->
+  n:int ->
+  addr:(int -> Unix.sockaddr) ->
+  log:(string -> unit) ->
+  Unix.file_descr ->
+  Unix.file_descr option array
+(** Dial the higher ids, then accept the lower ids on the listen fd — one
+    dialer per edge, so no deadlock.  Index [p - 1] is the link to node
+    [p]; a client's Hello (node 0) goes to [client].  Raises [Failure]. *)
+
 module Make (_ : Binding.ALGO) : sig
   val main : config -> unit
   (** Runs to decision, round horizon, or scripted stop.  Raises on

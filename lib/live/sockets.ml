@@ -6,7 +6,6 @@ let error_to_string e =
     Printf.sprintf "%s: %s (%s)" e.op e.detail (Unix.error_message errno)
   | None -> Printf.sprintf "%s: %s" e.op e.detail
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 let err ?errno op detail = Error { op; errno; detail }
 

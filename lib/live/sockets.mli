@@ -20,8 +20,6 @@ type error = {
 }
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
-
 val now : unit -> float
 (** [Unix.gettimeofday] — one clock for every process on the machine, which
     is what makes supervisor-distributed round deadlines meaningful. *)

@@ -246,8 +246,6 @@ let load_error_to_string e =
   | Some off -> Printf.sprintf "%s: byte %d: %s" e.file off e.reason
   | None -> Printf.sprintf "%s: %s" e.file e.reason
 
-let pp_load_error ppf e = Format.pp_print_string ppf (load_error_to_string e)
-
 let load file =
   match
     let ic = open_in_bin file in

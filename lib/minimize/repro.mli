@@ -60,7 +60,6 @@ type load_error = {
     missing field, out-of-range pid…). *)
 
 val load_error_to_string : load_error -> string
-val pp_load_error : Format.formatter -> load_error -> unit
 
 val load : string -> (t, load_error) result
 (** Never raises, whatever the file holds — truncated saves, byte-flipped

@@ -71,9 +71,7 @@ let add t ~dest wire =
     Bytes.blit_string wire 0 bytes 0 len;
     match t.send ~dest bytes ~len with
     | `Taken -> ()
-    | `Done ->
-      t.stats.Stats.write_calls <- t.stats.Stats.write_calls + 1;
-      put_back t bytes
+    | `Done -> put_back t bytes
   end
 
 let flush t =
@@ -90,9 +88,7 @@ let flush t =
           t.stats.Stats.copies_saved <- t.stats.Stats.copies_saved + 1;
           match t.send ~dest b.bytes ~len with
           | `Taken -> b.bytes <- take_buf t ~min:initial_cap
-          | `Done -> t.stats.Stats.write_calls <- t.stats.Stats.write_calls + 1
+          | `Done -> ()
         end)
       t.bufs
   end
-
-let pending t ~dest = t.bufs.(dest).len > 0

@@ -77,33 +77,22 @@ let run ?on_idle ?on_settle cfg =
           })
     in
     let jitter = Prng.Rng.of_int 0x5eed in
-    let hello = Live.Frame.encode (Live.Frame.Hello { node = 0 }) in
     let ev = Evloop.create () in
     let bit node = 1 lsl (node.pid - 1) in
     let live = ref 0 in  (* bit set per connected node *)
     (* Connect, say Hello as a client (node 0), and watch the socket. *)
     let dial node ~deadline =
-      let fail what e =
-        Error
-          (Printf.sprintf "%s p%d: %s" what node.pid
-             (Live.Sockets.error_to_string e))
-      in
       match
-        Live.Sockets.connect_retry ~deadline
+        Live.Node.dial_hello ~deadline ~me:0
           (Live.Sockets.addr_of ~transport:cfg.transport node.pid)
       with
-      | Error e -> fail "connect to" e
-      | Ok fd -> (
-        match Live.Sockets.write_all ~deadline fd hello with
-        | Ok () ->
-          Unix.set_nonblock fd;
-          Evloop.register ev fd ~read:true ~write:false;
-          node.fd <- Some fd;
-          live := !live lor bit node;
-          Ok ()
-        | Error e ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          fail "hello to" e)
+      | Error why -> Error (Printf.sprintf "p%d: %s" node.pid why)
+      | Ok fd ->
+        Unix.set_nonblock fd;
+        Evloop.register ev fd ~read:true ~write:false;
+        node.fd <- Some fd;
+        live := !live lor bit node;
+        Ok ()
     in
     let deadline = Live.Sockets.now () +. connect_timeout in
     let connect_err = ref None in

@@ -1,62 +1,35 @@
-(** The per-node serve event loop: one single-threaded [poll(2)]
-    readiness loop ({!Evloop}) multiplexing the whole socket mesh, every
-    connected client, and the mux's round deadlines — with the invariant
-    that {b no socket syscall inside the loop can block}.  The one
-    blocking call is the WAL's: with [wal_dir] set, the mux stages each
-    decision ({!Wal.add}) and the loop makes a whole turn's decisions
-    durable with one {!Wal.commit} — one write and one fsync per loop
-    turn that decided anything, not one per decision.  On a 2-vCPU VM the
-    n = 5 WAL fleet under a closed loop of 64 (e2ebench
-    [serve-wal-closed], medians of ten 20 s runs) went from 3.4k to 37k
-    decisions/s with that change, p50 from 18.4 to 1.6 ms and p99 from
-    21.5 to 2.4 ms, at about one fsync per node per 64 decisions.
+(** The per-node serve event loop (DESIGN.md §15–16): one
+    single-threaded [poll(2)] loop ({!Evloop}) over the socket mesh, every
+    connected client and the mux's round deadlines, in which {b no socket
+    syscall can block}.  Reads are nonblocking and feed incremental frame
+    decoders into the {!Mux}.  Writes never touch a socket directly:
+    {!Batch.flush} hands coalesced buffers to per-destination {!Outq}
+    queues, and one pass at the end of each turn drains them as far as
+    the kernel takes.  A destination whose backlog crosses the high-water
+    mark is dropped; a new connection parks in a deadlined pending-hello
+    state; clients are served under a per-client frame budget with a
+    rotating start.
 
-    Reads are nonblocking and feed incremental frame decoders into the
-    {!Mux}; writes never touch a socket directly — {!Batch.flush} hands
-    its coalesced buffers to per-destination {!Outq} queues, and one
-    pass at the end of each turn, after the turn's commit, drains every
-    non-empty queue as far as the kernel takes without blocking (partial
-    writes resume where they stopped; a queue the kernel refused keeps
-    write interest armed).  That pass is the only place a turn's frames
-    reach a socket — Decides, mesh frames, mirrored and catch-up frames
-    alike — so no frame ever leaves ahead of the decisions it follows.  A destination whose backlog crosses the
-    queue high-water mark is declared dead and dropped; it cannot stall
-    the mesh.  Decide broadcasts reach every client through one
-    refcounted chunk, so a fan-out of [k] clients costs zero extra
-    copies.
+    {b Durability before visibility.}  With [wal_dir] set, the mux stages
+    each decision ({!Wal.add}); the turn commits them with one write and
+    one fsync ({!Wal.commit}) before the drain pass, the only place a
+    turn's frames reach a socket.  A fresh engine starts a new log,
+    replacing any it finds.  A respawned engine sets [rejoin]: it replays
+    its log (a rejected one degrades to a fresh join), dials every peer and holds client Submits until each reached peer has
+    pushed its decision log as a Catchup batch.  Any engine answers a
+    post-startup mesh Hello that way, then mirrors new decisions to the
+    rejoined peer for a round horizon.
 
-    The listen socket is drained until [EAGAIN] on every readable wakeup;
-    a new connection parks in a pending-hello state (nonblocking read,
-    2 s deadline) until its Hello arrives, so a half-open or slow-loris
-    connection costs one fd, never a stall.  Client Submits are decoded
-    under a per-client frame budget with a rotating round-robin start, so
-    one chatty client cannot starve another's instances.
+    {b Kills.}  A [kill_after] budget halts the mux mid-send; the engine
+    delivers the allowed prefix and reports the realized per-instance
+    crash points.  Without [linger], it exits once the last client has
+    gone and no instance is active.
 
-    A [kill_after] budget makes the mux halt mid-send; the engine then
-    drains the pre-crash prefix (the frames the budget allowed) with a
-    bounded synchronous flush, reports the realized per-instance crash
-    points on the status channel, and SIGSTOPs itself for the supervising
-    fleet to deliver the real SIGKILL — same protocol as {!Live.Node}.
-
-    Without [linger], the engine exits cleanly once it has seen at least
-    one client, the last client has disconnected, and no instance is
-    active — after emitting a final ["stats"] status event.
-
-    {b Crash recovery.}  With [wal_dir] set, every decision is staged in
-    a per-node {!Wal} before its Decide frame is emitted and committed
-    before the frame is written.  A
-    respawned engine sets [rejoin]: it replays its WAL into the mux,
-    re-listens on its own address, dials {e every} peer (tolerating the
-    dead ones), and holds client Submits until each reached peer has
-    replayed its decision log as a Catchup batch — so re-submitted
-    instances are answered from a log, never re-run.  Symmetrically, any
-    engine accepts a post-startup mesh Hello as a peer rejoin: it
-    reattaches the peer on the fresh connection, commits, streams its
-    own decision log from the WAL as Catchup frames (plus a round-0 end
-    marker carrying the count; without a WAL the mux's table is the
-    log), and mirrors new
-    decisions to the rejoined peer for a full round horizon, covering the
-    instances that were in flight during the outage. *)
+    {b One loop, two drivers.}  {!main} is the socket handshake followed
+    by {!step} in a loop.  {!create} builds the same engine over fds that
+    are already connected, on a caller's clock, so [Serve.Loopback] runs
+    n engines over [socketpair] links on a virtual clock: every
+    deterministic storm exercises this loop body. *)
 
 type config = {
   me : int;
@@ -78,11 +51,48 @@ type config = {
 }
 
 module Make (A : Binding.ALGO) : sig
+  type t
+
+  val create :
+    clock:(unit -> float) ->
+    ?listen:Unix.file_descr ->
+    peers:Unix.file_descr option array ->
+    clients:Unix.file_descr list ->
+    config ->
+    t
+  (** An engine over connected fds, which it owns from then on: [peers]
+      (index [p - 1] is the link to node [p]), [clients] and the [listen]
+      fd for late clients and rejoins.  It reads time from [clock]; with
+      [wal_dir] it opens (and, rejoining, replays) its WAL.  [transport],
+      [dial] and [status] are {!main}'s alone. *)
+
+  val step : t -> timeout:float -> [ `Running | `Halted | `Exited ]
+  (** One turn of the loop: wait up to [timeout] seconds for readiness,
+      accept and read, feed the mux, expire due rounds, commit the WAL,
+      flush the batcher and drain every queue as far as the kernel takes.
+      [`Halted]: the kill budget ran out; the allowed prefix is already
+      delivered and {!realized} holds the crash points; do not step
+      again.  [`Exited]: without [linger], the last client left with no
+      instance active. *)
+
+  val next_deadline : t -> float option
+  (** When the engine next has work without new input: the earliest
+      round deadline or hello timeout.  A client backlog makes it due
+      now. *)
+
+  val stats : t -> Stats.t
+  (** The live counters, slab gauges refreshed. *)
+
+  val realized : t -> Mux.realized list
+  (** After [`Halted]: per-instance crash points (see {!Mux}). *)
+
+  val close : t -> unit
+  (** Close every fd the engine holds and its WAL. *)
+
   val main : config -> unit
-  (** Runs until clean exit; raises [Failure] on handshake errors and
-      never returns after a kill-budget halt (SIGSTOP, then SIGKILL). *)
+  (** Handshake, {!create}, report ["ready"], then {!step} until exit.
+      Raises [Failure] on handshake errors and never returns after a
+      kill-budget halt (SIGSTOP, then SIGKILL). *)
 end
 
-module Rwwc : sig
-  val main : config -> unit
-end
+module Rwwc : module type of Make (Binding.Rwwc)

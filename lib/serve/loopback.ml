@@ -1,5 +1,5 @@
 module Make (A : Binding.ALGO) = struct
-  module M = Mux.Make (A)
+  module E = Engine.Make (A)
 
   type config = {
     n : int;
@@ -13,9 +13,14 @@ module Make (A : Binding.ALGO) = struct
     proposals : int -> int -> int;
   }
 
+  (* The client end of one node's client channel: the queue that writes
+     its Submits and the decoder of its Decide stream. *)
+  type channel = { fd : Unix.file_descr; out : Outq.t; dec : Live.Frame.decoder }
+
   let run cfg =
     if cfg.n < 2 then invalid_arg "Serve.Loopback: n must be >= 2";
     if cfg.instances < 0 then invalid_arg "Serve.Loopback: negative instances";
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let n = cfg.n in
     let window = max 1 cfg.window in
     let started = Unix.gettimeofday () in
@@ -23,18 +28,26 @@ module Make (A : Binding.ALGO) = struct
     let max_rounds =
       match cfg.max_rounds with Some m -> m | None -> cfg.t + 1
     in
-    (* One incremental decoder per directed link, one Decide-stream decoder
-       per node's client channel: the exact socket topology, minus the
-       sockets.  A flushed batch buffer is fed to the receiving decoder in
-       place (the decoder copies into its own buffer), so no per-flush
-       string is ever materialized. *)
-    let decoders =
-      Array.init n (fun _ -> Array.init n (fun _ -> Live.Frame.decoder ()))
+    let pair () = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (* [mesh.(i).(j)]: node [i + 1]'s end of its link to node [j + 1]. *)
+    let mesh = Array.make_matrix n n None in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let a, b = pair () in
+        mesh.(i).(j) <- Some a;
+        mesh.(j).(i) <- Some b
+      done
+    done;
+    let client_links = Array.init n (fun _ -> pair ()) in
+    let channels =
+      Array.map
+        (fun (_, fd) ->
+          Unix.set_nonblock fd;
+          { fd; out = Outq.create (); dec = Live.Frame.decoder () })
+        client_links
     in
-    let client_dec = Array.init n (fun _ -> Live.Frame.decoder ()) in
-    let moved = ref false in
-    let batches : Batch.t option array = Array.make n None in
-    let muxes =
+    let quiet = open_out_bin Filename.null in
+    let engines =
       Array.init n (fun idx ->
           let me = idx + 1 in
           let kill_after =
@@ -42,104 +55,103 @@ module Make (A : Binding.ALGO) = struct
             | Some k when k.Report.node = me -> Some k.Report.after_frames
             | _ -> None
           in
-          let emit ~dest frame =
-            match batches.(idx) with
-            | Some b -> Batch.add b ~dest (Live.Frame.encode frame)
-            | None -> assert false
-          in
-          M.create
-            { Mux.me; n; t = cfg.t; big_d = cfg.big_d; max_rounds; kill_after }
-            ~emit ())
+          E.create
+            ~clock:(fun () -> !now)
+            ~peers:mesh.(idx)
+            ~clients:[ fst client_links.(idx) ]
+            {
+              Engine.me;
+              n;
+              t = cfg.t;
+              transport = `Unix Filename.current_dir_name;
+              big_d = cfg.big_d;
+              max_rounds;
+              batch = cfg.batch;
+              kill_after;
+              linger = true;
+              wal_dir = None;
+              rejoin = false;
+              dial = None;
+              status = quiet;
+              log = quiet;
+            })
     in
-    Array.iteri
-      (fun idx mux ->
-        let send ~dest bytes ~len =
-          moved := true;
-          let s = Bytes.unsafe_to_string bytes in
-          if dest = 0 then Live.Frame.feed client_dec.(idx) s ~pos:0 ~len
-          else if dest >= 1 && dest <= n then
-            Live.Frame.feed decoders.(idx).(dest - 1) s ~pos:0 ~len;
-          `Done
-        in
-        batches.(idx) <-
-          Some (Batch.create ~n ~batch:cfg.batch ~stats:(M.stats mux) ~send))
-      muxes;
+    let running = Array.make n true in
+    let victim = ref None in
     let decisions = Array.init cfg.instances (fun _ -> Array.make n None) in
     let submit_t = Array.make (max 1 cfg.instances) 0.0 in
     let latencies = ref [] in
-    let drain_link s d =
-      let dec = decoders.(s).(d) in
-      let rec go () =
-        match Live.Frame.pop_view dec with
-        | `View v ->
-          moved := true;
-          M.on_view muxes.(d) ~now:!now ~from:(s + 1) v;
-          go ()
-        | `Need_more -> ()
-        | `Corrupt why -> failwith ("Serve.Loopback: corrupt stream: " ^ why)
-      in
-      go ()
+    let buf = Bytes.create 65536 in
+    (* Every byte that moves shows up here: as an engine's write or
+       consumed frame, or as client-side traffic. *)
+    let client_moves = ref 0 in
+    let progress () =
+      Array.fold_left
+        (fun acc e ->
+          let s = E.stats e in
+          acc + s.Stats.write_calls + s.Stats.frames_in + s.Stats.submits)
+        !client_moves engines
     in
-    let drain_client idx =
-      let dec = client_dec.(idx) in
-      let rec go () =
-        match Live.Frame.pop_view dec with
+    let read_decides idx =
+      let ch = channels.(idx) in
+      let rec decode () =
+        match Live.Frame.pop_view ch.dec with
         | `View v ->
-          moved := true;
-          (match v.Live.Frame.kind with
-          | Live.Frame.K_decide ->
-            let i = v.Live.Frame.instance in
-            if i >= 0 && i < cfg.instances && decisions.(i).(idx) = None then
-              decisions.(i).(idx) <-
-                Some (v.Live.Frame.value, v.Live.Frame.round)
-          | _ -> ());
-          go ()
+          let i = v.Live.Frame.instance in
+          if
+            v.Live.Frame.kind = Live.Frame.K_decide
+            && i >= 0 && i < cfg.instances
+            && decisions.(i).(idx) = None
+          then
+            decisions.(i).(idx) <- Some (v.Live.Frame.value, v.Live.Frame.round);
+          decode ()
         | `Need_more -> ()
         | `Corrupt why ->
           failwith ("Serve.Loopback: corrupt client stream: " ^ why)
       in
-      go ()
+      let rec read () =
+        match Live.Sockets.read_chunk ch.fd buf with
+        | `Data k ->
+          incr client_moves;
+          Live.Frame.feed ch.dec (Bytes.unsafe_to_string buf) ~pos:0 ~len:k;
+          decode ();
+          read ()
+        | `Closed | `Nothing -> ()
+      in
+      read ()
     in
-    (* Deliver until quiescent at the current virtual instant: flush every
-       batch, move link bytes, feed decoders — repeatedly, because consuming
-       a frame can emit new ones. *)
-    let deliver () =
-      let continue = ref true in
-      while !continue do
-        moved := false;
-        Array.iter
-          (function Some b -> Batch.flush b | None -> ())
-          batches;
-        for s = 0 to n - 1 do
-          for d = 0 to n - 1 do
-            drain_link s d
-          done
-        done;
-        for idx = 0 to n - 1 do
-          drain_client idx
-        done;
-        continue := !moved
-      done
+    (* One pass: every engine takes one turn at timeout 0, in descending
+       node order — so the round-1 coordinator (p1) reads its Submits
+       only once every other node has opened the instance, the common
+       client pattern; the mux's early-frame parking covers the rest.  A
+       halted victim's fds are closed, as the fleet's SIGKILL would:
+       its peers read what it flushed, then EOF. *)
+    let pass () =
+      let before = progress () in
+      for idx = n - 1 downto 0 do
+        if running.(idx) then begin
+          let ch = channels.(idx) in
+          if not (Outq.is_empty ch.out) then begin
+            incr client_moves;
+            ignore (Outq.drain ch.out ch.fd)
+          end;
+          let e = engines.(idx) in
+          match E.step e ~timeout:0.0 with
+          | `Running -> ()
+          | `Halted ->
+            running.(idx) <- false;
+            victim := Some (idx + 1, E.realized e);
+            E.close e
+          | `Exited -> running.(idx) <- false
+        end;
+        read_decides idx
+      done;
+      progress () <> before
     in
     let next_submit = ref 0 in
     let inflight = ref [] in
-    let submit_instance i =
-      submit_t.(i) <- !now;
-      inflight := i :: !inflight;
-      (* Descending node order, so the round-1 coordinator (p1) starts its
-         sends only once every node has opened the instance — the common
-         client pattern; the mux's early-frame parking covers the rest. *)
-      for node = n downto 1 do
-        M.submit muxes.(node - 1) ~now:!now ~instance:i
-          ~proposal:(cfg.proposals i node)
-      done
-    in
     let is_settled i =
-      let ok = ref true in
-      for j = 0 to n - 1 do
-        if decisions.(i).(j) = None && not (M.halted muxes.(j)) then ok := false
-      done;
-      !ok
+      Array.for_all2 (fun d live -> d <> None || not live) decisions.(i) running
     in
     let settle_pass () =
       inflight :=
@@ -152,13 +164,32 @@ module Make (A : Binding.ALGO) = struct
             else true)
           !inflight
     in
+    (* One coalesced Submit burst per node per refill. *)
     let refill () =
-      let before = !next_submit in
+      let fresh = ref [] in
       while List.length !inflight < window && !next_submit < cfg.instances do
-        submit_instance !next_submit;
+        let i = !next_submit in
+        submit_t.(i) <- !now;
+        inflight := i :: !inflight;
+        fresh := i :: !fresh;
         incr next_submit
       done;
-      !next_submit <> before
+      Array.iteri
+        (fun idx ch ->
+          if running.(idx) && !fresh <> [] then begin
+            let b = Buffer.create 256 in
+            List.iter
+              (fun i ->
+                Live.Frame.encode_into b
+                  (Live.Frame.Submit
+                     { instance = i; proposal = cfg.proposals i (idx + 1) }))
+              (List.rev !fresh);
+            Outq.push ch.out
+              (Outq.chunk ~recycle:ignore (Buffer.to_bytes b)
+                 ~len:(Buffer.length b))
+          end)
+        channels;
+      !fresh <> []
     in
     let stuck = ref false in
     let guard = ref ((cfg.instances * (max_rounds + 2)) + 64) in
@@ -167,45 +198,33 @@ module Make (A : Binding.ALGO) = struct
       decr guard;
       (* message-speed fixed point at the current instant *)
       let rec instant () =
-        deliver ();
+        while pass () do
+          ()
+        done;
         settle_pass ();
         if refill () then instant ()
       in
       instant ();
       if !inflight <> [] then begin
         let best = ref infinity in
-        Array.iter
-          (fun m ->
-            match M.next_deadline m with
-            | Some dl when dl < !best -> best := dl
-            | _ -> ())
-          muxes;
-        if !best = infinity then stuck := true
-        else begin
-          now := max !now !best;
-          Array.iter (fun m -> M.expire m ~now:!now) muxes
-        end
+        Array.iteri
+          (fun idx e ->
+            if running.(idx) then
+              match E.next_deadline e with
+              | Some dl when dl < !best -> best := dl
+              | _ -> ())
+          engines;
+        if !best = infinity then stuck := true else now := max !now !best
       end
     done;
     let elapsed = Unix.gettimeofday () -. started in
-    let victim =
-      match cfg.kill with
-      | Some k ->
-        let m = muxes.(k.Report.node - 1) in
-        if M.halted m then Some (k.Report.node, M.realized m) else None
-      | None -> None
-    in
     let stats =
-      Array.to_list
-        (Array.mapi
-           (fun idx m ->
-             let s = M.stats m in
-             s.Stats.slab_capacity <- M.slab_capacity m;
-             s.Stats.slab_reused <- M.slab_reused m;
-             (idx + 1, s))
-           muxes)
+      Array.to_list (Array.mapi (fun idx e -> (idx + 1, E.stats e)) engines)
     in
-    Report.build ~n ~t:cfg.t ~proposals:cfg.proposals ~decisions ~victim
+    Array.iteri (fun idx e -> if running.(idx) then E.close e) engines;
+    Array.iter (fun ch -> Unix.close ch.fd) channels;
+    close_out quiet;
+    Report.build ~n ~t:cfg.t ~proposals:cfg.proposals ~decisions ~victim:!victim
       ~send_plan:A.send_plan ~elapsed ~latencies:!latencies ~stats
       ~kill:cfg.kill
 end

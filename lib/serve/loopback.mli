@@ -1,17 +1,16 @@
-(** The deterministic serve engine: the full multiplexed mesh — muxes,
-    batchers, per-link incremental decoders, client Decide streams — wired
-    through in-memory FIFOs instead of sockets, driven by a virtual clock.
+(** The deterministic serve mesh: n real {!Engine}s in one process,
+    linked by [socketpair]s (plus one per node for its client channel)
+    and stepped on a virtual clock.
 
-    Delivery runs to quiescence at each virtual instant (flush, move
-    bytes, decode, repeat — consuming a frame can emit new ones), then the
-    clock jumps straight to the earliest pending round deadline; a storm
-    with a crashed coordinator costs virtual [big_d] but almost no wall
-    time, which is what lets a 1000-instance kill storm run inside the
-    test suite and the decisions/sec bench measure pure engine throughput.
-
-    Same codec, same mux, same batching counters as the socket engine, so
-    loopback results — including the realized per-instance crash points of
-    a [kill] and their {!Live.Judge} verdicts — transfer. *)
+    Each pass steps every engine once at timeout 0; passes repeat until
+    one moves no byte, then the clock jumps to the earliest engine
+    deadline.  A storm with a crashed coordinator costs virtual [big_d]
+    but almost no wall time, so a 1000-instance kill storm runs inside
+    the test suite.  A victim that halts at its kill budget has its fds
+    closed, as the fleet's SIGKILL would: its peers read the prefix it
+    flushed, then EOF, and its realized crash points are judged.  Every
+    count in the {!Report} — write calls, flushes, expired rounds — is
+    the engine's own. *)
 
 module Make (A : Binding.ALGO) : sig
   type config = {

@@ -81,7 +81,6 @@ module Make (A : Binding.ALGO) = struct
     mutable mesh_writes : int;
     mutable halted : bool;
     mutable realized : realized list;
-    mutable gave_up : int;
   }
 
   let create cfg ?persist ?recall ~emit () =
@@ -100,14 +99,12 @@ module Make (A : Binding.ALGO) = struct
       mesh_writes = 0;
       halted = false;
       realized = [];
-      gave_up = 0;
     }
 
   let stats t = t.stats
   let active t = Slab.active t.slab
   let halted t = t.halted
   let realized t = t.realized
-  let gave_up t = t.gave_up
   let mesh_writes t = t.mesh_writes
   let slab_capacity t = Slab.capacity t.slab
   let slab_reused t = Slab.reused t.slab
@@ -299,7 +296,6 @@ module Make (A : Binding.ALGO) = struct
       if round >= t.cfg.max_rounds then begin
         (* Past the horizon nothing can decide (more deaths than [t]);
            release the slot and let the client time the instance out. *)
-        t.gave_up <- t.gave_up + 1;
         Decided.give_up t.decided slot.instance;
         Slab.release t.slab ~instance:slot.instance
       end

@@ -109,7 +109,6 @@ module Make (A : Binding.ALGO) : sig
   (** After a budget halt: per-instance crash points, sorted by instance. *)
 
   val stats : t -> Stats.t
-  val gave_up : t -> int
   val mesh_writes : t -> int
   val slab_capacity : t -> int
   val slab_reused : t -> int

@@ -22,6 +22,7 @@ type t = {
   stats : (int * Stats.t) list;
   total : Stats.t;
   kill : kill_spec option;
+  victim : (int * Mux.realized list) option;
   judged : int;
   failures : instance_verdict list;
   ok : bool;
@@ -155,6 +156,7 @@ let build ~n ~t:tolerance ~proposals ~decisions ~victim ~send_plan ~elapsed
     stats;
     total;
     kill;
+    victim;
     judged = instances;
     failures = List.rev !failures;
     ok = !failures = [];

@@ -33,6 +33,9 @@ type t = {
   stats : (int * Stats.t) list;
   total : Stats.t;
   kill : kill_spec option;
+  victim : (int * Mux.realized list) option;
+      (** the node that halted at its kill budget and the crash points
+          its instances realized, as judged *)
   judged : int;
   failures : instance_verdict list;
   ok : bool;

@@ -47,111 +47,59 @@ let create () =
     catchup_out = 0;
   }
 
+(* Every counter once, in report order: its JSON name and how to read
+   and write it.  Gauges combine across lives by max, counters by sum. *)
+let fields =
+  [
+    ("frames_out", (fun s -> s.frames_out), fun s v -> s.frames_out <- v);
+    ("bytes_out", (fun s -> s.bytes_out), fun s v -> s.bytes_out <- v);
+    ("write_calls", (fun s -> s.write_calls), fun s v -> s.write_calls <- v);
+    ("partial_writes", (fun s -> s.partial_writes), fun s v -> s.partial_writes <- v);
+    ("copies_saved", (fun s -> s.copies_saved), fun s v -> s.copies_saved <- v);
+    ("overflow_kills", (fun s -> s.overflow_kills), fun s v -> s.overflow_kills <- v);
+    ("flushes", (fun s -> s.flushes), fun s v -> s.flushes <- v);
+    ("max_batch", (fun s -> s.max_batch), fun s v -> s.max_batch <- v);
+    ("frames_in", (fun s -> s.frames_in), fun s v -> s.frames_in <- v);
+    ("submits", (fun s -> s.submits), fun s v -> s.submits <- v);
+    ("decides", (fun s -> s.decides), fun s v -> s.decides <- v);
+    ("fast_rounds", (fun s -> s.fast_rounds), fun s v -> s.fast_rounds <- v);
+    ("expired_rounds", (fun s -> s.expired_rounds), fun s v -> s.expired_rounds <- v);
+    ("late_frames", (fun s -> s.late_frames), fun s v -> s.late_frames <- v);
+    ("dropped_frames", (fun s -> s.dropped_frames), fun s v -> s.dropped_frames <- v);
+    ("slab_capacity", (fun s -> s.slab_capacity), fun s v -> s.slab_capacity <- v);
+    ("slab_reused", (fun s -> s.slab_reused), fun s v -> s.slab_reused <- v);
+    ("wal_appends", (fun s -> s.wal_appends), fun s v -> s.wal_appends <- v);
+    ("wal_replayed", (fun s -> s.wal_replayed), fun s v -> s.wal_replayed <- v);
+    ("catchup_in", (fun s -> s.catchup_in), fun s v -> s.catchup_in <- v);
+    ("catchup_out", (fun s -> s.catchup_out), fun s v -> s.catchup_out <- v);
+  ]
+
+let gauges = [ "max_batch"; "slab_capacity" ]
+
 let add a b =
-  a.frames_out <- a.frames_out + b.frames_out;
-  a.bytes_out <- a.bytes_out + b.bytes_out;
-  a.write_calls <- a.write_calls + b.write_calls;
-  a.partial_writes <- a.partial_writes + b.partial_writes;
-  a.copies_saved <- a.copies_saved + b.copies_saved;
-  a.overflow_kills <- a.overflow_kills + b.overflow_kills;
-  a.flushes <- a.flushes + b.flushes;
-  a.max_batch <- max a.max_batch b.max_batch;
-  a.frames_in <- a.frames_in + b.frames_in;
-  a.submits <- a.submits + b.submits;
-  a.decides <- a.decides + b.decides;
-  a.fast_rounds <- a.fast_rounds + b.fast_rounds;
-  a.expired_rounds <- a.expired_rounds + b.expired_rounds;
-  a.late_frames <- a.late_frames + b.late_frames;
-  a.dropped_frames <- a.dropped_frames + b.dropped_frames;
-  a.slab_capacity <- max a.slab_capacity b.slab_capacity;
-  a.slab_reused <- a.slab_reused + b.slab_reused;
-  a.wal_appends <- a.wal_appends + b.wal_appends;
-  a.wal_replayed <- a.wal_replayed + b.wal_replayed;
-  a.catchup_in <- a.catchup_in + b.catchup_in;
-  a.catchup_out <- a.catchup_out + b.catchup_out
+  List.iter
+    (fun (name, get, set) ->
+      set a
+        (if List.mem name gauges then max (get a) (get b) else get a + get b))
+    fields
 
 let to_json s =
-  Obs.Json.Obj
-    [
-      ("frames_out", Obs.Json.Int s.frames_out);
-      ("bytes_out", Obs.Json.Int s.bytes_out);
-      ("write_calls", Obs.Json.Int s.write_calls);
-      ("partial_writes", Obs.Json.Int s.partial_writes);
-      ("copies_saved", Obs.Json.Int s.copies_saved);
-      ("overflow_kills", Obs.Json.Int s.overflow_kills);
-      ("flushes", Obs.Json.Int s.flushes);
-      ("max_batch", Obs.Json.Int s.max_batch);
-      ("frames_in", Obs.Json.Int s.frames_in);
-      ("submits", Obs.Json.Int s.submits);
-      ("decides", Obs.Json.Int s.decides);
-      ("fast_rounds", Obs.Json.Int s.fast_rounds);
-      ("expired_rounds", Obs.Json.Int s.expired_rounds);
-      ("late_frames", Obs.Json.Int s.late_frames);
-      ("dropped_frames", Obs.Json.Int s.dropped_frames);
-      ("slab_capacity", Obs.Json.Int s.slab_capacity);
-      ("slab_reused", Obs.Json.Int s.slab_reused);
-      ("wal_appends", Obs.Json.Int s.wal_appends);
-      ("wal_replayed", Obs.Json.Int s.wal_replayed);
-      ("catchup_in", Obs.Json.Int s.catchup_in);
-      ("catchup_out", Obs.Json.Int s.catchup_out);
-    ]
+  Obs.Json.Obj (List.map (fun (name, get, _) -> (name, Obs.Json.Int (get s))) fields)
 
-let of_json json =
-  let ( let* ) = Result.bind in
-  let int name =
-    match json with
-    | Obs.Json.Obj fields -> (
-      match List.assoc_opt name fields with
-      | Some (Obs.Json.Int i) -> Ok i
-      | Some _ -> Error (Printf.sprintf "stats.%s: not an int" name)
-      | None -> Ok 0)
-    | _ -> Error "stats: not an object"
-  in
-  let* frames_out = int "frames_out" in
-  let* bytes_out = int "bytes_out" in
-  let* write_calls = int "write_calls" in
-  let* partial_writes = int "partial_writes" in
-  let* copies_saved = int "copies_saved" in
-  let* overflow_kills = int "overflow_kills" in
-  let* flushes = int "flushes" in
-  let* max_batch = int "max_batch" in
-  let* frames_in = int "frames_in" in
-  let* submits = int "submits" in
-  let* decides = int "decides" in
-  let* fast_rounds = int "fast_rounds" in
-  let* expired_rounds = int "expired_rounds" in
-  let* late_frames = int "late_frames" in
-  let* dropped_frames = int "dropped_frames" in
-  let* slab_capacity = int "slab_capacity" in
-  let* slab_reused = int "slab_reused" in
-  let* wal_appends = int "wal_appends" in
-  let* wal_replayed = int "wal_replayed" in
-  let* catchup_in = int "catchup_in" in
-  let* catchup_out = int "catchup_out" in
-  Ok
-    {
-      frames_out;
-      bytes_out;
-      write_calls;
-      partial_writes;
-      copies_saved;
-      overflow_kills;
-      flushes;
-      max_batch;
-      frames_in;
-      submits;
-      decides;
-      fast_rounds;
-      expired_rounds;
-      late_frames;
-      dropped_frames;
-      slab_capacity;
-      slab_reused;
-      wal_appends;
-      wal_replayed;
-      catchup_in;
-      catchup_out;
-    }
+(* A missing counter reads as 0, so older reports still parse. *)
+let of_json = function
+  | Obs.Json.Obj kv ->
+    let s = create () in
+    List.fold_left
+      (fun acc (name, _, set) ->
+        Result.bind acc (fun () ->
+            match List.assoc_opt name kv with
+            | Some (Obs.Json.Int i) -> Ok (set s i)
+            | Some _ -> Error (Printf.sprintf "stats.%s: not an int" name)
+            | None -> Ok ()))
+      (Ok ()) fields
+    |> Result.map (fun () -> s)
+  | _ -> Error "stats: not an object"
 
 let pp ppf s =
   Format.fprintf ppf

@@ -63,8 +63,6 @@ let pop h =
     Some (top.time, top.payload)
   end
 
-let peek_time h = if h.size = 0 then None else Some h.data.(1).time
-
 let size h = h.size
 
 let is_empty h = h.size = 0

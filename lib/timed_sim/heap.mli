@@ -15,8 +15,6 @@ val add : 'a t -> time:float -> rank:int -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum element. *)
 
-val peek_time : 'a t -> float option
-
 val size : 'a t -> int
 
 val is_empty : 'a t -> bool
