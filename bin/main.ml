@@ -724,7 +724,7 @@ let experiments_cmd =
          & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
   let write_csv dir e =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    Live.Children.mkdir_p dir;
     List.iteri
       (fun i table ->
         let file =
@@ -1193,12 +1193,6 @@ let chaos_cmd =
 
 (* --- live ----------------------------------------------------------------- *)
 
-let rec ensure_dir dir =
-  if dir <> "/" && dir <> "." && dir <> "" && not (Sys.file_exists dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let live_cmd =
   let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of node processes.") in
   let t =
@@ -1261,7 +1255,7 @@ let live_cmd =
     Format.printf "%a@." Live.Transcript.pp tr;
     Format.printf "%a@." Live.Judge.pp v;
     (try
-       ensure_dir dir;
+       Live.Children.mkdir_p dir;
        let file = Filename.concat dir "verdict.json" in
        let oc = open_out file in
        output_string oc (Obs.Json.to_string (Live.Judge.to_json tr v));
@@ -1557,7 +1551,7 @@ let serve_cmd =
           2
         end
         else begin
-          ensure_dir dir;
+          Live.Children.mkdir_p dir;
           let transport =
             match transport with
             | `Loopback | `Unix_s -> `Unix dir
@@ -1611,7 +1605,7 @@ let serve_cmd =
           in
           serve_report ~json ~min_dps r
         | (`Unix_s | `Tcp_s) as tp -> (
-          ensure_dir dir;
+          Live.Children.mkdir_p dir;
           let transport =
             match tp with `Unix_s -> `Unix dir | `Tcp_s -> `Tcp port
           in

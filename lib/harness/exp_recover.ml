@@ -26,7 +26,7 @@ let workspace name =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "sync-agreement-exp-recover-%d-%s" (Unix.getpid ()) name)
   in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Live.Children.mkdir_p dir;
   dir
 
 type cell = {

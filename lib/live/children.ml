@@ -137,6 +137,18 @@ let read_status t c ~on_event =
         Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       ())
 
+let status_event oc fields =
+  output_string oc (Obs.Json.to_string (Obs.Json.Obj fields));
+  output_char oc '\n';
+  flush oc
+
+let logf oc ~me fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.fprintf oc "[%.6f p%d] %s\n" (Sockets.now ()) me s;
+      flush oc)
+    fmt
+
 let pump t ~timeout ~on_event =
   match List.filter_map (fun c -> c.status) t.kids with
   | [] -> if timeout > 0.0 then Sockets.sleep_until (Sockets.now () +. timeout)

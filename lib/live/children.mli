@@ -79,6 +79,14 @@ val close_status : t -> child -> unit
 (** Stop listening to a child: close its status pipe without waiting for
     EOF. *)
 
+val status_event : out_channel -> (string * Obs.Json.t) list -> unit
+(** The child side of a status pipe: write one JSON object as one line and
+    flush, so {!pump} sees it at once. *)
+
+val logf : out_channel -> me:int -> ('a, unit, string, unit) format4 -> 'a
+(** One timestamped [[<time> p<me>] …] line to a node's log, flushed (a
+    killed process loses nothing it logged). *)
+
 val pump : t -> timeout:float -> on_event:(child -> Obs.Json.t -> unit) -> unit
 (** One [select] (up to [timeout] seconds; a plain sleep when no status pipe
     is open) over every open status pipe, then one read from each ready

@@ -62,74 +62,44 @@ let handshake ?jitter
   fds
 
 module Make (A : Binding.ALGO) = struct
-  type item = Data_item of string | Ctl_item
+  type item = Data_item of A.msg | Ctl_item
 
-  type peer = {
-    pid : int;
-    mutable fd : Unix.file_descr option;
+  type inbox = {
+    from : int;
     decoder : Frame.decoder;
-    mutable pending : (int * item) list;
-        (* frames for rounds we have not opened yet, newest first *)
+    mutable gone : bool;  (* corrupt or undecodable: never read again *)
+    mutable stash : (int * item) list;
+        (* frames for rounds not opened yet, newest first *)
   }
 
-  let logf cfg fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.fprintf cfg.log "[%.6f p%d] %s\n" (Sockets.now ()) cfg.me s;
-        flush cfg.log)
-      fmt
+  type t = {
+    me : int;
+    kill : Script.kill option;
+    log : string -> unit;
+    inboxes : inbox array;
+    mutable state : A.state;
+    mutable data : (Pid.t * A.msg) list;
+    mutable syncs : Pid.t list;
+  }
 
-  let status_event cfg fields =
-    output_string cfg.status (Obs.Json.to_string (Obs.Json.Obj fields));
-    output_char cfg.status '\n';
-    flush cfg.status
+  let create ~n ~t ~me ~proposal ~kill ~log =
+    {
+      me;
+      kill;
+      log;
+      inboxes =
+        Array.init n (fun i ->
+            { from = i + 1; decoder = Frame.decoder (); gone = false; stash = [] });
+      state = A.init ~n ~t ~me:(Pid.of_int me) ~proposal;
+      data = [];
+      syncs = [];
+    }
 
-  let mark_dead cfg peer why =
-    match peer.fd with
-    | None -> ()
-    | Some fd ->
-      logf cfg "peer p%d gone: %s" peer.pid why;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      peer.fd <- None
+  let inbox p ~from = p.inboxes.(from - 1).decoder
 
-  let establish cfg peers =
-    let lfd =
-      match Sockets.listen (Sockets.addr_of ~transport:cfg.transport cfg.me) with
-      | Ok fd -> fd
-      | Error e -> failwith ("listen: " ^ Sockets.error_to_string e)
-    in
-    handshake ~deadline:(Sockets.now () +. handshake_timeout) ~me:cfg.me
-      ~n:cfg.n ~addr:(Sockets.addr_of ~transport:cfg.transport)
-      ~log:(logf cfg "%s") lfd
-    |> Array.iteri (fun i fd -> peers.(i).fd <- fd);
-    Unix.close lfd
-
-  let wait_go cfg =
-    match input_line cfg.go with
-    | line -> (
-      match String.split_on_char ' ' (String.trim line) with
-      | [ "go"; t0 ] -> (
-        match float_of_string_opt t0 with
-        | Some t0 -> t0
-        | None -> failwith ("bad go line: " ^ line))
-      | _ -> failwith ("bad go line: " ^ line))
-    | exception End_of_file -> failwith "supervisor vanished before go"
-
-  (* The scripted crash point: write budget exhausted.  Stop and wait for
-     the supervisor's SIGKILL — the stop is the deterministic marker, the
-     kill is real. *)
-  let halt_scripted cfg =
-    logf cfg "scripted kill point reached: stopping for the supervisor";
-    Unix.kill (Unix.getpid ()) Sys.sigstop;
-    let rec forever () =
-      ignore (Unix.sleep 3600);
-      forever ()
-    in
-    forever ()
-
-  let send_round cfg peers ~round state =
-    let data = A.data_sends state ~round in
-    let ctl = A.sync_sends state ~round in
+  let send p ~round ~write =
+    let data = A.data_sends p.state ~round in
+    let ctl = A.sync_sends p.state ~round in
     let writes =
       List.map
         (fun (dest, msg) ->
@@ -144,120 +114,177 @@ module Make (A : Binding.ALGO) = struct
           ctl
     in
     let budget =
-      match cfg.kill with
+      match p.kill with
       | Some k when k.Script.round = round ->
         Some
           (Script.writes_completed k.Script.phase ~data:(List.length data)
              ~ctl:(List.length ctl))
       | Some _ | None -> None
     in
-    let deadline = Sockets.now () +. cfg.big_d in
     let rec emit k = function
       | [] -> ()
       | (dest, bytes) :: rest ->
-        if budget = Some k then halt_scripted cfg
-        else begin
-          (if dest = cfg.me then
-             (* self-delivery shares the wire path: same frames, own decoder *)
-             Frame.feed_string peers.(dest - 1).decoder bytes
-           else
-             let peer = peers.(dest - 1) in
-             match peer.fd with
-             | None -> ()
-             | Some fd -> (
-               match Sockets.write_all ~deadline fd bytes with
-               | Ok () -> ()
-               | Error e -> mark_dead cfg peer (Sockets.error_to_string e)));
+        if budget <> Some k then begin
+          (* self-delivery shares the wire path: same frames, own decoder *)
+          if dest = p.me then Frame.feed_string (inbox p ~from:dest) bytes
+          else write dest bytes;
           emit (k + 1) rest
         end
     in
     emit 0 writes;
-    match budget with Some _ -> halt_scripted cfg | None -> ()
+    match budget with Some _ -> `Halted | None -> `Sent
 
-  let collect cfg peers ~round ~close data syncs =
-    let consume peer = function
-      | Data_item payload -> (
-        match A.decode_msg payload with
-        | Ok m -> data := (Pid.of_int peer.pid, m) :: !data
-        | Error why -> mark_dead cfg peer ("bad payload: " ^ why))
-      | Ctl_item -> syncs := Pid.of_int peer.pid :: !syncs
-    in
-    let rec drain peer =
-      match Frame.pop peer.decoder with
-      | `Need_more -> ()
-      | `Corrupt why -> mark_dead cfg peer ("corrupt stream: " ^ why)
-      | `Frame f ->
-        (match f with
-        | Frame.Hello _ | Frame.Submit _ | Frame.Decide _ | Frame.Catchup _ ->
-          ()
-        | Frame.Data { round = fr; payload; _ } ->
-          if fr = round then consume peer (Data_item payload)
-          else if fr > round then
-            peer.pending <- (fr, Data_item payload) :: peer.pending
-          else logf cfg "late data frame (r%d) from p%d" fr peer.pid
-        | Frame.Ctl { round = fr; _ } ->
-          if fr = round then consume peer Ctl_item
-          else if fr > round then peer.pending <- (fr, Ctl_item) :: peer.pending
-          else logf cfg "late ctl frame (r%d) from p%d" fr peer.pid);
-        drain peer
-    in
-    (* First serve anything a fast peer delivered while we were still in an
-       earlier round, then whatever the self-link already holds. *)
+  let give_up p ib why =
+    ib.gone <- true;
+    p.log (Printf.sprintf "peer p%d gone: %s" ib.from why)
+
+  let consume p ib = function
+    | Data_item m -> p.data <- (Pid.of_int ib.from, m) :: p.data
+    | Ctl_item -> p.syncs <- Pid.of_int ib.from :: p.syncs
+
+  (* A frame for [round] is kept, one for a later round is stashed, one for
+     an earlier round is logged and dropped. *)
+  let file p ib ~round ~fr what it =
+    if fr = round then consume p ib it
+    else if fr > round then ib.stash <- (fr, it) :: ib.stash
+    else p.log (Printf.sprintf "late %s frame (r%d) from p%d" what fr ib.from)
+
+  let rec drain p ib ~round =
+    match Frame.pop_view ib.decoder with
+    | `Need_more -> ()
+    | `Corrupt why -> give_up p ib ("corrupt stream: " ^ why)
+    | `View v -> (
+      match v.Frame.kind with
+      | Frame.K_data -> (
+        match A.decode_msg_view v with
+        | Ok m ->
+          file p ib ~round ~fr:v.Frame.round "data" (Data_item m);
+          drain p ib ~round
+        | Error why -> give_up p ib ("bad payload: " ^ why))
+      | Frame.K_ctl ->
+        file p ib ~round ~fr:v.Frame.round "ctl" Ctl_item;
+        drain p ib ~round
+      | Frame.K_hello | Frame.K_submit | Frame.K_decide | Frame.K_catchup ->
+        drain p ib ~round)
+
+  let receive p ~round =
+    let gone = ref [] in
     Array.iter
-      (fun peer ->
-        let mine, rest =
-          List.partition (fun (fr, _) -> fr = round) (List.rev peer.pending)
-        in
-        peer.pending <- List.rev rest;
-        List.iter (fun (_, it) -> consume peer it) mine;
-        if peer.pid = cfg.me then drain peer)
-      peers;
-    let buf = Bytes.create 65536 in
-    let rec loop () =
-      let dt = close -. Sockets.now () in
-      if dt > 0.0 then begin
-        let fds =
-          Array.to_list peers
-          |> List.filter_map (fun p -> if p.pid = cfg.me then None else p.fd)
-        in
-        (match Unix.select fds [] [] dt with
-        | [], _, _ -> ()
-        | ready, _, _ ->
-          Array.iter
-            (fun peer ->
-              match peer.fd with
-              | Some fd when peer.pid <> cfg.me && List.memq fd ready -> (
-                match Sockets.read_chunk fd buf with
-                | `Data k ->
-                  Frame.feed peer.decoder (Bytes.unsafe_to_string buf) ~pos:0
-                    ~len:k;
-                  drain peer
-                | `Closed -> mark_dead cfg peer "eof"
-                | `Nothing -> ())
-              | _ -> ())
-            peers
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        loop ()
+      (fun ib ->
+        (* first what a fast peer delivered while we were still in an
+           earlier round, then whatever its stream now holds *)
+        (match ib.stash with
+        | [] -> ()
+        | stash ->
+          let mine, rest =
+            List.partition (fun (fr, _) -> fr = round) (List.rev stash)
+          in
+          ib.stash <- List.rev rest;
+          List.iter (fun (_, it) -> consume p ib it) mine);
+        if not ib.gone then begin
+          drain p ib ~round;
+          if ib.gone then gone := ib.from :: !gone
+        end)
+      p.inboxes;
+    !gone
+
+  let compute p ~round =
+    let data = List.sort (fun (a, _) (b, _) -> Pid.compare a b) p.data in
+    let syncs = List.sort Pid.compare p.syncs in
+    p.data <- [];
+    p.syncs <- [];
+    let state, decision = A.compute p.state ~round ~data ~syncs in
+    p.state <- state;
+    (List.length data, List.length syncs, decision)
+
+  let establish (cfg : config) ~log =
+    let lfd =
+      match Sockets.listen (Sockets.addr_of ~transport:cfg.transport cfg.me) with
+      | Ok fd -> fd
+      | Error e -> failwith ("listen: " ^ Sockets.error_to_string e)
+    in
+    let fds =
+      handshake ~deadline:(Sockets.now () +. handshake_timeout) ~me:cfg.me
+        ~n:cfg.n ~addr:(Sockets.addr_of ~transport:cfg.transport) ~log lfd
+    in
+    Unix.close lfd;
+    fds
+
+  let wait_go (cfg : config) =
+    match input_line cfg.go with
+    | line -> (
+      match String.split_on_char ' ' (String.trim line) with
+      | [ "go"; t0 ] -> (
+        match float_of_string_opt t0 with
+        | Some t0 -> t0
+        | None -> failwith ("bad go line: " ^ line))
+      | _ -> failwith ("bad go line: " ^ line))
+    | exception End_of_file -> failwith "supervisor vanished before go"
+
+  (* The scripted crash point: write budget exhausted.  Stop and wait for
+     the supervisor's SIGKILL — the stop is the deterministic marker, the
+     kill is real. *)
+  let halt_scripted log =
+    log "scripted kill point reached: stopping for the supervisor";
+    Unix.kill (Unix.getpid ()) Sys.sigstop;
+    let rec forever () =
+      ignore (Unix.sleep 3600);
+      forever ()
+    in
+    forever ()
+
+  let main (cfg : config) =
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    let logf fmt = Children.logf cfg.log ~me:cfg.me fmt in
+    let log = logf "%s" in
+    let p =
+      create ~n:cfg.n ~t:cfg.t ~me:cfg.me ~proposal:cfg.proposal ~kill:cfg.kill
+        ~log
+    in
+    let fds = establish cfg ~log in
+    Array.iter (Option.iter Unix.set_nonblock) fds;
+    let close_fd from =
+      Option.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        fds.(from - 1);
+      fds.(from - 1) <- None
+    in
+    let mark_dead from why =
+      if fds.(from - 1) <> None then begin
+        logf "peer p%d gone: %s" from why;
+        close_fd from
       end
     in
-    loop ()
-
-  let main cfg =
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let peers =
-      Array.init cfg.n (fun i ->
-          { pid = i + 1; fd = None; decoder = Frame.decoder (); pending = [] })
-    in
-    establish cfg peers;
-    Array.iter
-      (fun p -> match p.fd with Some fd -> Unix.set_nonblock fd | None -> ())
-      peers;
-    status_event cfg
+    Children.status_event cfg.status
       [ ("event", Obs.Json.String "ready"); ("node", Obs.Json.Int cfg.me) ];
     let t0 = wait_go cfg in
-    logf cfg "go: t0 in %.3f s" (t0 -. Sockets.now ());
-    let state =
-      ref (A.init ~n:cfg.n ~t:cfg.t ~me:(Pid.of_int cfg.me) ~proposal:cfg.proposal)
+    logf "go: t0 in %.3f s" (t0 -. Sockets.now ());
+    let buf = Bytes.create 65536 in
+    (* Read whatever the open links hold into their inboxes until the
+       round's receive window closes, consuming every complete frame. *)
+    let rec collect ~round ~close =
+      List.iter close_fd (receive p ~round);
+      let dt = close -. Sockets.now () in
+      if dt > 0.0 then begin
+        let open_fds = Array.to_list fds |> List.filter_map Fun.id in
+        (match Unix.select open_fds [] [] dt with
+        | [], _, _ -> ()
+        | ready, _, _ ->
+          Array.iteri
+            (fun i fd ->
+              match fd with
+              | Some fd when List.memq fd ready -> (
+                match Sockets.read_chunk fd buf with
+                | `Data k ->
+                  Frame.feed (inbox p ~from:(i + 1))
+                    (Bytes.unsafe_to_string buf) ~pos:0 ~len:k
+                | `Closed -> mark_dead (i + 1) "eof"
+                | `Nothing -> ())
+              | _ -> ())
+            fds
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        collect ~round ~close
+      end
     in
     let decided = ref false in
     let r = ref 1 in
@@ -267,29 +294,36 @@ module Make (A : Binding.ALGO) = struct
       let close_t = open_t +. cfg.big_d in
       Sockets.sleep_until open_t;
       let open_skew = Sockets.now () -. open_t in
-      send_round cfg peers ~round !state;
-      let data = ref [] and syncs = ref [] in
-      collect cfg peers ~round ~close:close_t data syncs;
+      let deadline = Sockets.now () +. cfg.big_d in
+      let write dest bytes =
+        match fds.(dest - 1) with
+        | None -> ()
+        | Some fd -> (
+          match Sockets.write_all ~deadline fd bytes with
+          | Ok () -> ()
+          | Error e -> mark_dead dest (Sockets.error_to_string e))
+      in
+      (match send p ~round ~write with
+      | `Sent -> ()
+      | `Halted -> halt_scripted log);
+      collect ~round ~close:close_t;
       let close_skew = Sockets.now () -. close_t in
-      let data = List.sort (fun (a, _) (b, _) -> Pid.compare a b) !data in
-      let syncs = List.sort Pid.compare !syncs in
-      let st, decision = A.compute !state ~round ~data ~syncs in
-      state := st;
-      status_event cfg
+      let data_recv, ctl_recv, decision = compute p ~round in
+      Children.status_event cfg.status
         [
           ("event", Obs.Json.String "round");
           ("node", Obs.Json.Int cfg.me);
           ("round", Obs.Json.Int round);
           ("open_skew", Obs.Json.Float open_skew);
           ("close_skew", Obs.Json.Float close_skew);
-          ("data_recv", Obs.Json.Int (List.length data));
-          ("ctl_recv", Obs.Json.Int (List.length syncs));
+          ("data_recv", Obs.Json.Int data_recv);
+          ("ctl_recv", Obs.Json.Int ctl_recv);
         ];
       (match decision with
       | Some value ->
         decided := true;
-        logf cfg "decided %d in round %d" value round;
-        status_event cfg
+        logf "decided %d in round %d" value round;
+        Children.status_event cfg.status
           [
             ("event", Obs.Json.String "decide");
             ("node", Obs.Json.Int cfg.me);
@@ -300,15 +334,11 @@ module Make (A : Binding.ALGO) = struct
       incr r
     done;
     if not !decided then begin
-      logf cfg "round horizon reached without deciding";
-      status_event cfg
+      logf "round horizon reached without deciding";
+      Children.status_event cfg.status
         [ ("event", Obs.Json.String "undecided"); ("node", Obs.Json.Int cfg.me) ]
     end;
-    Array.iter (fun p -> mark_dead cfg p "shutdown") peers
+    Array.iteri (fun i _ -> mark_dead (i + 1) "shutdown") fds
 end
 
-module Rwwc_node = Make (Binding.Rwwc)
-
-module Rwwc = struct
-  let main = Rwwc_node.main
-end
+module Rwwc = Make (Binding.Rwwc)

@@ -1,5 +1,6 @@
-(** One live consensus process: the per-node main loop forked by the
-    supervisor.
+(** One live consensus process: its rounds as a value apart from any
+    transport ({!Make}), and the per-node socket program forked by the
+    supervisor ({!Make.main}).
 
     The node builds the full socket mesh (listen first, dial higher ids,
     accept lower ids — deadlock-free), reports readiness on its status
@@ -55,10 +56,56 @@ val handshake :
     [p]; a client's Hello (node 0) goes to [client].  Raises [Failure]. *)
 
 module Make (_ : Binding.ALGO) : sig
+  (** One process's rounds, apart from any transport: {!main} drives them
+      over sockets on the round clock, [Live.Loopback] in lockstep over
+      in-memory streams. *)
+
+  type t
+
+  val create :
+    n:int ->
+    t:int ->
+    me:int ->
+    proposal:int ->
+    kill:Script.kill option ->
+    log:(string -> unit) ->
+    t
+  (** Process [me] before round 1.  [kill] is its scripted death; [log]
+      receives the lines for a peer given up on (corrupt stream,
+      undecodable payload) and for late frames.  A transport with no
+      failure to tolerate passes a [log] that raises. *)
+
+  val inbox : t -> from:int -> Frame.decoder
+  (** Where the bytes from [from] land.  {!send} feeds [me]'s own inbox
+      itself: self-delivery shares the wire path. *)
+
+  val send :
+    t -> round:int -> write:(int -> string -> unit) -> [ `Sent | `Halted ]
+  (** The round's send phase: the data frames, then the control frames, as
+      one sequence of [write dest bytes] calls.  In the kill's round only
+      its {!Script.writes_completed} prefix is written and the result is
+      [`Halted]: the process is at its crash point and takes no further
+      step. *)
+
+  val receive : t -> round:int -> int list
+  (** Serve the frames stashed for [round], then consume every complete
+      frame in every inbox: [round]'s frames are kept for {!compute},
+      later rounds' are stashed, earlier rounds' are logged and dropped.
+      Returns the peers given up on by this call (a corrupt stream or an
+      undecodable payload, logged); their inboxes are never read again. *)
+
+  val compute : t -> round:int -> int * int * int option
+  (** The round's computation on what {!receive} kept, in increasing pid
+      order as the abstract engine delivers it: the data and control
+      receive counts and the decision, if any. *)
+
   val main : config -> unit
-  (** Runs to decision, round horizon, or scripted stop.  Raises on
-      unrecoverable setup failures (mesh never formed); the forking parent
-      turns that into a nonzero exit. *)
+  (** The socket program: handshake, [ready], [go], then per round: sleep
+      to the round's opening, {!send} (a [`Halted] is the SIGSTOP), read
+      into the inboxes with {!receive} until the close, {!compute}, and
+      the status lines.  Runs to decision, round horizon, or scripted
+      stop.  Raises on unrecoverable setup failures (mesh never formed);
+      the forking parent turns that into a nonzero exit. *)
 end
 
 module Rwwc : sig

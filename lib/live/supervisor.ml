@@ -144,14 +144,33 @@ let run cfg =
         let dir = workspace cfg in
         Children.mkdir_p dir;
         let kids = Children.create () in
+        (* Fault-injection bookkeeping: how many more (re)spawns of each
+           node are chaos victims. *)
+        let startup_kills = Hashtbl.create 4 in
+        List.iter
+          (fun node ->
+            Hashtbl.replace startup_kills node
+              (1 + Option.value ~default:0 (Hashtbl.find_opt startup_kills node)))
+          cfg.chaos_startup_kills;
         (* Every (re)spawn gets a fresh go pipe.  The parent keeps the write
-           end registered, so each later child closes it. *)
+           end registered, so each later child closes it.  A chaos victim is
+           chosen here, at launch, and kills itself before it listens or
+           dials: no peer can have connected to a life that never started. *)
         let launch i spawn =
+          let victim =
+            match Hashtbl.find_opt startup_kills i with
+            | Some k when k > 0 ->
+              Hashtbl.replace startup_kills i (k - 1);
+              vlog cfg "chaos: node %d dies during startup" i;
+              true
+            | Some _ | None -> false
+          in
           let go_r, go_w = Unix.pipe () in
           Children.register kids go_w;
           let log = Filename.concat dir (Printf.sprintf "node-%d.log" i) in
           let spawned =
             spawn ~log (fun status_w ->
+                if victim then Unix.kill (Unix.getpid ()) Sys.sigkill;
                 Node.Rwwc.main
                   {
                     Node.me = i;
@@ -172,22 +191,6 @@ let run cfg =
           Unix.close go_r;
           (spawned, go_w)
         in
-        (* Fault-injection bookkeeping: how many times each node is still
-           owed a chaos SIGKILL right after (re)spawn. *)
-        let startup_kills = Hashtbl.create 4 in
-        List.iter
-          (fun node ->
-            Hashtbl.replace startup_kills node
-              (1 + Option.value ~default:0 (Hashtbl.find_opt startup_kills node)))
-          cfg.chaos_startup_kills;
-        let chaos_kill_fresh (c : Children.child) =
-          match Hashtbl.find_opt startup_kills c.id with
-          | Some k when k > 0 ->
-            Hashtbl.replace startup_kills c.id (k - 1);
-            vlog cfg "chaos: SIGKILL node %d during startup" c.id;
-            ignore (Children.kill c)
-          | Some _ | None -> ()
-        in
         let nodes =
           Array.init n (fun idx ->
               let i = idx + 1 in
@@ -204,7 +207,6 @@ let run cfg =
                 final = None;
               })
         in
-        Array.iter (fun nd -> chaos_kill_fresh nd.proc) nodes;
         vlog cfg "spawned %d nodes" n;
         let pump timeout =
           Children.pump kids ~timeout ~on_event:(fun c ->
@@ -224,7 +226,6 @@ let run cfg =
               cfg.respawn_budget;
             Obs.Instrument.emit cfg.instrument
               (Respawned { node = c.id; attempt = c.respawns });
-            chaos_kill_fresh c;
             None
           end
           else

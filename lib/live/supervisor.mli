@@ -11,7 +11,11 @@
       respawned with exponential backoff, up to [respawn_budget] times (the
       self-healing window: before the mesh forms, a fresh process can still
       take its place); exhausting the budget or the readiness timeout
-      aborts the run;
+      aborts the run.  The window heals a node that died before any peer
+      connected to it.  A node that dies after a peer connected to it is
+      not healed by a single-node respawn: that peer's handshake is done
+      and it never dials the replacement, so the run hits the readiness
+      timeout;
     + broadcast [go t0], the common round-clock origin;
     + collect events, watching children with {!Children.reap}: a
       SIGSTOP is a node at its scripted crash point, answered with a real
@@ -61,9 +65,10 @@ type config = {
   instrument : event Obs.Instrument.t;
       (** sink for {!event}s (default {!Obs.Instrument.null}) *)
   chaos_startup_kills : int list;
-      (** fault injection for soaks: each listed node is SIGKILLed by the
-          supervisor right after (re)spawn, before it can become ready —
-          listing a node twice kills its replacement too.  Default []. *)
+      (** fault injection for soaks: each listed node's next (re)spawn is
+          chosen at launch to die, and that process SIGKILLs itself before
+          it listens or dials — listing a node twice kills its replacement
+          too.  Default []. *)
   chaos_run_kills : (int * float) list;
       (** fault injection for soaks: node [i] is SIGKILLed [delay] seconds
           after [t0] — an unscripted death the run must absorb.

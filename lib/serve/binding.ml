@@ -1,35 +1,3 @@
-open Model
+module type ALGO = Live.Binding.ALGO
 
-module type ALGO = sig
-  include Live.Binding.ALGO
-
-  val round_senders : n:int -> me:Pid.t -> round:int -> Pid.t list
-  val decode_msg_view : Live.Frame.view -> (msg, string) result
-end
-
-module Rwwc :
-  ALGO with type state = Core.Rwwc.state and type msg = Core.Rwwc.msg = struct
-  include Live.Binding.Rwwc
-
-  (* Figure 1: in round r only the coordinator p_r speaks, and toward any
-     one destination its data message precedes its control message in the
-     sequential write order (data ascending p_{r+1}..p_n, then control
-     descending p_n..p_{r+1}).  Over FIFO links the control message
-     therefore certifies the whole round's traffic from that sender. *)
-  let round_senders ~n:_ ~me ~round =
-    if Pid.to_int me = round then [] else [ Pid.of_int round ]
-
-  let decode_msg_view (v : Live.Frame.view) =
-    if v.Live.Frame.payload_len <> 4 then
-      Error
-        (Printf.sprintf "rwwc payload: expected 4 bytes, got %d"
-           v.Live.Frame.payload_len)
-    else
-      let b = v.Live.Frame.payload_buf and p = v.Live.Frame.payload_pos in
-      Ok
-        (Core.Rwwc.Data
-           ((Char.code (Bytes.get b p) lsl 24)
-           lor (Char.code (Bytes.get b (p + 1)) lsl 16)
-           lor (Char.code (Bytes.get b (p + 2)) lsl 8)
-           lor Char.code (Bytes.get b (p + 3))))
-end
+module Rwwc = Live.Binding.Rwwc

@@ -45,7 +45,7 @@ let client_frame_budget = 1024
 (* The longest [main] waits for readiness when nothing is due sooner. *)
 let idle_wait = 0.25
 
-module Make (A : Binding.ALGO) = struct
+module Make (A : Live.Binding.ALGO) = struct
   module M = Mux.Make (A)
 
   type peer = {
@@ -75,17 +75,7 @@ module Make (A : Binding.ALGO) = struct
 
   type kind = K_listen | K_peer of peer | K_client of client | K_pending of pending
 
-  let logf cfg fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.fprintf cfg.log "[%.6f p%d] %s\n" (Live.Sockets.now ()) cfg.me s;
-        flush cfg.log)
-      fmt
-
-  let status_event cfg fields =
-    output_string cfg.status (Obs.Json.to_string (Obs.Json.Obj fields));
-    output_char cfg.status '\n';
-    flush cfg.status
+  let logf cfg = Live.Children.logf cfg.log ~me:cfg.me
 
   (* One engine: the registry maps each live fd to what it is, and the
      client list is what the round-robin rotates over. *)
@@ -709,12 +699,12 @@ module Make (A : Binding.ALGO) = struct
     let listen, peers, clients = establish cfg in
     let e = create ~clock:Live.Sockets.now ~listen ~peers ~clients cfg in
     let report event fields =
-      status_event cfg
+      Live.Children.status_event cfg.status
         ((("event", Obs.Json.String event) :: ("node", Obs.Json.Int cfg.me)
          :: fields)
         @ [ ("stats", Stats.to_json (stats e)) ])
     in
-    status_event cfg
+    Live.Children.status_event cfg.status
       [
         ("event", Obs.Json.String "ready");
         ("node", Obs.Json.Int cfg.me);
@@ -742,4 +732,4 @@ module Make (A : Binding.ALGO) = struct
     close e
 end
 
-module Rwwc = Make (Binding.Rwwc)
+module Rwwc = Make (Live.Binding.Rwwc)

@@ -50,7 +50,7 @@ type config = {
   log : out_channel;
 }
 
-module Make (A : Binding.ALGO) : sig
+module Make (A : Live.Binding.ALGO) : sig
   type t
 
   val create :
@@ -95,4 +95,4 @@ module Make (A : Binding.ALGO) : sig
       kill-budget halt (SIGSTOP, then SIGKILL). *)
 end
 
-module Rwwc : module type of Make (Binding.Rwwc)
+module Rwwc : module type of Make (Live.Binding.Rwwc)

@@ -329,6 +329,6 @@ let run cfg =
     Ok
       (Report.build ~n:cfg.n ~t:cfg.t ~proposals:cfg.proposals
          ~decisions:outcome.Client.decisions ~victim:mesh.victim
-         ~send_plan:Binding.Rwwc.send_plan ~elapsed:outcome.Client.elapsed
+         ~send_plan:Live.Binding.Rwwc.send_plan ~elapsed:outcome.Client.elapsed
          ~latencies:outcome.Client.latencies ~stats:mesh.node_stats
          ~kill:cfg.kill)

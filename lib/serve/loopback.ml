@@ -1,4 +1,4 @@
-module Make (A : Binding.ALGO) = struct
+module Make (A : Live.Binding.ALGO) = struct
   module E = Engine.Make (A)
 
   type config = {
@@ -229,4 +229,4 @@ module Make (A : Binding.ALGO) = struct
       ~kill:cfg.kill
 end
 
-module Rwwc = Make (Binding.Rwwc)
+module Rwwc = Make (Live.Binding.Rwwc)

@@ -12,7 +12,7 @@
     count in the {!Report} — write calls, flushes, expired rounds — is
     the engine's own. *)
 
-module Make (A : Binding.ALGO) : sig
+module Make (A : Live.Binding.ALGO) : sig
   type config = {
     n : int;
     t : int;
@@ -28,4 +28,4 @@ module Make (A : Binding.ALGO) : sig
   val run : config -> Report.t
 end
 
-module Rwwc : module type of Make (Binding.Rwwc)
+module Rwwc : module type of Make (Live.Binding.Rwwc)

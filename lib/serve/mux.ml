@@ -42,7 +42,7 @@ let realized_of_json json =
     Ok { instance; round; phase }
   | _ -> Error "realized: not an object"
 
-module Make (A : Binding.ALGO) = struct
+module Make (A : Live.Binding.ALGO) = struct
   type slot = {
     mutable instance : int;
     mutable state : A.state;

@@ -9,7 +9,7 @@
 
     Rounds are pipelined across instances: each instance tracks its own
     round and deadline, advancing {e early} the moment its
-    {!Binding.ALGO.round_senders} certificate is complete (a fast round) and
+    {!Live.Binding.ALGO.round_senders} certificate is complete (a fast round) and
     falling back to the deadline otherwise (an expired round — a crashed
     coordinator costs one [big_d] for that instance only; every other
     instance keeps deciding at message speed).
@@ -37,7 +37,7 @@ type realized = { instance : int; round : int; phase : Live.Script.phase }
 val realized_to_json : realized -> Obs.Json.t
 val realized_of_json : Obs.Json.t -> (realized, string) result
 
-module Make (A : Binding.ALGO) : sig
+module Make (A : Live.Binding.ALGO) : sig
   type t
 
   val create :

@@ -452,6 +452,27 @@ let test_loopback_acceptance () =
   | Some (Error why) -> Alcotest.fail why
   | None -> Alcotest.fail "differential skipped on an all-scripted run"
 
+(* Each process's per-round receive counts under the acceptance script
+   ([equal_observable] ignores rounds, so only this pins them). *)
+let test_loopback_round_observations () =
+  let tr = Live.Loopback.Rwwc.run ~n:5 ~t:3 ~script:acceptance_script () in
+  let obs =
+    Array.to_list tr.Live.Transcript.rounds
+    |> List.map
+         (List.map (fun (o : Live.Transcript.round_obs) ->
+              (o.round, o.data_recv, o.ctl_recv)))
+  in
+  Alcotest.(check (list (list (triple int int int))))
+    "(round, data_recv, ctl_recv) per process"
+    [
+      [];
+      [ (1, 1, 0) ];
+      [ (1, 1, 0); (2, 1, 0); (3, 0, 0) ];
+      [ (1, 0, 0); (2, 1, 0); (3, 1, 1) ];
+      [ (1, 0, 0); (2, 1, 1) ];
+    ]
+    obs
+
 let test_loopback_deterministic () =
   let run () = Live.Loopback.Rwwc.run ~n:5 ~t:3 ~script:acceptance_script () in
   let a = run () and b = run () in
@@ -541,6 +562,43 @@ let test_judge_flags_missing_decision () =
   let forged = { tr with Live.Transcript.statuses = statuses } in
   let v = Live.Judge.judge forged in
   Alcotest.(check bool) "termination fails" false v.Live.Judge.ok
+
+(* --- Node rounds without a transport ---------------------------------------- *)
+
+module N = Live.Node.Make (Live.Binding.Rwwc)
+
+let test_node_stash_and_late_frames () =
+  (* p3 of 3 in round 1 finds a round-2 Data frame and a round-0 Ctl frame
+     from p2 in its inbox: the first waits for round 2, the second is
+     logged and dropped. *)
+  let logged = ref [] in
+  let p =
+    N.create ~n:3 ~t:1 ~me:3 ~proposal:3 ~kill:None ~log:(fun s ->
+        logged := s :: !logged)
+  in
+  let feed frame = Live.Frame.feed_string (N.inbox p ~from:2) (Live.Frame.encode frame) in
+  feed
+    (Live.Frame.Data
+       {
+         instance = 0;
+         round = 2;
+         payload = Live.Binding.Rwwc.encode_msg (Core.Rwwc.Data 7);
+       });
+  feed (Live.Frame.Ctl { instance = 0; round = 0 });
+  Alcotest.(check (list int)) "round 1: no peer given up" [] (N.receive p ~round:1);
+  Alcotest.(check (list string))
+    "the round-0 frame is logged"
+    [ "late ctl frame (r0) from p2" ]
+    !logged;
+  let counts (d, c, decision) = (d, c, Option.is_some decision) in
+  Alcotest.(check (triple int int bool))
+    "round 1 consumes neither frame" (0, 0, false)
+    (counts (N.compute p ~round:1));
+  Alcotest.(check (list int)) "round 2: no peer given up" [] (N.receive p ~round:2);
+  Alcotest.(check (triple int int bool))
+    "round 2 consumes the stashed data frame" (1, 0, false)
+    (counts (N.compute p ~round:2));
+  Alcotest.(check int) "nothing more logged" 1 (List.length !logged)
 
 (* --- Sockets --------------------------------------------------------------- *)
 
@@ -820,11 +878,18 @@ let () =
           Alcotest.test_case "no crash" `Quick test_loopback_no_crash;
           Alcotest.test_case "acceptance n=5 f=2" `Quick test_loopback_acceptance;
           Alcotest.test_case "deterministic" `Quick test_loopback_deterministic;
+          Alcotest.test_case "round-observations" `Quick
+            test_loopback_round_observations;
           Alcotest.test_case "differential sweep" `Quick test_loopback_differential_sweep;
           Alcotest.test_case "default --f scripts" `Quick test_loopback_default_scripts;
           Alcotest.test_case "judge flags disagreement" `Quick test_judge_flags_disagreement;
           Alcotest.test_case "judge flags missing decision" `Quick
             test_judge_flags_missing_decision;
+        ] );
+      ( "node",
+        [
+          Alcotest.test_case "stash-and-late-frames" `Quick
+            test_node_stash_and_late_frames;
         ] );
       ( "socket",
         [
