@@ -110,21 +110,18 @@ let bench_mr99 () =
 let bench_cl () =
   ignore (Snapshot.Chandy_lamport.run (Snapshot.Chandy_lamport.config ~n:5 ()))
 
-module Abl_probe = Sync_sim.Engine.Make (Core.Rwwc_variants.Data_decide)
+let abl_witness =
+  Schedule.of_list
+    [
+      ( Pid.of_int 1,
+        Model.Crash.make ~round:1
+          (Model.Crash.During_data (Pid.set_of_ints [ 4 ])) );
+    ]
 
 let bench_abl () =
-  (* The ablation kernel: one broken-variant run over a witness schedule. *)
-  ignore
-    (Abl_probe.run
-       (Engine.config
-          ~schedule:
-            (Schedule.of_list
-               [
-                 ( Pid.of_int 1,
-                   Model.Crash.make ~round:1
-                     (Model.Crash.During_data (Pid.set_of_ints [ 4 ])) );
-               ])
-          ~n:4 ~t:2 ~proposals:(Harness.Workloads.distinct 4) ()))
+  (* The ablation kernel: one broken-variant run over a witness schedule,
+     config and scratch included (a one-shot registry runner). *)
+  ignore ((Minimize.Algo.get "data-decide").runner ~n:4 ~t:2 abl_witness)
 
 module Nu_runner = Sync_sim.Engine.Make (Baselines.Nonuniform_early)
 
@@ -227,25 +224,15 @@ let bench_obs_trace () =
    than the machine recommends, so the sharded kernel never measures
    domains contending for too few cores. *)
 
-let mc_space () =
-  Adversary.Enumerate.schedules ~model:Model_kind.Extended ~n:4 ~max_f:2
-    ~max_round:3
-
 let mc_fold ~shards ~shard =
-  let run =
-    Harness.Runners.Rwwc_runner.runner
-      (Engine.config ~n:4 ~t:2 ~proposals:(Harness.Workloads.distinct 4) ())
+  let rwwc = Minimize.Algo.get "rwwc" in
+  let s =
+    Minimize.Algo.sweep rwwc ~n:4 ~t:2
+      (Adversary.Enumerate.shard ~shards ~shard
+         (Minimize.Algo.space rwwc ~symmetry:false ~n:4 ~t:2 ~max_f:2
+            ~max_round:3))
   in
-  Seq.fold_left
-    (fun acc schedule ->
-      let res = run schedule in
-      acc
-      && Spec.Properties.all_ok
-           (Spec.Properties.uniform_consensus
-              ~bound:(Harness.Runners.f_actual res + 1)
-              res))
-    true
-    (Adversary.Enumerate.shard ~shards ~shard (mc_space ()))
+  s.Minimize.Algo.violations = []
 
 let bench_mc_seq () = assert (mc_fold ~shards:1 ~shard:0)
 
@@ -276,22 +263,19 @@ let bench_floodset () =
    outside the staged thunk, so the measurement is the greedy descent
    (schedule re-runs per candidate) and one oracle pass respectively. *)
 
-let shrink_algo =
-  match Minimize.Algo.find "data-decide" with
-  | Ok a -> a
-  | Error why -> failwith why
+let shrink_algo = Minimize.Algo.get "data-decide"
 
 let shrink_input =
   match
     Minimize.Algo.first_violation shrink_algo ~n:4 ~t:2 ~max_f:2 ~max_round:3
   with
-  | Some (schedule, check) -> (schedule, check.Spec.Properties.name)
-  | None -> failwith "bench: data-decide has no violation at n=4"
+  | Some (schedule, check), _ -> (schedule, check.Spec.Properties.name)
+  | None, _ -> failwith "bench: data-decide has no violation at n=4"
 
 let bench_shrink () =
   let schedule, property = shrink_input in
   let still_fails s =
-    let res = shrink_algo.Minimize.Algo.run ~n:4 ~t:2 s in
+    let res = shrink_algo.Minimize.Algo.runner ~n:4 ~t:2 s in
     List.exists
       (fun c -> c.Spec.Properties.name = property && not c.Spec.Properties.ok)
       (Minimize.Algo.checks shrink_algo ~t:2 res)

@@ -73,15 +73,13 @@ let adversary_name = function
    pinned property, report the descent, optionally write + reload + replay
    a repro artifact. *)
 
-let property_fails algo ~n ~t ~property schedule =
-  let res = algo.Minimize.Algo.run ~n ~t schedule in
-  List.exists
-    (fun c -> c.Spec.Properties.name = property && not c.Spec.Properties.ok)
-    (Minimize.Algo.checks algo ~t res)
-
 let shrink_schedule algo ~n ~t ~property schedule =
+  let verdict = Minimize.Algo.verdict algo ~n ~t in
   Minimize.Shrink.run ~reductions:Adversary.Enumerate.reductions
-    ~still_fails:(property_fails algo ~n ~t ~property)
+    ~still_fails:(fun s ->
+      List.exists
+        (fun c -> c.Spec.Properties.name = property)
+        (verdict s))
     schedule
 
 let print_shrink_outcome ~property (o : Schedule.t Minimize.Shrink.outcome) =
@@ -242,30 +240,32 @@ let run_cmd =
       if Spec.Properties.all_ok checks then 0 else 1
     in
     try
-      match algo with
-      | Rwwc ->
-        let res = Harness.Runners.Rwwc_runner.run (cfg schedule) in
-        let extra_checks = if invariants then Spec.Figure1_invariants.all res else [] in
-        report ~bound:(Some (Harness.Runners.f_actual res + 1)) ~extra_checks res
-      | Flood ->
-        let res = Harness.Runners.Flood_runner.run (cfg schedule) in
-        report ~bound:(Some (t + 1)) ~extra_checks:[] res
-      | Early_stopping ->
-        let res = Harness.Runners.Es_runner.run (cfg schedule) in
-        report
-          ~bound:(Some (min (t + 1) (Harness.Runners.f_actual res + 2)))
-          ~extra_checks:[] res
-      | Rwwc_on_classic ->
-        (* The schedule is interpreted in the extended model, then compiled. *)
-        let ext_schedule =
-          schedule_of ~adversary ~model:Model_kind.Extended ~n ~t ~f ~seed
-        in
-        let res =
+      let res =
+        match algo with
+        | Rwwc -> Harness.Runners.Rwwc_runner.run (cfg schedule)
+        | Flood -> Harness.Runners.Flood_runner.run (cfg schedule)
+        | Early_stopping -> Harness.Runners.Es_runner.run (cfg schedule)
+        | Rwwc_on_classic ->
+          (* The schedule is interpreted in the extended model, then
+             compiled. *)
+          let ext_schedule =
+            schedule_of ~adversary ~model:Model_kind.Extended ~n ~t ~f ~seed
+          in
           Harness.Runners.Compiled_runner.run
             (cfg ~max_rounds:(n * (t + 2))
                (Harness.Runners.Compiled.translate_schedule ~n ext_schedule))
-        in
-        report ~bound:None ~extra_checks:[] res
+      in
+      (* The registry holds each algorithm's round bound; the compiled
+         transform is not in it and promises none. *)
+      let bound =
+        Result.to_option (Minimize.Algo.find (algo_name algo))
+        |> Option.map (fun a -> a.Minimize.Algo.bound ~t res)
+      in
+      let extra_checks =
+        if invariants && algo = Rwwc then Spec.Figure1_invariants.all res
+        else []
+      in
+      report ~bound ~extra_checks res
     with
     | Obs.Online_invariants.Violation msg ->
       Format.eprintf "online invariant violation: %s@." msg;
@@ -283,47 +283,6 @@ let run_cmd =
           $ json $ invariants)
 
 (* --- check ---------------------------------------------------------------- *)
-
-(* Model-check a registry algorithm (including the deliberately broken
-   ablations) by sweeping the full schedule space; a broken variant is
-   expected to produce violations, and the nonzero exit is what CI asserts. *)
-let check_registry algo ~n ~max_f ~max_round =
-  let t = max 1 (n - 2) in
-  let started = Unix.gettimeofday () in
-  let checked = ref 0 in
-  let violations = ref [] in
-  Seq.iter
-    (fun schedule ->
-      incr checked;
-      match Minimize.Algo.violation algo ~n ~t schedule with
-      | Some c -> violations := (schedule, c) :: !violations
-      | None -> ())
-    (Adversary.Enumerate.schedules ~model:algo.Minimize.Algo.model ~n ~max_f
-       ~max_round);
-  let elapsed = Unix.gettimeofday () -. started in
-  let violations = List.rev !violations in
-  let shown, hidden =
-    match violations with
-    | a :: b :: c :: d :: e :: rest -> ([ a; b; c; d; e ], List.length rest)
-    | vs -> (vs, 0)
-  in
-  List.iter
-    (fun (schedule, c) ->
-      Format.printf "VIOLATION on %s@.  %a@."
-        (Schedule.to_string schedule)
-        Spec.Properties.pp_check c)
-    shown;
-  if hidden > 0 then Format.printf "... and %d more violations@." hidden;
-  Format.printf "checked %d schedules in %.3fs, %d violations@." !checked
-    elapsed (List.length violations);
-  (match violations with
-  | [] -> ()
-  | (schedule, c) :: _ ->
-    let property = c.Spec.Properties.name in
-    let outcome = shrink_schedule algo ~n ~t ~property schedule in
-    Format.printf "shrinking first violation:@.";
-    print_shrink_outcome ~property outcome);
-  if violations = [] then 0 else 1
 
 (* --- distributed check ----------------------------------------------------- *)
 
@@ -484,8 +443,8 @@ let check_cmd =
          & info [ "a"; "algo"; "algorithm" ]
              ~doc:
                (Printf.sprintf
-                  "Algorithm: a built-in (rwwc, flood, early-stopping) or any \
-                   registry name, including the broken ablations (%s)."
+                  "Algorithm: any registry name (%s), including the broken \
+                   ablations."
                   (String.concat ", " Minimize.Algo.names)))
   in
   let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes (keep small).") in
@@ -595,80 +554,29 @@ let check_cmd =
         ~verbose:dist_verbose addr
     | None, None -> go_local algo_str n max_f max_round domains no_symmetry
   and go_local algo_str n max_f max_round domains no_symmetry =
-    let builtin =
-      List.assoc_opt algo_str
-        [
-          ("rwwc", Rwwc);
-          ("flood", Flood);
-          ("early-stopping", Early_stopping);
-          ("rwwc-on-classic", Rwwc_on_classic);
-        ]
-    in
-    match builtin with
-    | None -> (
-      match Minimize.Algo.find algo_str with
-      | Error why ->
-        Format.eprintf "%s@." why;
-        2
-      | Ok malgo -> check_registry malgo ~n ~max_f ~max_round)
-    | Some algo ->
+    match Minimize.Algo.find algo_str with
+    | Error why ->
+      Format.eprintf "%s@." why;
+      2
+    | Ok algo ->
     let t = max 1 (n - 2) in
-    let model = algo_model algo in
-    let proposals = Harness.Workloads.distinct n in
-    let profile =
-      match algo with
-      | Rwwc -> Adversary.Canonical.rotating_coordinator ~n
-      | Flood | Early_stopping -> Adversary.Canonical.broadcast ~n ~t
-      | Rwwc_on_classic ->
-        failwith "check: use rwwc and the transform tests instead"
-    in
-    let full_size = Adversary.Enumerate.space_size ~model ~n ~max_f ~max_round in
+    let symmetry = not no_symmetry in
     (* The space is never materialized: each worker domain folds its own
-       lazy residue-class slice of the stream with a preallocated engine
-       runner, so memory stays O(violations) however large the sweep. *)
-    let enumerate () =
-      if no_symmetry then Adversary.Enumerate.schedules ~model ~n ~max_f ~max_round
-      else Adversary.Canonical.schedules profile ~n ~max_f ~max_round
-    in
-    let sweep ~shards ~shard =
-      let cfg = Engine.config ~n ~t ~proposals () in
-      let verdict =
-        match algo with
-        | Rwwc ->
-          let run = Harness.Runners.Rwwc_runner.runner cfg in
-          fun schedule ->
-            let res = run schedule in
-            Spec.Properties.uniform_consensus
-              ~bound:(Harness.Runners.f_actual res + 1)
-              res
-        | Flood ->
-          let run = Harness.Runners.Flood_runner.runner cfg in
-          fun schedule ->
-            Spec.Properties.uniform_consensus ~bound:(t + 1) (run schedule)
-        | Early_stopping ->
-          let run = Harness.Runners.Es_runner.runner cfg in
-          fun schedule ->
-            let res = run schedule in
-            Spec.Properties.uniform_consensus
-              ~bound:(min (t + 1) (Harness.Runners.f_actual res + 2))
-              res
-        | Rwwc_on_classic -> assert false (* rejected above *)
-      in
-      Seq.fold_left
-        (fun (checked, violations) schedule ->
-          let checks = verdict schedule in
-          ( checked + 1,
-            if Spec.Properties.all_ok checks then violations
-            else (schedule, Spec.Properties.failures checks) :: violations ))
-        (0, [])
-        (Adversary.Enumerate.shard ~shards ~shard (enumerate ()))
-    in
+       lazy residue-class slice of the stream through its own preallocated
+       verdict, so memory stays O(violations) however large the sweep. *)
     let started = Unix.gettimeofday () in
-    let per_shard = Parallel.Pool.shards ~domains sweep in
+    let per_shard =
+      Parallel.Pool.shards ~domains (fun ~shards ~shard ->
+          Minimize.Algo.sweep algo ~n ~t
+            (Adversary.Enumerate.shard ~shards ~shard
+               (Minimize.Algo.space algo ~symmetry ~n ~t ~max_f ~max_round)))
+    in
     let elapsed = Unix.gettimeofday () -. started in
-    let checked = List.fold_left (fun acc (c, _) -> acc + c) 0 per_shard in
+    let checked =
+      List.fold_left (fun acc s -> acc + s.Minimize.Algo.checked) 0 per_shard
+    in
     let violations =
-      List.concat_map (fun (_, vs) -> List.rev vs) per_shard
+      List.concat_map (fun s -> s.Minimize.Algo.violations) per_shard
       |> List.sort (fun (a, _) (b, _) -> Adversary.Canonical.compare a b)
     in
     List.iter
@@ -678,11 +586,16 @@ let check_cmd =
           (fun c -> Format.printf "  %a@." Spec.Properties.pp_check c)
           failures)
       violations;
-    if not no_symmetry then
+    if symmetry then begin
+      let full_size =
+        Adversary.Enumerate.space_size ~model:algo.Minimize.Algo.model ~n
+          ~max_f ~max_round
+      in
       Format.printf
         "symmetry: %d classes cover a space of %d schedules (%.1fx reduction)@."
         checked full_size
-        (float_of_int full_size /. float_of_int (max 1 checked));
+        (float_of_int full_size /. float_of_int (max 1 checked))
+    end;
     Format.printf "checked %d schedules in %.3fs (%.0f schedules/sec), %d violations@."
       checked elapsed
       (float_of_int checked /. Float.max elapsed 1e-9)
@@ -690,17 +603,12 @@ let check_cmd =
     (* Any violation is also shrunk to a 1-minimal reproducer, so the report
        ends with the smallest schedule that still breaks the property. *)
     (match violations with
-    | [] -> ()
-    | (schedule, failures) :: _ -> (
-      match
-        (Minimize.Algo.find (algo_name algo), failures)
-      with
-      | Ok malgo, first_failure :: _ ->
-        let property = first_failure.Spec.Properties.name in
-        let outcome = shrink_schedule malgo ~n ~t ~property schedule in
-        Format.printf "shrinking first violation:@.";
-        print_shrink_outcome ~property outcome
-      | Error _, _ | _, [] -> ()));
+    | (schedule, first_failure :: _) :: _ ->
+      let property = first_failure.Spec.Properties.name in
+      let outcome = shrink_schedule algo ~n ~t ~property schedule in
+      Format.printf "shrinking first violation:@.";
+      print_shrink_outcome ~property outcome
+    | [] | (_, []) :: _ -> ());
     if violations = [] then 0 else 1
   in
   Cmd.v
@@ -901,7 +809,7 @@ let shrink_cmd =
         let failing =
           match seed with
           | None ->
-            Minimize.Algo.first_violation algo ~n ~t ~max_f ~max_round
+            fst (Minimize.Algo.first_violation algo ~n ~t ~max_f ~max_round)
           | Some seed ->
             (* Scan seeds forward until a random schedule fails; broken
                variants usually fail within a handful of draws. *)

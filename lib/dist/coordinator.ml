@@ -8,12 +8,13 @@ type config = {
   checkpoint : string option;
   linger : float;
   min_workers : int;
+  lead : string option;
   verbose : bool;
 }
 
 let config ?(lease_timeout = 5.0) ?checkpoint ?(linger = 0.5)
-    ?(min_workers = 0) ?(verbose = false) ~addr job =
-  { job; addr; lease_timeout; checkpoint; linger; min_workers; verbose }
+    ?(min_workers = 0) ?lead ?(verbose = false) ~addr job =
+  { job; addr; lease_timeout; checkpoint; linger; min_workers; lead; verbose }
 
 type report = {
   classes : int;
@@ -68,6 +69,7 @@ type state = {
   mutable hellos : int;
       (* workers ever seen; gates granting until min_workers showed up, so
          small sweeps cannot be swallowed whole by the first arrival *)
+  mutable lead_left : bool;  (* the config's lead has disconnected *)
 }
 
 let logf st fmt =
@@ -107,6 +109,7 @@ let revoke st client why =
 
 let drop st client why =
   revoke st client why;
+  if Some client.worker = st.cfg.lead then st.lead_left <- true;
   P.close client.conn;
   st.clients <- List.filter (fun c -> c != client) st.clients
 
@@ -124,10 +127,15 @@ let handle st client msg =
     send_or_drop st client (P.Job st.cfg.job)
   | P.Request ->
     if complete st then send_or_drop st client P.Done
-    else if Queue.is_empty st.pending || st.hellos < st.cfg.min_workers then
-      (* Everything is leased out (or the fleet hasn't fully arrived yet);
-         the worker should poll again soon in case a lease times out and
-         re-queues. *)
+    else if
+      Queue.is_empty st.pending
+      || st.hellos < st.cfg.min_workers
+      || (st.cfg.lead <> None && st.cfg.lead <> Some client.worker
+         && not st.lead_left)
+    then
+      (* Everything is leased out (or the fleet hasn't fully arrived yet, or
+         the lead still runs alone); the worker should poll again soon in
+         case a lease times out and re-queues. *)
       send_or_drop st client
         (P.Wait { delay = Float.min 0.25 (st.cfg.lease_timeout /. 4.0) })
     else begin
@@ -250,6 +258,7 @@ let serve cfg =
       regrants = 0;
       duplicates = 0;
       hellos = 0;
+      lead_left = false;
     }
   in
   List.iter (fun r -> Hashtbl.replace st.done_ r.P.shard r) resumed_results;

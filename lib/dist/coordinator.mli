@@ -30,6 +30,11 @@ type config = {
       (** hold every grant until this many workers have said hello — keeps
           a fast first arrival from swallowing a small sweep whole before
           the rest of a spawned fleet connects *)
+  lead : string option;
+      (** [Some name]: grant shards only to the worker that says hello as
+          [name] until it disconnects; everyone else waits.  A local fleet
+          leads with its chaotic worker, so the scripted death always comes
+          before the healthy workers can finish the sweep without it *)
   verbose : bool;
 }
 
@@ -38,11 +43,13 @@ val config :
   ?checkpoint:string ->
   ?linger:float ->
   ?min_workers:int ->
+  ?lead:string ->
   ?verbose:bool ->
   addr:Unix.sockaddr ->
   Protocol.job ->
   config
-(** Defaults: [lease_timeout] 5 s, [linger] 0.5 s, [min_workers] 0. *)
+(** Defaults: [lease_timeout] 5 s, [linger] 0.5 s, [min_workers] 0, no
+    [lead]. *)
 
 type report = {
   classes : int;  (** total schedules (symmetry classes) checked *)

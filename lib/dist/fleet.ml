@@ -43,10 +43,16 @@ let run_local ?lease_timeout ?checkpoint ?verbose ?kill_one_after ~workers
       List.init (workers + replacements) (fun i ->
           spawn_worker ?chaos:(chaos_for i) ?verbose ~addr ())
     in
+    (* The chaotic worker leads: it alone holds leases until it dies, so
+       the healthy workers cannot finish the sweep before its K-th
+       schedule. *)
+    let lead =
+      Option.map (fun _ -> Worker.name_of_pid (List.hd pids)) kill_one_after
+    in
     let served =
       Coordinator.serve
         (Coordinator.config ?lease_timeout ?checkpoint ~min_workers:workers
-           ?verbose ~addr job)
+           ?lead ?verbose ~addr job)
     in
     (* Reap unconditionally: serve errors must not leak children. *)
     List.iter

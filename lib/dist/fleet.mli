@@ -45,7 +45,10 @@ val run_local :
   (outcome, string) result
 (** Serve [job] on [addr] with [workers] forked local workers, reaping every
     child before returning.  [kill_one_after k] arms worker 0 with
-    [die_after_schedules = k]: it drops dead mid-shard, its lease times out,
-    and the survivors absorb the work — the sweep must still complete, which
-    is exactly what the CI smoke asserts.  With [workers = 1] and a kill,
-    the fleet spawns one replacement worker so the sweep can still finish. *)
+    [die_after_schedules = k] and makes it the coordinator's [lead]: it
+    alone is granted shards until it drops dead mid-shard, so the death is
+    certain whenever the sweep has more than [k] schedules.  Its lease is
+    revoked and the survivors absorb the work — the sweep must still
+    complete, which is exactly what the CI smoke asserts.  With
+    [workers = 1] and a kill, the fleet spawns one replacement worker so the
+    sweep can still finish. *)

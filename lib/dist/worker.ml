@@ -8,6 +8,8 @@ let no_chaos = { die_on_grant = None; die_after_schedules = None }
    death from a genuine worker failure. *)
 let chaos_exit_code = 17
 
+let name_of_pid pid = Printf.sprintf "w%d" pid
+
 type state = {
   name : string;
   patience : float;
@@ -30,35 +32,17 @@ let logf st fmt =
       end)
     fmt
 
-let enumeration job =
+(* Fold one residue-class slice of the registry's space through the
+   algorithm's verdict.  Heartbeats flow on a timer; their failures are
+   deliberately ignored — the broken connection will surface when the
+   result is sent, and the result is what matters. *)
+let run_shard st conn (job : P.job) ~shard =
   match Minimize.Algo.find job.P.algo with
   | Error why -> Error why
   | Ok algo ->
     let n = job.P.n in
     let t = max 1 (n - 2) in
-    let seq () =
-      if job.P.symmetry then
-        let profile =
-          match algo.Minimize.Algo.model with
-          | Model.Model_kind.Extended ->
-            Adversary.Canonical.rotating_coordinator ~n
-          | Model.Model_kind.Classic -> Adversary.Canonical.broadcast ~n ~t
-        in
-        Adversary.Canonical.schedules profile ~n ~max_f:job.P.max_f
-          ~max_round:job.P.max_round
-      else
-        Adversary.Enumerate.schedules ~model:algo.Minimize.Algo.model ~n
-          ~max_f:job.P.max_f ~max_round:job.P.max_round
-    in
-    Ok (algo, t, seq)
-
-(* Fold one residue-class slice through the verdict.  Heartbeats flow on a
-   timer; their failures are deliberately ignored — the broken connection
-   will surface when the result is sent, and the result is what matters. *)
-let run_shard st conn (job : P.job) ~shard =
-  match enumeration job with
-  | Error why -> Error why
-  | Ok (algo, t, seq) ->
+    let verdict = Minimize.Algo.verdict algo ~n ~t in
     let classes = ref 0 in
     let violations = ref [] in
     let next_hb = ref (Live.Sockets.now () +. job.P.heartbeat_every) in
@@ -75,9 +59,9 @@ let run_shard st conn (job : P.job) ~shard =
         end;
         incr classes;
         st.checked_total <- st.checked_total + 1;
-        match Minimize.Algo.violation algo ~n:job.P.n ~t schedule with
-        | None -> ()
-        | Some c ->
+        match verdict schedule with
+        | [] -> ()
+        | c :: _ ->
           violations :=
             {
               P.schedule;
@@ -85,7 +69,9 @@ let run_shard st conn (job : P.job) ~shard =
               detail = c.Spec.Properties.detail;
             }
             :: !violations)
-      (Adversary.Enumerate.shard ~shards:job.P.shards ~shard (seq ()));
+      (Adversary.Enumerate.shard ~shards:job.P.shards ~shard
+         (Minimize.Algo.space algo ~symmetry:job.P.symmetry ~n ~t
+            ~max_f:job.P.max_f ~max_round:job.P.max_round));
     let violations = List.rev !violations in
     Ok
       {
@@ -126,7 +112,7 @@ let deliver st conn result =
 let run ?(patience = 30.0) ?(chaos = no_chaos) ?(verbose = false) ~addr () =
   let st =
     {
-      name = Printf.sprintf "w%d" (Unix.getpid ());
+      name = name_of_pid (Unix.getpid ());
       patience;
       chaos;
       verbose;

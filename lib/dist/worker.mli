@@ -2,8 +2,8 @@
 
     A worker owns no durable state.  It connects (with bounded-backoff
     retry), learns the {!Protocol.job}, then loops: request a lease, fold
-    the granted residue-class slice of the canonical enumeration through
-    the algorithm's verdict, send the {!Protocol.shard_result}, await the
+    the granted residue-class slice of {!Minimize.Algo.space} through
+    {!Minimize.Algo.verdict}, send the {!Protocol.shard_result}, await the
     ack.  Heartbeats flow while a shard runs so the coordinator can tell a
     slow shard from a dead worker.
 
@@ -32,6 +32,9 @@ val no_chaos : chaos
 val chaos_exit_code : int
 (** Exit code of a scripted chaos death (17), so reapers can tell scripted
     deaths from genuine failures. *)
+
+val name_of_pid : int -> string
+(** The name a worker process with this pid says hello with. *)
 
 val run :
   ?patience:float ->

@@ -15,7 +15,7 @@ let t = 2
 let max_round = 3
 
 let schedule_table () =
-  let profile = Adversary.Canonical.rotating_coordinator ~n in
+  let rwwc = Minimize.Algo.get "rwwc" in
   let table =
     Diag.Table.create
       ~title:
@@ -54,7 +54,7 @@ let schedule_table () =
             (Printf.sprintf "EXP-DIFF: engines disagree on %s: %s"
                (Model.Schedule.to_string schedule)
                (String.concat "; " diffs)))
-      (Adversary.Canonical.schedules profile ~n ~max_f ~max_round);
+      (Minimize.Algo.space rwwc ~symmetry:true ~n ~t ~max_f ~max_round);
     Diag.Table.add_row table
       [
         Diag.Table.fmt_int max_f;

@@ -43,27 +43,17 @@ let job ~algo ~n ~max_f ~shards =
     heartbeat_every = 0.25;
   }
 
-(* The single-machine reference: the same canonical enumeration the workers
+(* The single-machine reference: the same canonical space the workers
    shard, folded in-process through the same verdict. *)
 let local_sweep (job : P.job) =
-  match Minimize.Algo.find job.P.algo with
-  | Error why -> failwith ("EXP-DIST: " ^ why)
-  | Ok algo ->
-    let n = job.P.n in
-    let t = max 1 (n - 2) in
-    let profile =
-      match algo.Minimize.Algo.model with
-      | Model.Model_kind.Extended -> Adversary.Canonical.rotating_coordinator ~n
-      | Model.Model_kind.Classic -> Adversary.Canonical.broadcast ~n ~t
-    in
-    Seq.fold_left
-      (fun (classes, violations) s ->
-        match Minimize.Algo.violation algo ~n ~t s with
-        | Some _ -> (classes + 1, violations + 1)
-        | None -> (classes + 1, violations))
-      (0, 0)
-      (Adversary.Canonical.schedules profile ~n ~max_f:job.P.max_f
+  let algo = Minimize.Algo.get job.P.algo in
+  let n = job.P.n and t = max 1 (job.P.n - 2) in
+  let s =
+    Minimize.Algo.sweep algo ~n ~t
+      (Minimize.Algo.space algo ~symmetry:true ~n ~t ~max_f:job.P.max_f
          ~max_round:job.P.max_round)
+  in
+  (s.Minimize.Algo.checked, List.length s.Minimize.Algo.violations)
 
 let distributed ?kill_one_after ?checkpoint (job : P.job) ~tag =
   let sock = tmp (tag ^ ".sock") in

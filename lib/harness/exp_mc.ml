@@ -12,70 +12,8 @@
     violations must survive the quotient, not just the zero of the correct
     algorithms. *)
 
-open Model
-open Sync_sim
-
-type sweep = {
-  full_size : int;  (** closed-form size of the full space *)
-  full_checked : int;  (** schedules enumerated by the full sweep *)
-  classes : int;  (** representatives enumerated by the reduced sweep *)
-  full_violation_classes : Schedule.t list;
-      (** canonical forms of the full sweep's violations, deduplicated *)
-  reduced_violations : Schedule.t list;  (** violating representatives *)
-}
-
-module Probe (A : Algorithm_intf.S) = struct
-  module R = Engine.Make (A)
-
-  let sweep ~profile ~bound ~n ~t ~max_f ~max_round =
-    let proposals = Workloads.distinct n in
-    let run = R.runner (Engine.config ~n ~t ~proposals ()) in
-    let violates schedule =
-      let res = run schedule in
-      not
-        (Spec.Properties.all_ok
-           (Spec.Properties.uniform_consensus ~bound:(bound res) res))
-    in
-    let full_checked = ref 0 and classes = ref 0 in
-    let full_violations =
-      List.of_seq
-        (Seq.filter
-           (fun s ->
-             incr full_checked;
-             violates s)
-           (Adversary.Enumerate.schedules ~model:A.model ~n ~max_f ~max_round))
-    in
-    let reduced_violations =
-      List.of_seq
-        (Seq.filter
-           (fun s ->
-             incr classes;
-             violates s)
-           (Adversary.Canonical.schedules profile ~n ~max_f ~max_round))
-    in
-    {
-      full_size = Adversary.Enumerate.space_size ~model:A.model ~n ~max_f ~max_round;
-      full_checked = !full_checked;
-      classes = !classes;
-      full_violation_classes =
-        List.sort_uniq Adversary.Canonical.compare
-          (List.map (Adversary.Canonical.canonical profile) full_violations);
-      reduced_violations =
-        List.sort Adversary.Canonical.compare reduced_violations;
-    }
-end
-
-module P_rwwc = Probe (Core.Rwwc)
-module P_broken = Probe (Core.Rwwc_variants.Data_decide)
-module P_flood = Probe (Baselines.Flood_set)
-module P_es = Probe (Baselines.Early_stopping)
-
-let f_actual res = Pid.Set.cardinal (Run_result.crashed res)
-
 let run () =
   let n = 4 and t = 2 and max_f = 2 and max_round = 3 in
-  let rotating = Adversary.Canonical.rotating_coordinator ~n in
-  let broadcast = Adversary.Canonical.broadcast ~n ~t in
   let table =
     Diag.Table.create
       ~title:
@@ -95,38 +33,50 @@ let run () =
         ]
       ()
   in
-  let row name (s : sweep) =
-    assert (s.full_checked = s.full_size);
+  let row (label, name) =
+    let algo = Minimize.Algo.get name in
+    let sweep ~symmetry =
+      let s =
+        Minimize.Algo.sweep algo ~n ~t
+          (Minimize.Algo.space algo ~symmetry ~n ~t ~max_f ~max_round)
+      in
+      (s.Minimize.Algo.checked, List.map fst s.Minimize.Algo.violations)
+    in
+    let full_checked, full = sweep ~symmetry:false in
+    let classes, reduced = sweep ~symmetry:true in
+    let full_size =
+      Adversary.Enumerate.space_size ~model:algo.Minimize.Algo.model ~n ~max_f
+        ~max_round
+    in
+    assert (full_checked = full_size);
+    (* canonical forms of the full sweep's violations vs the violating
+       representatives of the reduced sweep *)
+    let full_classes =
+      List.sort_uniq Adversary.Canonical.compare
+        (List.map
+           (Adversary.Canonical.canonical (Minimize.Algo.profile algo ~n ~t))
+           full)
+    in
+    let reduced = List.sort Adversary.Canonical.compare reduced in
     Diag.Table.add_row table
       [
-        name;
-        Diag.Table.fmt_int s.full_size;
-        Diag.Table.fmt_int s.classes;
-        Printf.sprintf "%.1fx" (float_of_int s.full_size /. float_of_int s.classes);
-        Diag.Table.fmt_int (List.length s.full_violation_classes);
-        Diag.Table.fmt_int (List.length s.reduced_violations);
-        (if
-           List.equal Adversary.Canonical.equal s.full_violation_classes
-             s.reduced_violations
-         then "yes"
+        label;
+        Diag.Table.fmt_int full_size;
+        Diag.Table.fmt_int classes;
+        Printf.sprintf "%.1fx" (float_of_int full_size /. float_of_int classes);
+        Diag.Table.fmt_int (List.length full_classes);
+        Diag.Table.fmt_int (List.length reduced);
+        (if List.equal Adversary.Canonical.equal full_classes reduced then "yes"
          else "NO");
       ]
   in
-  row "rwwc"
-    (P_rwwc.sweep ~profile:rotating
-       ~bound:(fun res -> f_actual res + 1)
-       ~n ~t ~max_f ~max_round);
-  row "rwwc minus commit (broken)"
-    (P_broken.sweep ~profile:rotating
-       ~bound:(fun res -> f_actual res + 1)
-       ~n ~t ~max_f ~max_round);
-  row "flood-set"
-    (P_flood.sweep ~profile:broadcast ~bound:(fun _ -> t + 1) ~n ~t ~max_f
-       ~max_round);
-  row "early-stopping"
-    (P_es.sweep ~profile:broadcast
-       ~bound:(fun res -> min (t + 1) (f_actual res + 2))
-       ~n ~t ~max_f ~max_round);
+  List.iter row
+    [
+      ("rwwc", "rwwc");
+      ("rwwc minus commit (broken)", "data-decide");
+      ("flood-set", "flood");
+      ("early-stopping", "early-stopping");
+    ];
   [ table ]
 
 let experiment =

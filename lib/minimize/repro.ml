@@ -278,7 +278,7 @@ let replay r =
   match r.case with
   | Consensus { algo; schedule; property } -> (
     let* a = Algo.find algo in
-    let res = a.Algo.run ~n:r.n ~t:r.t schedule in
+    let res = a.Algo.runner ~n:r.n ~t:r.t schedule in
     let checks = Algo.checks a ~t:r.t res in
     match
       List.find_opt (fun c -> c.Spec.Properties.name = property) checks

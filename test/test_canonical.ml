@@ -147,25 +147,39 @@ let broken_violates run s =
     (Spec.Properties.all_ok
        (Spec.Properties.uniform_consensus ~bound:(f + 1) res))
 
-(* Satellite (c): the reduced sweep finds exactly the violating classes of
-   the full sweep, on the broken variant (a nonempty verdict set). *)
+(* For every registry algorithm, the reduced sweep over its own profile
+   finds exactly the violating classes of the full sweep — a nonempty set
+   for each broken ablation, so the quotient is shown to preserve
+   violations, and an empty one for each correct algorithm. *)
 let test_reduced_vs_full_verdicts () =
-  let run = Broken_run.runner (Engine.config ~n:4 ~t:2 ~proposals:proposals4 ()) in
-  let full_classes =
-    Seq.filter (broken_violates run) (full_ext4 ())
-    |> Seq.map (fun s ->
-           Schedule.to_string (Adversary.Canonical.canonical rotating4 s))
-    |> List.of_seq
-    |> List.sort_uniq String.compare
-  in
-  let reduced_classes =
-    Seq.filter (broken_violates run)
-      (Adversary.Canonical.schedules rotating4 ~n:4 ~max_f:2 ~max_round:3)
-    |> Seq.map Schedule.to_string |> List.of_seq |> List.sort String.compare
-  in
-  Alcotest.(check bool) "some violations found" true (full_classes <> []);
-  Alcotest.(check (list string)) "identical violating classes" full_classes
-    reduced_classes
+  let n = 4 and t = 2 and max_f = 2 and max_round = 3 in
+  List.iter
+    (fun algo ->
+      let name = algo.Minimize.Algo.name in
+      let violating ~symmetry =
+        (Minimize.Algo.sweep algo ~n ~t
+           (Minimize.Algo.space algo ~symmetry ~n ~t ~max_f ~max_round))
+          .Minimize.Algo.violations
+        |> List.map fst
+      in
+      let profile = Minimize.Algo.profile algo ~n ~t in
+      let full_classes =
+        violating ~symmetry:false
+        |> List.map (fun s ->
+               Schedule.to_string (Adversary.Canonical.canonical profile s))
+        |> List.sort_uniq String.compare
+      in
+      let reduced_classes =
+        violating ~symmetry:true |> List.map Schedule.to_string
+        |> List.sort String.compare
+      in
+      Alcotest.(check bool)
+        (name ^ ": violations found iff broken")
+        algo.Minimize.Algo.broken (full_classes <> []);
+      Alcotest.(check (list string))
+        (name ^ ": identical violating classes")
+        full_classes reduced_classes)
+    Minimize.Algo.all
 
 (* Satellite (a): the sharded parallel sweep reports exactly the sequential
    violation set, whatever the domain count. *)

@@ -16,7 +16,7 @@ let data_decide =
   | Error why -> failwith why
 
 let property_fails algo ~n ~t ~property schedule =
-  let res = algo.Minimize.Algo.run ~n ~t schedule in
+  let res = algo.Minimize.Algo.runner ~n ~t schedule in
   List.exists
     (fun c -> c.Spec.Properties.name = property && not c.Spec.Properties.ok)
     (Minimize.Algo.checks algo ~t res)
@@ -131,8 +131,8 @@ let test_data_decide_pinned_witness () =
   match
     Minimize.Algo.first_violation data_decide ~n:4 ~t:2 ~max_f:2 ~max_round:3
   with
-  | None -> Alcotest.fail "data-decide has no violation at n=4"
-  | Some (schedule, check) ->
+  | None, _ -> Alcotest.fail "data-decide has no violation at n=4"
+  | Some (schedule, check), _ ->
     let property = check.Spec.Properties.name in
     Alcotest.(check string) "violated property" "uniform-agreement" property;
     let o = shrink data_decide ~n:4 ~t:2 ~property schedule in
@@ -411,7 +411,8 @@ let test_algo_registry () =
       | Error why -> Alcotest.failf "%s: %s" name why
       | Ok a ->
         let correct =
-          Minimize.Algo.first_violation a ~n:4 ~t:2 ~max_f:2 ~max_round:3 = None
+          fst (Minimize.Algo.first_violation a ~n:4 ~t:2 ~max_f:2 ~max_round:3)
+          = None
         in
         Alcotest.(check bool)
           (Printf.sprintf "%s: broken flag matches the sweep" name)
