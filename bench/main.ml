@@ -52,7 +52,7 @@ let bench_lb () =
 module Biv = Lower_bound.Bivalency.Make (Core.Rwwc)
 
 let bench_biv () =
-  ignore (Biv.analyze ~n:4 ~t:2 ~proposals:(Harness.Workloads.binary ~n:4 ~zeros:1) ())
+  ignore (Biv.analyze ~n:4 ~t:2 ~proposals:(Harness.Workloads.binary ~n:4 ~zeros:1))
 
 let bench_sim () =
   let n = 8 and t = 6 in

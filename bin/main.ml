@@ -700,24 +700,28 @@ let lower_bound_cmd =
   let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of processes.") in
   let f = Arg.(value & opt int 2 & info [ "f" ] ~doc:"Crash budget / truncation round.") in
   let go n f =
+    if f < 0 || f > n - 2 then begin
+      Format.eprintf "lower-bound: need 0 <= f <= n-2, got n = %d, f = %d@." n f;
+      2
+    end
+    else
     let module Ex = Lower_bound.Explorer.Make (Core.Rwwc) in
     let proposals = Harness.Workloads.distinct n in
-    let cert = Ex.tightness ~n ~f ~proposals in
+    let last = Ex.tightness ~n ~f ~proposals in
     Format.printf "tightness: with %d silent crashes the last decision is at round %d (= f+1: %b)@."
-      f cert.Lower_bound.Explorer.max_decision_round
-      (cert.Lower_bound.Explorer.max_decision_round = f + 1);
-    (if f >= 1 && f <= n - 2 then
+      f last (last = f + 1);
+    (if f >= 1 then
        match Ex.truncation_violation ~n ~decide_by:f ~proposals with
        | Some w ->
          Format.printf
            "impossibility: deciding by round %d breaks uniform agreement on %s \
-            (decided: %s; %d schedules searched)@."
+            (decided: %s; %d configs searched)@."
            f
            (Schedule.to_string w.Lower_bound.Explorer.schedule)
            (String.concat ","
               (List.map string_of_int
                  (Run_result.decided_values w.Lower_bound.Explorer.result)))
-           w.Lower_bound.Explorer.schedules_searched
+           w.Lower_bound.Explorer.configs_searched
        | None -> Format.printf "impossibility: no witness found (unexpected)@.");
     0
   in
@@ -731,8 +735,13 @@ let bivalency_cmd =
   let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes (keep small).") in
   let t = Arg.(value & opt int 2 & info [ "t" ] ~doc:"Crash budget.") in
   let go n t =
+    if t < 0 || t >= n then begin
+      Format.eprintf "bivalency: need 0 <= t < n, got n = %d, t = %d@." n t;
+      2
+    end
+    else
     let module Biv = Lower_bound.Bivalency.Make (Core.Rwwc) in
-    let report = Biv.analyze ~n ~t ~proposals:(Harness.Workloads.binary ~n ~zeros:1) () in
+    let report = Biv.analyze ~n ~t ~proposals:(Harness.Workloads.binary ~n ~zeros:1) in
     Format.printf
       "n=%d t=%d proposals=0,1,..,1@.initial: %a@.max bivalent depth: %d@.decision inside a bivalent config: %b@.configs explored: %d@."
       n t Lower_bound.Bivalency.pp_valence

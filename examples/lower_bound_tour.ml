@@ -20,29 +20,28 @@ let () =
 
   print_endline "=== Act 1: the bound is reached ===";
   for f = 0 to n - 2 do
-    let cert = Ex.tightness ~n ~f ~proposals in
     Printf.printf
       "  f = %d silent coordinator crashes: last decision at round %d (f+1 = %d)\n"
-      f cert.Lower_bound.Explorer.max_decision_round (f + 1)
+      f (Ex.tightness ~n ~f ~proposals) (f + 1)
   done;
 
   print_endline "\n=== Act 2: the bound cannot be beaten ===";
   Printf.printf
     "  0 rounds: no communication, so with distinct proposals every process\n\
     \  can only output its own value — impossible (%b).\n"
-    (Ex.zero_round_impossible ~n ~proposals);
+    (Ex.zero_round_impossible ~proposals);
   for decide_by = 1 to n - 2 do
     match Ex.truncation_violation ~n ~decide_by ~proposals with
     | Some w ->
       Printf.printf
         "  decide-by-%d: uniform agreement dies on schedule [%s]\n\
-        \    decided values: %s   (found after %d schedules)\n"
+        \    decided values: %s   (found after %d configurations)\n"
         decide_by
         (Schedule.to_string w.Lower_bound.Explorer.schedule)
         (String.concat ", "
            (List.map string_of_int
               (Sync_sim.Run_result.decided_values w.Lower_bound.Explorer.result)))
-        w.Lower_bound.Explorer.schedules_searched
+        w.Lower_bound.Explorer.configs_searched
     | None -> Printf.printf "  decide-by-%d: no witness (unexpected!)\n" decide_by
   done;
 
@@ -50,7 +49,7 @@ let () =
   List.iter
     (fun (n, t) ->
       let r =
-        Biv.analyze ~n ~t ~proposals:(Harness.Workloads.binary ~n ~zeros:1) ()
+        Biv.analyze ~n ~t ~proposals:(Harness.Workloads.binary ~n ~zeros:1)
       in
       Format.printf
         "  n=%d t=%d: initial %a; the adversary keeps the outcome open \

@@ -38,9 +38,7 @@ let broadcast ~n ~t =
 
 (* --- point classes -------------------------------------------------------- *)
 
-let canonical_point p ~victim ~round point =
-  let dests = p.data_dests ~victim ~round in
-  let syncs = p.sync_count ~victim ~round in
+let point_class ~dests ~syncs point =
   (* What the engine actually delivers for this point: a subset of the
      planned data destinations and a prefix length of the planned syncs. *)
   let delivered, prefix =
@@ -54,6 +52,10 @@ let canonical_point p ~victim ~round point =
   else if not (Pid.Set.equal delivered dests) then Crash.During_data delivered
   else if prefix = syncs then Crash.After_send
   else Crash.After_data prefix
+
+let canonical_point p ~victim ~round point =
+  point_class ~dests:(p.data_dests ~victim ~round)
+    ~syncs:(p.sync_count ~victim ~round) point
 
 (* --- schedule normalization (layer 1: point classes + no-op crashes) ------ *)
 
@@ -122,29 +124,29 @@ let apply_perm pi sched =
          (pi pid, Crash.make ~round:ev.round point))
        (Schedule.bindings sched))
 
+(* Every renaming of the movable pids, the identity included. *)
+let renamings p =
+  let movable = Pid.Set.elements p.movable in
+  List.map
+    (fun image ->
+      let assoc = List.combine movable image in
+      fun pid -> match List.assoc_opt pid assoc with Some q -> q | None -> pid)
+    (permutations movable)
+
 let canonical p sched =
   let base = normalize p sched in
   if Pid.Set.is_empty p.movable then base
-  else begin
-    let movable = Pid.Set.elements p.movable in
+  else
     List.fold_left
-      (fun best image ->
-        let assoc = List.combine movable image in
-        let pi pid =
-          match List.assoc_opt pid assoc with Some q -> q | None -> pid
-        in
+      (fun best pi ->
         let candidate = normalize p (apply_perm pi base) in
         if compare candidate best < 0 then candidate else best)
-      base
-      (permutations movable)
-  end
+      base (renamings p)
 
 (* --- representative-only enumeration -------------------------------------- *)
 
-let points p ~victim ~round =
-  let dests = p.data_dests ~victim ~round in
-  let syncs = p.sync_count ~victim ~round in
-  let keep pt = Crash.equal_point (canonical_point p ~victim ~round pt) pt in
+let distinct_points ~dests ~syncs =
+  let keep pt = Crash.equal_point (point_class ~dests ~syncs pt) pt in
   let before = Seq.return Crash.Before_send in
   let during =
     (* Proper nonempty subsets of the planned destinations; the empty subset
@@ -157,8 +159,7 @@ let points p ~victim ~round =
       (Combinatorics.subsets (Pid.Set.elements dests))
   in
   let after_data =
-    Seq.filter
-      (fun pt -> keep pt)
+    Seq.filter keep
       (Seq.map (fun k -> Crash.After_data k) (Combinatorics.range 0 (syncs - 1)))
   in
   let after =
@@ -174,7 +175,10 @@ let events p ~max_round ~victim =
   in
   Seq.concat_map
     (fun round ->
-      Seq.map (fun pt -> Crash.make ~round pt) (points p ~victim ~round))
+      Seq.map
+        (fun pt -> Crash.make ~round pt)
+        (distinct_points ~dests:(p.data_dests ~victim ~round)
+           ~syncs:(p.sync_count ~victim ~round)))
     (Combinatorics.range 1 last)
 
 let schedules p ~n ~max_f ~max_round =
@@ -194,24 +198,15 @@ let schedules p ~n ~max_f ~max_round =
       (Combinatorics.upto max_f)
   in
   if Pid.Set.is_empty p.movable then base
-  else Seq.filter (fun s -> equal (canonical p s) s) base
-
-let space_size p ~n ~max_f ~max_round =
-  (* Elementary-symmetric-sum DP over the per-victim event counts.  This
-     counts the point-reduced space; when [movable] is non-trivial the
-     pid-symmetry filter of {!schedules} shrinks it further (count the
-     stream to report the exact figure). *)
-  let e =
-    Array.init n (fun i ->
-        Enumerate.count (events p ~max_round ~victim:(Pid.of_int (i + 1))))
-  in
-  let max_f = min max_f n in
-  let es = Array.make (max_f + 1) 0 in
-  es.(0) <- 1;
-  Array.iter
-    (fun ev ->
-      for j = max_f downto 1 do
-        es.(j) <- es.(j) + (es.(j - 1) * ev)
-      done)
-    e;
-  Array.fold_left ( + ) 0 es
+  else begin
+    (* [base] holds normalized schedules only, so [s] is its orbit's
+       minimum iff no renaming maps it below itself: reject it at the first
+       smaller image instead of computing the full minimum. *)
+    let renamings = renamings p in
+    Seq.filter
+      (fun s ->
+        List.for_all
+          (fun pi -> compare (normalize p (apply_perm pi s)) s >= 0)
+          renamings)
+      base
+  end

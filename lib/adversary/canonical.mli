@@ -66,9 +66,21 @@ val broadcast : n:int -> t:int -> profile
     every process broadcasts to everyone else each round, sends no syncs,
     decides by round [t + 1], and all pids are interchangeable. *)
 
+val point_class : dests:Pid.Set.t -> syncs:int -> Crash.point -> Crash.point
+(** The one crash-point reduction rule, for a victim planning data to
+    [dests] and [syncs] ordered syncs this round: points share a class iff
+    they deliver the same subset of [dests] and the same sync prefix.  The
+    profiles below and [Lower_bound.Stepper]'s search (over the victim's
+    actual plan) both use it. *)
+
+val distinct_points : dests:Pid.Set.t -> syncs:int -> Crash.point Seq.t
+(** One point per class: [Before_send], [During_data s] for nonempty proper
+    subsets [s] of [dests], then [After_data k] and [After_send] where they
+    differ from the others. *)
+
 val canonical_point :
   profile -> victim:Pid.t -> round:int -> Crash.point -> Crash.point
-(** Layer-1 representative of a crash point's equivalence class. *)
+(** {!point_class} over the profile's bounds (layer 1). *)
 
 val canonical : profile -> Schedule.t -> Schedule.t
 (** Full canonical form: drop no-op crashes, canonicalize every point, then
@@ -82,21 +94,10 @@ val compare : Schedule.t -> Schedule.t -> int
 
 val equal : Schedule.t -> Schedule.t -> bool
 
-val points : profile -> victim:Pid.t -> round:int -> Crash.point Seq.t
-(** The canonical crash points for one victim and round: [Before_send],
-    [During_data s] for nonempty proper subsets [s] of the planned
-    destinations, [After_data k] for prefixes that differ from both
-    [Before_send] and [After_send], and [After_send] when distinct. *)
-
-val events : profile -> max_round:int -> victim:Pid.t -> Crash.event Seq.t
-(** Canonical events with rounds [1 .. min max_round (halts_by victim)]. *)
-
 val schedules : profile -> n:int -> max_f:int -> max_round:int -> Schedule.t Seq.t
 (** Representative-only counterpart of {!Enumerate.schedules}: every
     schedule of the full space canonicalizes to exactly one element of this
-    stream.  Lazy and persistent, so it shards with {!Enumerate.shard}. *)
-
-val space_size : profile -> n:int -> max_f:int -> max_round:int -> int
-(** Size of the layer-1-reduced space (elementary-symmetric DP over the
-    per-victim event counts).  An upper bound on the cardinality of
-    {!schedules} when [movable] is non-trivial. *)
+    stream.  Lazy and persistent, so it shards with {!Enumerate.shard}.
+    With [movable] pids the renamings are built once per call, and a
+    schedule is dropped at the first renaming whose normalized image is
+    smaller (the orbit test), without computing {!canonical}. *)

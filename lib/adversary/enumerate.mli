@@ -3,9 +3,8 @@
     For small [n] the space of crash schedules is finite once delivery
     subsets are restricted to actual process sets and prefixes to
     [0 .. n-1]; enumerating it turns property testing into genuine model
-    checking — EXP-LB's agreement-violation witnesses are found this way,
-    and the unit suites run the consensus algorithms against {e every}
-    schedule for [n <= 5]. *)
+    checking — the unit suites run the consensus algorithms against
+    {e every} schedule for [n <= 5]. *)
 
 open Model
 

@@ -43,9 +43,9 @@ let run () =
     (fun (n, t) ->
       let proposals = Workloads.binary ~n ~zeros:1 in
       add_row table "rwwc (Figure 1)" Model.Model_kind.Extended
-        (Biv.analyze ~n ~t ~proposals ());
+        (Biv.analyze ~n ~t ~proposals);
       add_row table "early-stopping" Model.Model_kind.Classic
-        (Biv_es.analyze ~model:Model.Model_kind.Classic ~n ~t ~proposals ()))
+        (Biv_es.analyze ~n ~t ~proposals))
     [ (3, 0); (3, 1); (4, 1); (4, 2); (5, 2) ];
   [ table ]
 

@@ -1,11 +1,8 @@
-open Model
-
 type valence = Univalent of int | Bivalent of int list
 
 type report = {
   n : int;
   t : int;
-  proposals : int array;
   initial_valence : valence;
   max_bivalent_depth : int;
   bivalent_with_decision : bool;
@@ -21,110 +18,49 @@ let pp_valence ppf = function
 module Make (A : Algo_intf.S) = struct
   module S = Stepper.Make (A)
 
-  (* The Theorem 3 adversary: per round, either no crash or one crash of a
-     running process at any crash point of the given model. *)
-  let choices ~model config =
-    let none = Seq.return None in
-    if S.crashes_used config >= S.resilience config then none
-    else
-      Seq.append none
-        (Seq.concat_map
-           (fun pid ->
-             Seq.map
-               (fun point -> Some (pid, point))
-               (Adversary.Enumerate.points ~model ~n:(S.size config)
-                  ~victim:pid))
-           (List.to_seq (S.running config)))
-
-  let horizon config = S.resilience config + 2
-
-  module String_tbl = Hashtbl
-
-  let make_reachable ~model =
-    let memo : (string, int list) String_tbl.t = String_tbl.create 1024 in
-    let rec go config =
-      let key = S.fingerprint config in
-      match String_tbl.find_opt memo key with
-      | Some vs -> vs
-      | None ->
-        let vs =
-          if S.running config = [] then S.decided_values config
-          else if S.next_round config > horizon config then
-            failwith
-              (Printf.sprintf
-                 "Bivalency: algorithm %s still undecided after round %d"
-                 A.name
-                 (horizon config))
-          else
-            Seq.fold_left
-              (fun acc crash ->
-                List.fold_left
-                  (fun acc v -> if List.mem v acc then acc else v :: acc)
-                  acc
-                  (go (S.step config ~crash)))
-              [] (choices ~model config)
-            |> List.sort Int.compare
-        in
-        String_tbl.replace memo key vs;
-        vs
-    in
-    (memo, go)
-
-  let reachable_values ?(model = Model_kind.Extended) config =
-    let _, go = make_reachable ~model in
-    go config
-
-  let analyze ?(model = Model_kind.Extended) ~n ~t ~proposals () =
-    let memo, go = make_reachable ~model in
-    let initial = S.initial ~n ~t ~proposals in
-    let valence_of config =
-      match go config with
-      | [ v ] -> Univalent v
-      | [] -> Bivalent [] (* unreachable for terminating algorithms *)
-      | vs -> Bivalent vs
-    in
-    let initial_valence = valence_of initial in
-    (* Breadth-first sweep over configuration layers, deduplicated per
-       layer, tracking the deepest layer containing a bivalent config. *)
-    let max_bivalent_depth = ref 0 and bivalent_with_decision = ref false in
-    let layer = ref [ initial ] in
-    let seen = String_tbl.create 1024 in
-    let depth = ref 0 in
-    while !layer <> [] do
-      incr depth;
-      let next = ref [] in
-      List.iter
-        (fun config ->
-          if S.running config <> [] && S.next_round config <= horizon config
-          then
-            Seq.iter
-              (fun crash ->
-                let c' = S.step config ~crash in
-                let key = S.fingerprint c' in
-                if not (String_tbl.mem seen key) then begin
-                  String_tbl.replace seen key ();
-                  next := c' :: !next;
-                  match go c' with
-                  | [] | [ _ ] -> ()
-                  | _ :: _ :: _ ->
-                    max_bivalent_depth := max !max_bivalent_depth !depth;
-                    if S.decided_values c' <> [] then
-                      bivalent_with_decision := true
-                end)
-              (choices ~model config))
-        !layer;
-      layer := !next
+  (* The configurations the Theorem 3 adversary (at most one crash per
+     round) reaches from [root], each with the values decided in its
+     extensions.  Successors come after their parents in the search's
+     order, so one backward pass settles every value. *)
+  let valences root =
+    let nodes = S.search ~per_round:1 root in
+    let values = Array.make (Array.length nodes) [] in
+    for i = Array.length nodes - 1 downto 0 do
+      let { S.config; succs; _ } = nodes.(i) in
+      values.(i) <-
+        (if S.running config = [] then S.decided_values config
+         else if succs = [] then
+           Printf.ksprintf failwith
+             "Bivalency: algorithm %s still undecided after round %d" A.name
+             (S.resilience root + 2)
+         else
+           List.sort_uniq Int.compare
+             (List.concat_map (fun (s : S.node) -> values.(s.id)) succs))
     done;
+    (nodes, values)
+
+  let reachable_values config = (snd (valences config)).(0)
+
+  let analyze ~n ~t ~proposals =
+    let nodes, values = valences (S.initial ~n ~t ~proposals) in
+    (* A descendant's values are a subset of the root's, so nothing below a
+       univalent root is bivalent. *)
+    let bivalent =
+      List.filter
+        (fun { S.id; _ } -> List.length values.(id) > 1)
+        (Array.to_list nodes)
+    in
     {
       n;
       t;
-      proposals = Array.copy proposals;
-      initial_valence;
+      initial_valence =
+        (match values.(0) with [ v ] -> Univalent v | vs -> Bivalent vs);
       max_bivalent_depth =
-        (match initial_valence with
-        | Univalent _ -> 0
-        | Bivalent _ -> !max_bivalent_depth);
-      bivalent_with_decision = !bivalent_with_decision;
-      configs_explored = String_tbl.length memo;
+        List.fold_left
+          (fun depth { S.config; _ } -> max depth (S.next_round config - 1))
+          0 bivalent;
+      bivalent_with_decision =
+        List.exists (fun { S.config; _ } -> S.decided_values config <> []) bivalent;
+      configs_explored = Array.length nodes;
     }
 end

@@ -7,15 +7,14 @@
     reachable.  The lower-bound argument shows the adversary (crashing at
     most one process per round) can keep the configuration bivalent for [t]
     rounds, so no algorithm can always decide in [t] rounds.  This module
-    computes exact reachable-decision sets by exhaustive exploration with
-    memoization, for small systems. *)
+    computes exact reachable-decision sets over the deduplicated
+    configuration graph of {!Stepper.Make.search}, for small systems. *)
 
 type valence = Univalent of int | Bivalent of int list
 
 type report = {
   n : int;
   t : int;
-  proposals : int array;
   initial_valence : valence;
   max_bivalent_depth : int;
       (** Deepest round end at which some reachable configuration (under the
@@ -32,18 +31,13 @@ type report = {
 val pp_valence : Format.formatter -> valence -> unit
 
 module Make (A : Algo_intf.S) : sig
-  val reachable_values :
-    ?model:Model.Model_kind.t -> Stepper.Make(A).config -> int list
+  val reachable_values : Stepper.Make(A).config -> int list
   (** Every value decided in some extension of the configuration under the
-      one-crash-per-round adversary of the given model (default
-      [Extended]; crash budget from the configuration). *)
+      one-crash-per-round adversary, whose points are the distinct
+      deliveries of the victim's planned sends (so a classic algorithm,
+      which sends no syncs, meets the classic adversary). *)
 
-  val analyze :
-    ?model:Model.Model_kind.t ->
-    n:int ->
-    t:int ->
-    proposals:int array ->
-    unit ->
-    report
-  (** Explore the full configuration graph from the initial configuration. *)
+  val analyze : n:int -> t:int -> proposals:int array -> report
+  (** Settle the valence of every configuration reachable from the initial
+      one, bottom-up.  Raises [Invalid_argument] unless [0 <= t < n]. *)
 end

@@ -3,13 +3,7 @@ open Model
 type witness = {
   schedule : Schedule.t;
   result : Sync_sim.Run_result.t;
-  schedules_searched : int;
-}
-
-type tightness = {
-  f : int;
-  max_decision_round : int;
-  schedule : Schedule.t;
+  configs_searched : int;
 }
 
 module Make (A : Algo_intf.S) = struct
@@ -28,12 +22,7 @@ module Make (A : Algo_intf.S) = struct
     Spec.Properties.assert_ok
       ~context:(Printf.sprintf "tightness n=%d f=%d" n f)
       (Spec.Properties.uniform_consensus ~bound:(f + 1) result);
-    {
-      f;
-      max_decision_round =
-        Option.value (Sync_sim.Run_result.max_decision_round result) ~default:0;
-      schedule;
-    }
+    Option.value (Sync_sim.Run_result.max_decision_round result) ~default:0
 
   let truncation_violation ~n ~decide_by ~proposals =
     if decide_by < 1 || decide_by > n - 2 then
@@ -45,30 +34,32 @@ module Make (A : Algo_intf.S) = struct
           let decide_by = decide_by
         end)
     in
+    let module S = Stepper.Make (T) in
     let module E = Sync_sim.Engine.Make_flat (T) in
     let t = decide_by in
-    let searched = ref 0 in
-    let run = E.runner (Sync_sim.Engine.config ~n ~t ~proposals ()) in
-    let violation schedule =
-      incr searched;
-      let result = run schedule in
-      let bad =
-        not
-          (Spec.Properties.all_ok
-             [
-               Spec.Properties.uniform_agreement result;
-               Spec.Properties.validity result;
-             ])
-      in
-      if bad then Some { schedule; result; schedules_searched = !searched }
-      else None
+    (* Decisions are final: the first configuration holding two decided
+       values (or a foreign one) dooms every extension. *)
+    let violates config =
+      match S.decided_values config with
+      | _ :: _ :: _ -> true
+      | vs -> not (List.for_all (fun v -> Array.mem v proposals) vs)
     in
-    Seq.find_map violation
-      (Adversary.Enumerate.schedules ~model:Model_kind.Extended ~n
-         ~max_f:decide_by ~max_round:decide_by)
+    let nodes =
+      S.search ~per_round:t ~stop:violates (S.initial ~n ~t ~proposals)
+    in
+    let last = nodes.(Array.length nodes - 1) in
+    if not (violates last.S.config) then None
+    else
+      let schedule = S.schedule last in
+      let result = E.run (Sync_sim.Engine.config ~schedule ~n ~t ~proposals ()) in
+      let open Spec.Properties in
+      if all_ok [ uniform_agreement result; validity result ] then
+        failwith
+          (Printf.sprintf "Explorer: witness %s does not violate on the engine"
+             (Schedule.to_string schedule));
+      Some { schedule; result; configs_searched = Array.length nodes }
 
-  let zero_round_impossible ~n ~proposals =
-    ignore n;
+  let zero_round_impossible ~proposals =
     (* A 0-round algorithm exchanges nothing, so each process can only output
        its own proposal. *)
     let distinct =

@@ -8,7 +8,10 @@ module Make (A : Algo_intf.S) = struct
 
   type config = { procs : proc array; t : int; next_round : int; crashes : int }
 
+  type crash = Pid.t * Crash.point
+
   let initial ~n ~t ~proposals =
+    if t < 0 || t >= n then invalid_arg "Stepper.initial: need 0 <= t < n";
     if Array.length proposals <> n then invalid_arg "Stepper.initial: arity";
     {
       procs =
@@ -25,11 +28,7 @@ module Make (A : Algo_intf.S) = struct
 
   let next_round c = c.next_round
 
-  let crashes_used c = c.crashes
-
   let resilience c = c.t
-
-  let size c = Array.length c.procs
 
   let is_running p = p.status = Sync_sim.Run_result.Undecided
 
@@ -50,82 +49,70 @@ module Make (A : Algo_intf.S) = struct
              None)
     |> List.sort_uniq Int.compare
 
-  let step c ~crash =
-    let n = Array.length c.procs in
-    let r = c.next_round in
-    (match crash with
-    | None -> ()
-    | Some (pid, _) ->
-      if c.crashes >= c.t then invalid_arg "Stepper.step: crash budget spent";
-      if not (is_running c.procs.(Pid.to_int pid - 1)) then
-        invalid_arg "Stepper.step: victim not running");
+  (* What a process planning [data] and [syncs] delivers when it crashes at
+     [point] ([None]: it survives the round). *)
+  let delivered point data syncs =
+    match point with
+    | None | Some Crash.After_send -> (data, syncs)
+    | Some Crash.Before_send -> ([], [])
+    | Some (Crash.During_data s) ->
+      (List.filter (fun (dest, _) -> Pid.Set.mem dest s) data, [])
+    | Some (Crash.After_data k) -> (data, List.filteri (fun i _ -> i < k) syncs)
+
+  let step c ~crashes =
+    let n = Array.length c.procs and r = c.next_round in
+    if c.crashes + List.length crashes > c.t then
+      invalid_arg "Stepper.step: crash budget spent";
+    let point_of = Array.make n None in
+    List.iter
+      (fun (pid, point) ->
+        let i = Pid.to_int pid - 1 in
+        if not (is_running c.procs.(i)) || point_of.(i) <> None then
+          invalid_arg "Stepper.step: victim not running";
+        point_of.(i) <- Some point)
+      crashes;
     let inbox_data = Array.make n [] and inbox_syncs = Array.make n [] in
-    let deliver_data from (dest, msg) =
-      let i = Pid.to_int dest - 1 in
-      inbox_data.(i) <- (from, msg) :: inbox_data.(i)
-    and deliver_sync from dest =
-      let i = Pid.to_int dest - 1 in
-      inbox_syncs.(i) <- from :: inbox_syncs.(i)
-    in
     Array.iteri
       (fun i p ->
         if is_running p then begin
-          let pid = Pid.of_int (i + 1) in
-          let planned_data = A.data_sends p.state ~round:r
-          and planned_sync = A.sync_sends p.state ~round:r in
-          match crash with
-          | Some (victim, point) when Pid.equal victim pid -> begin
-            match point with
-            | Crash.Before_send -> ()
-            | Crash.During_data survivors ->
-              List.iter
-                (fun (dest, msg) ->
-                  if Pid.Set.mem dest survivors then
-                    deliver_data pid (dest, msg))
-                planned_data
-            | Crash.After_data prefix ->
-              List.iter (deliver_data pid) planned_data;
-              List.iteri
-                (fun k dest -> if k < prefix then deliver_sync pid dest)
-                planned_sync
-            | Crash.After_send ->
-              List.iter (deliver_data pid) planned_data;
-              List.iter (deliver_sync pid) planned_sync
-          end
-          | Some _ | None ->
-            List.iter (deliver_data pid) planned_data;
-            List.iter (deliver_sync pid) planned_sync
+          let from = Pid.of_int (i + 1) in
+          let data, syncs =
+            delivered point_of.(i)
+              (A.data_sends p.state ~round:r)
+              (A.sync_sends p.state ~round:r)
+          in
+          List.iter
+            (fun (dest, msg) ->
+              let j = Pid.to_int dest - 1 in
+              inbox_data.(j) <- (from, msg) :: inbox_data.(j))
+            data;
+          List.iter
+            (fun dest ->
+              let j = Pid.to_int dest - 1 in
+              inbox_syncs.(j) <- from :: inbox_syncs.(j))
+            syncs
         end)
       c.procs;
     let procs =
       Array.mapi
         (fun i p ->
-          let pid = Pid.of_int (i + 1) in
           if not (is_running p) then p
+          else if point_of.(i) <> None then
+            { p with status = Sync_sim.Run_result.Crashed { at_round = r } }
           else
-            match crash with
-            | Some (victim, _) when Pid.equal victim pid ->
-              { p with status = Sync_sim.Run_result.Crashed { at_round = r } }
-            | Some _ | None ->
-              let data =
-                List.sort (fun (a, _) (b, _) -> Pid.compare a b) inbox_data.(i)
-              and syncs = List.sort Pid.compare inbox_syncs.(i) in
-              let state, decision = A.compute p.state ~round:r ~data ~syncs in
-              let status =
-                match decision with
-                | None -> Sync_sim.Run_result.Undecided
-                | Some value ->
-                  Sync_sim.Run_result.Decided { value; at_round = r }
-              in
-              { state; status })
+            let data =
+              List.sort (fun (a, _) (b, _) -> Pid.compare a b) inbox_data.(i)
+            and syncs = List.sort Pid.compare inbox_syncs.(i) in
+            let state, decision = A.compute p.state ~round:r ~data ~syncs in
+            let status =
+              match decision with
+              | None -> Sync_sim.Run_result.Undecided
+              | Some value -> Sync_sim.Run_result.Decided { value; at_round = r }
+            in
+            { state; status })
         c.procs
     in
-    {
-      procs;
-      t = c.t;
-      next_round = r + 1;
-      crashes = (c.crashes + match crash with Some _ -> 1 | None -> 0);
-    }
+    { c with procs; next_round = r + 1; crashes = c.crashes + List.length crashes }
 
   let fingerprint c =
     let buf = Buffer.create 64 in
@@ -143,4 +130,78 @@ module Make (A : Algo_intf.S) = struct
       c.procs;
     Buffer.add_string buf (string_of_int c.crashes);
     Buffer.contents buf
+
+  (* --- configuration search ---------------------------------------------- *)
+
+  type node = {
+    id : int;
+    config : config;
+    parent : (node * crash list) option;
+    mutable succs : node list;
+  }
+
+  (* Every crash list of the round: up to [per_round] running victims
+     (within the remaining budget), each at one point per distinct delivery
+     of the sends it plans; the failure-free round comes first. *)
+  let choices ~per_round c =
+    let round = c.next_round in
+    let points victim =
+      let p = c.procs.(Pid.to_int victim - 1) in
+      Adversary.Canonical.distinct_points
+        ~dests:(Pid.Set.of_list (List.map fst (A.data_sends p.state ~round)))
+        ~syncs:(List.length (A.sync_sends p.state ~round))
+      |> Seq.map (fun point -> (victim, point))
+      |> List.of_seq
+    in
+    Seq.concat_map
+      (fun k ->
+        Seq.concat_map
+          (fun victims ->
+            Adversary.Combinatorics.sequence (List.map List.to_seq victims))
+          (Adversary.Combinatorics.choose k (List.map points (running c))))
+      (Adversary.Combinatorics.upto (min per_round (c.t - c.crashes)))
+
+  let search ~per_round ?(stop = fun _ -> false) root =
+    let seen = Hashtbl.create 1024 and queue = Queue.create () in
+    let found = ref [] in
+    let exception Stop in
+    let visit parent config =
+      let key = fingerprint config in
+      match Hashtbl.find_opt seen key with
+      | Some node -> node
+      | None ->
+        let node = { id = Hashtbl.length seen; config; parent; succs = [] } in
+        Hashtbl.add seen key node;
+        found := node :: !found;
+        Queue.push node queue;
+        if stop config then raise Stop;
+        node
+    in
+    (* First in, first out: the queue drains one round's layer before the
+       next, so every successor is discovered after the node it was reached
+       from. *)
+    (try
+       ignore (visit None root);
+       while not (Queue.is_empty queue) do
+         let node = Queue.pop queue in
+         let c = node.config in
+         if running c <> [] && c.next_round <= c.t + 2 then
+           Seq.iter
+             (fun crashes ->
+               let child = visit (Some (node, crashes)) (step c ~crashes) in
+               if not (List.memq child node.succs) then
+                 node.succs <- child :: node.succs)
+             (choices ~per_round c)
+       done
+     with Stop -> ());
+    Array.of_list (List.rev !found)
+
+  let rec schedule node =
+    match node.parent with
+    | None -> Schedule.empty
+    | Some (parent, crashes) ->
+      let round = parent.config.next_round in
+      List.fold_left
+        (fun sched (pid, point) -> Schedule.add pid (Crash.make ~round point) sched)
+        (schedule parent) crashes
 end

@@ -1,47 +1,63 @@
-(** Single-round stepping of a synchronous computation under explicit
-    adversary choices.
+(** Round-by-round stepping of a synchronous computation under explicit
+    crashes, and the one search over the configurations it reaches.
 
     Where {!Sync_sim.Engine} runs a complete schedule, the stepper advances
-    one round at a time with the crash decision supplied per round — the
-    shape the valence (bivalency) argument of Theorem 3 needs, where the
-    adversary crashes at most one process per round and we quantify over its
-    next choice.  Tests cross-validate the stepper against the engine on
-    complete schedules. *)
+    one round at a time — the shape the valence argument of Theorem 3 and
+    the "decide by round f" witnesses of Theorems 4–5 need, where we
+    quantify over the adversary's next choice.  Tests cross-validate it
+    against the engine on every schedule of a small space, several crashes
+    per round included. *)
 
 open Model
 
 module Make (A : Algo_intf.S) : sig
   type config
   (** An immutable global configuration: every process's local state and
-      status, plus the upcoming round number. *)
+      status, the upcoming round number and the crashes spent. *)
+
+  type crash = Pid.t * Crash.point
 
   val initial : n:int -> t:int -> proposals:int array -> config
+  (** Raises [Invalid_argument] unless [0 <= t < n] and there are [n]
+      proposals. *)
 
   val next_round : config -> int
-  (** The round the next {!step} will execute (1 for a fresh config). *)
-
-  val crashes_used : config -> int
-
-  val resilience : config -> int
-  (** The crash budget [t] the configuration was created with. *)
-
-  val size : config -> int
-  (** The number of processes [n]. *)
+  val resilience : config -> int  (** the crash budget [t] *)
 
   val running : config -> Pid.t list
   (** Processes that are alive and undecided. *)
 
   val statuses : config -> Sync_sim.Run_result.status array
-
   val decided_values : config -> int list
-  (** De-duplicated values decided so far. *)
 
-  val step : config -> crash:(Pid.t * Crash.point) option -> config
-  (** Execute one round in the extended model.  [crash = Some (p, point)]
-      crashes the (running) process [p] at [point] during this round; [None]
-      runs the round failure-free.  Raises [Invalid_argument] if [p] is not
-      running or the crash budget [t] is exhausted. *)
+  val step : config -> crashes:crash list -> config
+  (** Execute one round in the extended model, crashing each listed process
+      at its point ([[]]: a failure-free round).  Raises [Invalid_argument]
+      if a victim is not running or listed twice, or the budget is
+      exceeded. *)
 
   val fingerprint : config -> string
-  (** Injective encoding of (round, statuses, states); memoization key. *)
+  (** Injective encoding of the configuration; the search's dedup key. *)
+
+  type node = private {
+    id : int;  (** discovery index; [0] is the root *)
+    config : config;
+    parent : (node * crash list) option;  (** the first edge that reached it *)
+    mutable succs : node list;  (** its distinct successors, if expanded *)
+  }
+
+  val search : per_round:int -> ?stop:(config -> bool) -> config -> node array
+  (** Layered breadth-first search over fingerprint-deduplicated
+      configurations.  A configuration with running processes and next round
+      [<= t + 2] (the engine's horizon) is expanded into the failure-free round and every round
+      crashing up to [per_round] running processes (within the remaining
+      budget), each at one point per distinct delivery of the sends it plans
+      ({!Adversary.Canonical.point_class}).  Returns the discovered nodes in
+      discovery order, so successors come after their parents.  With [stop],
+      the search ends at the first configuration satisfying it, which is
+      then the last node. *)
+
+  val schedule : node -> Schedule.t
+  (** The crashes along the node's parent edges: replaying them from the
+      root reaches its configuration. *)
 end

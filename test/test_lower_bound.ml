@@ -4,62 +4,78 @@
 
 open Model
 open Sync_sim
-open Helpers
 
 module S = Lower_bound.Stepper.Make (Core.Rwwc)
 module Ex = Lower_bound.Explorer.Make (Core.Rwwc)
 module Biv = Lower_bound.Bivalency.Make (Core.Rwwc)
 
-(* Drive the stepper with the per-round choices of a complete schedule (one
-   crash per round at most) and compare the final statuses with the
-   engine's. *)
-let stepper_replay ~n ~t ~proposals schedule =
-  let crash_in_round r =
-    List.find_map
-      (fun (pid, (ev : Crash.event)) ->
-        if ev.round = r then Some (pid, ev.point) else None)
-      (Schedule.bindings schedule)
-  in
-  let rec go config =
-    if S.running config = [] || S.next_round config > t + 2 then config
-    else
-      let crash =
-        match crash_in_round (S.next_round config) with
-        | Some (pid, point)
-          when List.exists (Pid.equal pid) (S.running config) ->
-          Some (pid, point)
-        | Some _ | None -> None
-      in
-      go (S.step config ~crash)
-  in
-  S.statuses (go (S.initial ~n ~t ~proposals))
+module Piggyback =
+  Lower_bound.Algo_intf.Of_list (Core.Rwwc_variants.Piggyback_commit)
+
+(* Drive the stepper with the per-round crashes of a complete schedule (all
+   of a round's crashes in one step) and compare the final statuses with
+   the engine's; the engine stops after round t + 2, and so do we. *)
+module Replay (A : Lower_bound.Algo_intf.S) = struct
+  module S = Lower_bound.Stepper.Make (A)
+  module E = Engine.Make_flat (A)
+
+  let statuses_agree ~n ~t ~proposals schedule =
+    let rec go config =
+      if S.running config = [] || S.next_round config > t + 2 then config
+      else
+        let crashes =
+          List.filter_map
+            (fun (pid, (ev : Crash.event)) ->
+              if
+                ev.round = S.next_round config
+                && List.exists (Pid.equal pid) (S.running config)
+              then Some (pid, ev.point)
+              else None)
+            (Schedule.bindings schedule)
+        in
+        go (S.step config ~crashes)
+    in
+    (E.run (Engine.config ~schedule ~n ~t ~proposals ())).Run_result.statuses
+    = S.statuses (go (S.initial ~n ~t ~proposals))
+end
 
 let test_stepper_matches_engine_exhaustively () =
-  let n = 3 and t = 1 in
-  let proposals = [| 4; 5; 6 |] in
+  let n = 4 and t = 2 in
+  let proposals = [| 4; 5; 6; 7 |] in
+  let module Rwwc = Replay (Core.Rwwc) in
+  let module Piggy = Replay (Piggyback) in
+  let checked = ref 0 in
   Seq.iter
     (fun schedule ->
-      if Schedule.at_most_one_crash_per_round schedule then begin
-        let via_engine =
-          (run_rwwc ~n ~t ~schedule ~proposals ()).Run_result.statuses
-        and via_stepper = stepper_replay ~n ~t ~proposals schedule in
-        Alcotest.(check bool)
-          (Printf.sprintf "statuses agree on %s" (Schedule.to_string schedule))
-          true
-          (via_engine = via_stepper)
-      end)
-    (Adversary.Enumerate.schedules ~model:Model_kind.Extended ~n ~max_f:1
-       ~max_round:2)
+      incr checked;
+      List.iter
+        (fun (name, agree) ->
+          if not (agree ~n ~t ~proposals schedule) then
+            Alcotest.failf "%s: stepper and engine disagree on %s" name
+              (Schedule.to_string schedule))
+        [
+          ("rwwc", Rwwc.statuses_agree);
+          ("piggyback-commit", Piggy.statuses_agree);
+        ])
+    (Adversary.Enumerate.schedules ~model:Model_kind.Extended ~n ~max_f:2
+       ~max_round:3);
+  Alcotest.(check int) "every schedule, several crashes per round" 10753
+    !checked
 
 let test_stepper_guards () =
   let c = S.initial ~n:3 ~t:0 ~proposals:[| 1; 2; 3 |] in
   Alcotest.(check bool) "budget enforced" true
     (try
-       ignore (S.step c ~crash:(Some (Pid.of_int 1, Crash.Before_send)));
+       ignore (S.step c ~crashes:[ (Pid.of_int 1, Crash.Before_send) ]);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "t = n rejected" true
+    (try
+       ignore (S.initial ~n:3 ~t:3 ~proposals:[| 1; 2; 3 |]);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check int) "round counter" 1 (S.next_round c);
-  let c' = S.step c ~crash:None in
+  let c' = S.step c ~crashes:[] in
   Alcotest.(check int) "advances" 2 (S.next_round c');
   Alcotest.(check (list int)) "all decided after round 1" [ 1 ]
     (S.decided_values c')
@@ -111,10 +127,10 @@ let test_truncated_preserves_normal_decisions () =
 let test_tightness_all_f () =
   let n = 7 in
   for f = 0 to n - 2 do
-    let cert = Ex.tightness ~n ~f ~proposals:(Engine.distinct_proposals n) in
     Alcotest.(check int)
       (Printf.sprintf "f=%d forces round f+1" f)
-      (f + 1) cert.Lower_bound.Explorer.max_decision_round
+      (f + 1)
+      (Ex.tightness ~n ~f ~proposals:(Engine.distinct_proposals n))
   done
 
 let test_truncation_violation_found () =
@@ -142,16 +158,51 @@ let test_truncation_violation_found () =
            ])
   done
 
+(* The search's witnesses against the registry: at n = 4, t = 2 the broken
+   ablations reach a configuration with two decided values, and the
+   schedule rebuilt from it violates on the engine; rwwc reaches none. *)
+let search_disagreement (module A : Lower_bound.Algo_intf.S) ~n ~t =
+  let module S = Lower_bound.Stepper.Make (A) in
+  let disagree c = List.length (S.decided_values c) > 1 in
+  let nodes =
+    S.search ~per_round:t ~stop:disagree
+      (S.initial ~n ~t ~proposals:(Engine.distinct_proposals n))
+  in
+  let last = nodes.(Array.length nodes - 1) in
+  if disagree last.S.config then Some (S.schedule last) else None
+
+let test_witnesses_violate_on_engine () =
+  let n = 4 and t = 2 in
+  List.iter
+    (fun (name, algo) ->
+      match search_disagreement algo ~n ~t with
+      | None -> Alcotest.failf "%s: no disagreement found" name
+      | Some schedule ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s witness %s violates" name
+             (Schedule.to_string schedule))
+          true
+          (Minimize.Algo.violation (Minimize.Algo.get name) ~n ~t schedule
+          <> None))
+    [
+      ( "data-decide",
+        (module Lower_bound.Algo_intf.Of_list (Core.Rwwc_variants.Data_decide)
+        : Lower_bound.Algo_intf.S) );
+      ("piggyback-commit", (module Piggyback : Lower_bound.Algo_intf.S));
+    ];
+  Alcotest.(check bool) "rwwc: none" true
+    (search_disagreement (module Core.Rwwc) ~n ~t = None)
+
 let test_zero_round_case () =
   Alcotest.(check bool) "distinct proposals" true
-    (Ex.zero_round_impossible ~n:3 ~proposals:[| 1; 2; 3 |]);
+    (Ex.zero_round_impossible ~proposals:[| 1; 2; 3 |]);
   Alcotest.(check bool) "identical proposals" false
-    (Ex.zero_round_impossible ~n:3 ~proposals:[| 5; 5; 5 |])
+    (Ex.zero_round_impossible ~proposals:[| 5; 5; 5 |])
 
 (* --- Bivalency ------------------------------------------------------------ *)
 
 let test_initial_bivalent_binary () =
-  let r = Biv.analyze ~n:3 ~t:1 ~proposals:[| 0; 1; 1 |] () in
+  let r = Biv.analyze ~n:3 ~t:1 ~proposals:[| 0; 1; 1 |] in
   (match r.Lower_bound.Bivalency.initial_valence with
   | Lower_bound.Bivalency.Bivalent vs ->
     Alcotest.(check (list int)) "both reachable" [ 0; 1 ] vs
@@ -162,7 +213,7 @@ let test_initial_bivalent_binary () =
 
 let test_univalent_when_no_budget () =
   (* t = 0: the adversary cannot crash anyone, so p1 always imposes 0. *)
-  let r = Biv.analyze ~n:3 ~t:0 ~proposals:[| 0; 1; 1 |] () in
+  let r = Biv.analyze ~n:3 ~t:0 ~proposals:[| 0; 1; 1 |] in
   match r.Lower_bound.Bivalency.initial_valence with
   | Lower_bound.Bivalency.Univalent 0 -> ()
   | v ->
@@ -172,7 +223,7 @@ let test_univalent_when_no_budget () =
 
 let test_univalent_on_unanimity () =
   (* Validity forces unanimity to be univalent regardless of crashes. *)
-  let r = Biv.analyze ~n:3 ~t:1 ~proposals:[| 4; 4; 4 |] () in
+  let r = Biv.analyze ~n:3 ~t:1 ~proposals:[| 4; 4; 4 |] in
   match r.Lower_bound.Bivalency.initial_valence with
   | Lower_bound.Bivalency.Univalent 4 -> ()
   | v ->
@@ -185,8 +236,7 @@ let test_bivalent_depth_grows_with_t () =
      needed to steer the outcome: depth t-1 for the Figure 1 algorithm. *)
   let depth ~n ~t =
     (Biv.analyze ~n ~t
-       ~proposals:(Array.init n (fun i -> if i = 0 then 0 else 1))
-       ())
+       ~proposals:(Array.init n (fun i -> if i = 0 then 0 else 1)))
       .Lower_bound.Bivalency.max_bivalent_depth
   in
   Alcotest.(check int) "n=3 t=1" 0 (depth ~n:3 ~t:1);
@@ -199,7 +249,7 @@ let test_reachable_values_mid_run () =
   let c = S.initial ~n:4 ~t:2 ~proposals:[| 0; 1; 1; 1 |] in
   let c' =
     S.step c
-      ~crash:(Some (Pid.of_int 1, Crash.During_data (Pid.set_of_ints [ 2 ])))
+      ~crashes:[ (Pid.of_int 1, Crash.During_data (Pid.set_of_ints [ 2 ])) ]
   in
   Alcotest.(check (list int)) "bivalent after round 1" [ 0; 1 ]
     (Biv.reachable_values c')
@@ -222,6 +272,8 @@ let () =
         [
           Alcotest.test_case "tightness" `Quick test_tightness_all_f;
           Alcotest.test_case "violations" `Quick test_truncation_violation_found;
+          Alcotest.test_case "witnesses-on-engine" `Quick
+            test_witnesses_violate_on_engine;
           Alcotest.test_case "zero-round" `Quick test_zero_round_case;
         ] );
       ( "bivalency",
