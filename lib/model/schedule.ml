@@ -35,9 +35,6 @@ let crashes_per_round sched =
   in
   Im.bindings counts
 
-let at_most_one_crash_per_round sched =
-  List.for_all (fun (_, c) -> c <= 1) (crashes_per_round sched)
-
 let validate ~model ~n ~t sched =
   let ( let* ) = Result.bind in
   let* () =

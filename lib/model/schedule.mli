@@ -38,10 +38,7 @@ val max_crash_round : t -> int
 (** Largest round in which a crash occurs; [0] for the empty schedule. *)
 
 val crashes_per_round : t -> (int * int) list
-(** [(round, count)] pairs in increasing round order — used to check the
-    "at most one crash per round" restriction of the Theorem 3 adversary. *)
-
-val at_most_one_crash_per_round : t -> bool
+(** [(round, count)] pairs in increasing round order. *)
 
 val validate :
   model:Model_kind.t -> n:int -> t:int -> t -> (unit, string) result

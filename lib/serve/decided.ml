@@ -109,21 +109,32 @@ let give_up t i =
 
 let count t = t.count
 
+(* Chunk number [k] holds instances [k * chunk_size ..]; an unallocated
+   page skips all of its chunks at once. *)
+let rec next_resident t k =
+  if k >= pages * page_size then None
+  else
+    let page = t.dir.(k lsr page_bits) in
+    if Array.length page = 0 then next_resident t ((k lor (page_size - 1)) + 1)
+    else if Bytes.length page.(k land (page_size - 1)).cells > 0 then Some k
+    else next_resident t (k + 1)
+
+let iter_from t k f =
+  match next_resident t k with
+  | None -> None
+  | Some k ->
+    let cells = t.dir.(k lsr page_bits).(k land (page_size - 1)).cells in
+    for i = 0 to chunk_size - 1 do
+      let v = Int64.to_int (get64 cells (i lsl 3)) in
+      if v land 1 = 1 then
+        f ~instance:((k lsl chunk_bits) + i) ~value:(v lsr 31)
+          ~round:((v lsr 1) land max_round)
+    done;
+    Some (k + 1)
+
 let iter t f =
-  Array.iteri
-    (fun p page ->
-      Array.iteri
-        (fun j c ->
-          if Bytes.length c.cells > 0 then
-            let base = ((p lsl page_bits) lor j) lsl chunk_bits in
-            for k = 0 to chunk_size - 1 do
-              let v = Int64.to_int (get64 c.cells (k lsl 3)) in
-              if v land 1 = 1 then
-                f ~instance:(base + k) ~value:(v lsr 31)
-                  ~round:((v lsr 1) land max_round)
-            done)
-        page)
-    t.dir
+  let rec go k = Option.iter go (iter_from t k f) in
+  go 0
 
 let spill t =
   List.iter

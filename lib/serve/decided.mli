@@ -56,6 +56,13 @@ val count : t -> int
 val iter : t -> (instance:int -> value:int -> round:int -> unit) -> unit
 (** Resident decisions, in instance order; spilled ones are not visited. *)
 
+val iter_from :
+  t -> int -> (instance:int -> value:int -> round:int -> unit) -> int option
+(** [iter_from t k f] visits the resident decisions of one chunk: the
+    first resident one numbered [k] or later (chunk [k] holds instances
+    from [k * chunk_size]).  Returns the number to resume from, or [None]
+    once no resident chunk is left: {!iter} a chunk at a time. *)
+
 val spill : t -> unit
 (** Drop every complete chunk's cells (a no-op without [~spill:true]).
     Call only once every decision recorded so far is durable. *)

@@ -37,6 +37,12 @@ let hello_deadline = 2.0
 let peer_hwm = 8 * 1024 * 1024
 let client_hwm = 1024 * 1024
 
+(* A rejoin catch-up is topped up only while the peer's queue holds less
+   than [catchup_room] bytes, by at most [catchup_slices] log reads (64 KiB
+   each) a turn, so a log of any length streams far below [peer_hwm]. *)
+let catchup_room = 1024 * 1024
+let catchup_slices = 4
+
 (* Frames decoded per client per wakeup before the loop moves to the next
    client — with the round-robin rotation below, a chatty client cannot
    starve another client's Submits. *)
@@ -55,6 +61,7 @@ module Make (A : Live.Binding.ALGO) = struct
         (* replaced wholesale when a restarted peer re-handshakes: the new
            connection is a fresh byte stream *)
     outq : Outq.t;
+    mutable replay : M.catchup option;  (* a rejoin catch-up still to send *)
   }
 
   type client = {
@@ -101,6 +108,9 @@ module Make (A : Live.Binding.ALGO) = struct
     catchup_deadline : float;
     mutable caught_up : bool;
     mirror_until : float array;
+    held : bool array;
+        (* peers (index [p - 1]) this turn sent a Catchup: with a WAL
+           their queue reveals a decision and waits for the commit *)
     mutable ready_clients : client list;
     mutable lfd_ready : bool;
   }
@@ -137,6 +147,7 @@ module Make (A : Live.Binding.ALGO) = struct
     | Some fd ->
       logf e.cfg "peer p%d gone: %s" peer.pid why;
       Outq.clear peer.outq;
+      peer.replay <- None;
       drop_fd e fd;
       peer.fd <- None
 
@@ -238,14 +249,18 @@ module Make (A : Live.Binding.ALGO) = struct
           fresh ())
 
   (* Group commit: one write + fsync for everything the mux staged this
-     turn, before any of the turn's frames reaches a socket. *)
+     turn, before any frame that reveals one of its decisions reaches a
+     socket.  Whether it fsynced. *)
   let commit e =
-    Option.iter
-      (fun w ->
-        if Wal.commit w > 0 then
-          e.stats.Stats.wal_appends <- e.stats.Stats.wal_appends + 1)
-      e.wal;
-    M.committed e.mux
+    let synced =
+      match e.wal with
+      | Some w when Wal.commit w > 0 ->
+        e.stats.Stats.wal_appends <- e.stats.Stats.wal_appends + 1;
+        true
+      | Some _ | None -> false
+    in
+    M.committed e.mux;
+    synced
 
   let create ~clock ?listen ~peers:peer_fds ~clients cfg =
     let wal = open_wal cfg in
@@ -256,8 +271,10 @@ module Make (A : Live.Binding.ALGO) = struct
             fd = None;
             decoder = Live.Frame.decoder ();
             outq = Outq.create ~hwm:peer_hwm ();
+            replay = None;
           })
     in
+    let held = Array.make cfg.n false and gated = wal <> None in
     let cell = ref None in
     let engine () = Option.get !cell in
     (* Mesh frames coalesce per peer; this send closure only *enqueues* —
@@ -296,8 +313,12 @@ module Make (A : Live.Binding.ALGO) = struct
           max_rounds = cfg.max_rounds;
           kill_after = cfg.kill_after;
         }
-        ?persist:(Option.map Wal.add wal) ?recall:(Option.map Wal.iter wal)
+        ?persist:(Option.map Wal.add wal) ?log:wal
         ~emit:(fun ~dest frame ->
+          (match frame with
+          | Live.Frame.Catchup _ when gated && dest > 0 ->
+            held.(dest - 1) <- true
+          | _ -> ());
           Batch.add (engine ()).batch ~dest (Live.Frame.encode frame))
         ()
     in
@@ -332,6 +353,7 @@ module Make (A : Live.Binding.ALGO) = struct
         catchup_deadline = clock () +. catchup_timeout;
         caught_up = reached = 0;
         mirror_until = Array.make cfg.n 0.0;
+        held;
         ready_clients = [];
         lfd_ready = false;
       }
@@ -357,7 +379,7 @@ module Make (A : Live.Binding.ALGO) = struct
         | _ -> ())
       peer_fds;
     (* Replayed decisions are durable already: their full chunks spill. *)
-    commit e;
+    ignore (commit e);
     let recovered = stats.Stats.wal_replayed in
     if recovered > 0 then logf cfg "wal: replayed %d decisions" recovered;
     e
@@ -411,16 +433,15 @@ module Make (A : Live.Binding.ALGO) = struct
         None
       | `Closed why -> Some why
 
-  let pump_all e =
-    Array.iter
-      (fun p ->
-        match p.fd with
-        | Some fd when not (Outq.is_empty p.outq) -> (
-          match pump e p.outq fd ~hwm:peer_hwm with
-          | Some why -> mark_dead e p why
-          | None -> ())
-        | _ -> ())
-      e.peers;
+  let pump_peer e p =
+    match p.fd with
+    | Some fd when not (Outq.is_empty p.outq) -> (
+      match pump e p.outq fd ~hwm:peer_hwm with
+      | Some why -> mark_dead e p why
+      | None -> ())
+    | _ -> ()
+
+  let pump_clients e =
     List.iter
       (fun c ->
         if c.alive && not (Outq.is_empty c.coutq) then
@@ -528,21 +549,21 @@ module Make (A : Live.Binding.ALGO) = struct
           (* A restarted peer re-handshaking into the mesh.  Reattach it
              on the fresh connection (the old one, if still registered,
              is from its previous life), then replay the whole decision
-             log as a Catchup batch — committed first, so the stream
-             read back from the WAL holds every decision; FIFO on the
-             new link, so the batch and its end marker arrive before any
-             round traffic we send the peer afterwards — and mirror new
+             log as a Catchup batch — committed first, so the log read
+             back holds every decision so far; [stream_catchups] sends
+             it a slice at a time, then its end marker — and mirror new
              decisions to it for a full horizon. *)
           let peer = e.peers.(node - 1) in
           mark_dead e peer "replaced by rejoin";
           peer.fd <- Some p.pfd;
           peer.decoder <- Live.Frame.decoder ();
           watch e p.pfd (K_peer peer);
-          commit e;
-          let count = M.catchup e.mux ~peer:node in
+          ignore (commit e);
+          peer.replay <- Some (M.catchup e.mux ~peer:node);
           e.mirror_until.(node - 1) <- e.clock () +. mirror_window cfg;
           mirror_refresh e;
-          logf cfg "p%d rejoined; replaying %d decisions" node count
+          logf cfg "p%d rejoined; replaying %d decisions" node
+            (M.decided_count e.mux)
         | Ok node ->
           logf cfg "unexpected mesh hello from p%d after startup; dropped" node;
           drop_fd e p.pfd
@@ -556,8 +577,8 @@ module Make (A : Live.Binding.ALGO) = struct
     | exception Unix.Unix_error (errno, _, _) ->
       drop_pending e p (Unix.error_message errno)
 
-  (* Reads only: a writable fd is served by [pump_all] after the turn's
-     commit — the one place a turn's frames reach a socket. *)
+  (* Reads only: a writable fd is served by the pumps at the end of
+     [step] — the one place a turn's frames reach a socket. *)
   let handle e fd ~readable ~writable:_ =
     match Hashtbl.find_opt e.registry fd with
     | None -> ()  (* dropped by an earlier callback this round *)
@@ -595,6 +616,24 @@ module Make (A : Live.Binding.ALGO) = struct
         end
       done
 
+  let catchup_due p =
+    Option.is_some p.replay && Option.is_some p.fd
+    && Outq.queued_bytes p.outq < catchup_room
+
+  let stream_catchups e =
+    Array.iter
+      (fun p ->
+        if catchup_due p then
+          let rec go k =
+            match M.catchup_step e.mux (Option.get p.replay) with
+            | `More -> if k > 1 then go (k - 1)
+            | `Done count ->
+              p.replay <- None;
+              logf e.cfg "catch-up to p%d sent: %d decisions" p.pid count
+          in
+          go catchup_slices)
+      e.peers
+
   (* Retire mirrors whose horizon has drained. *)
   let retire_mirrors e =
     let now = e.clock () in
@@ -625,15 +664,33 @@ module Make (A : Live.Binding.ALGO) = struct
       e.pendings;
     retire_mirrors e;
     M.expire e.mux ~now:(e.clock ());
-    (* Durability before visibility: the turn's decisions hit the disk
-       before any of its frames leaves the process.  Then everything this
-       iteration produced goes to the queues — including, on a halt, the
-       pre-crash prefix the budget allowed (the kernel would have flushed
-       those buffers; the mux already stopped counting) — and the queues
-       drain only as far as the kernel accepts without blocking. *)
-    commit e;
+    if not (M.halted e.mux) then stream_catchups e;
+    (* Durable before revealed.  Everything this iteration produced goes
+       to the queues — including, on a halt, the pre-crash prefix the
+       budget allowed (the kernel would have flushed those buffers; the
+       mux already stopped counting) — and the mesh rounds drain before
+       the fsync: a Data/Ctl frame carries an estimate, not a durable
+       promise.  Only then do the client queues (Decides) and the peer
+       queues holding this turn's Catchups drain, whole, so each
+       destination stays FIFO.  Every pump goes only as far as the kernel
+       accepts without blocking. *)
     Batch.flush e.batch;
-    pump_all e;
+    let writes = e.stats.Stats.write_calls in
+    Array.iteri (fun i p -> if not e.held.(i) then pump_peer e p) e.peers;
+    let frames = e.stats.Stats.frames_out in
+    if commit e then
+      e.stats.Stats.presync_writes <-
+        e.stats.Stats.presync_writes + e.stats.Stats.write_calls - writes;
+    (* Answers to spilled re-submits; no second flush otherwise. *)
+    if e.stats.Stats.frames_out > frames then Batch.flush e.batch;
+    pump_clients e;
+    Array.iteri
+      (fun i p ->
+        if e.held.(i) then begin
+          e.held.(i) <- false;
+          pump_peer e p
+        end)
+      e.peers;
     e.clients <- List.filter (fun c -> c.alive) e.clients;
     if M.halted e.mux then begin
       (* Off the steady-state loop now: deliver the allowed prefix with a
@@ -660,9 +717,13 @@ module Make (A : Live.Binding.ALGO) = struct
     end
     else `Running
 
-  (* A client backlog is due at once: the next turn must not wait. *)
+  (* A client backlog, or a catch-up with room to grow, is due at once:
+     the next turn must not wait. *)
   let next_deadline e =
-    if List.exists (fun c -> c.alive && c.backlog) e.clients then
+    if
+      List.exists (fun c -> c.alive && c.backlog) e.clients
+      || Array.exists catchup_due e.peers
+    then
       Some (e.clock ())
     else
       List.fold_left

@@ -4,21 +4,26 @@
     syscall can block}.  Reads are nonblocking and feed incremental frame
     decoders into the {!Mux}.  Writes never touch a socket directly:
     {!Batch.flush} hands coalesced buffers to per-destination {!Outq}
-    queues, and one pass at the end of each turn drains them as far as
+    queues, and the pumps at the end of each turn drain them as far as
     the kernel takes.  A destination whose backlog crosses the high-water
     mark is dropped; a new connection parks in a deadlined pending-hello
     state; clients are served under a per-client frame budget with a
     rotating start.
 
-    {b Durability before visibility.}  With [wal_dir] set, the mux stages
-    each decision ({!Wal.add}); the turn commits them with one write and
-    one fsync ({!Wal.commit}) before the drain pass, the only place a
-    turn's frames reach a socket.  A fresh engine starts a new log,
+    {b Durable before revealed.}  With [wal_dir] set, the mux stages
+    each decision ({!Wal.add}) and the turn commits them with one write
+    and one fsync ({!Wal.commit}).  The turn's mesh rounds (Data/Ctl)
+    drain before that fsync: they carry an estimate, not a durable
+    promise.  The frames that reveal a decision wait for it: client
+    Decides, and every peer queue that took a Catchup this turn, drained
+    whole to keep it FIFO.  A fresh engine starts a new log,
     replacing any it finds.  A respawned engine sets [rejoin]: it replays
     its log (a rejected one degrades to a fresh join), dials every peer and holds client Submits until each reached peer has
-    pushed its decision log as a Catchup batch.  Any engine answers a
-    post-startup mesh Hello that way, then mirrors new decisions to the
-    rejoined peer for a round horizon.
+    sent its decision log as a Catchup batch.  Any engine answers a
+    post-startup mesh Hello that way, streaming the log a few slices a
+    turn while the peer's queue is short of 1 MiB, so a log of any
+    length stays below the high-water mark; then it mirrors new
+    decisions to the rejoined peer for a round horizon.
 
     {b Kills.}  A [kill_after] budget halts the mux mid-send; the engine
     delivers the allowed prefix and reports the realized per-instance
@@ -68,8 +73,10 @@ module Make (A : Live.Binding.ALGO) : sig
 
   val step : t -> timeout:float -> [ `Running | `Halted | `Exited ]
   (** One turn of the loop: wait up to [timeout] seconds for readiness,
-      accept and read, feed the mux, expire due rounds, commit the WAL,
-      flush the batcher and drain every queue as far as the kernel takes.
+      accept and read, feed the mux, expire due rounds, top up rejoin
+      catch-ups, flush the batcher, drain the peer queues, commit the WAL, then drain the
+      client queues and the peer queues holding this turn's Catchups —
+      each as far as the kernel takes.
       [`Halted]: the kill budget ran out; the allowed prefix is already
       delivered and {!realized} holds the crash points; do not step
       again.  [`Exited]: without [linger], the last client left with no
@@ -77,8 +84,8 @@ module Make (A : Live.Binding.ALGO) : sig
 
   val next_deadline : t -> float option
   (** When the engine next has work without new input: the earliest
-      round deadline or hello timeout.  A client backlog makes it due
-      now. *)
+      round deadline or hello timeout.  A client backlog, or a catch-up
+      whose peer queue has room, makes it due now. *)
 
   val stats : t -> Stats.t
   (** The live counters, slab gauges refreshed. *)

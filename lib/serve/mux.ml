@@ -67,10 +67,11 @@ module Make (A : Live.Binding.ALGO) = struct
            its chunk has spilled *)
     persist : (instance:int -> value:int -> round:int -> unit) option;
         (* WAL staging: runs before the Decide frame is emitted; the
-           owner commits before any emitted frame reaches a socket *)
-    recall : ((instance:int -> value:int -> round:int -> unit) -> unit) option;
-        (* streams the committed log; set only together with [persist],
-           and then complete chunks spill *)
+           owner commits before any emitted Decide or Catchup reaches a
+           socket *)
+    log : Wal.t option;
+        (* the committed log, read back; set only together with
+           [persist], and then complete chunks spill *)
     asks : (int, unit) Hashtbl.t;
         (* re-submitted spilled instances, answered at the next commit *)
     emit : dest:int -> Live.Frame.t -> unit;
@@ -83,16 +84,16 @@ module Make (A : Live.Binding.ALGO) = struct
     mutable realized : realized list;
   }
 
-  let create cfg ?persist ?recall ~emit () =
-    let recall = if persist = None then None else recall in
+  let create cfg ?persist ?log ~emit () =
+    let log = if persist = None then None else log in
     {
       cfg;
       stats = Stats.create ();
       slab = Slab.create ~initial:256 ();
       early = Hashtbl.create 64;
-      decided = Decided.create ~spill:(recall <> None) ();
+      decided = Decided.create ~spill:(log <> None) ();
       persist;
-      recall;
+      log;
       asks = Hashtbl.create 16;
       emit;
       mirror = [];
@@ -125,10 +126,10 @@ module Make (A : Live.Binding.ALGO) = struct
      turn with one pass over the log, then spill the chunks that
      completed before the commit. *)
   let committed t =
-    match t.recall with
-    | Some recall when not t.halted ->
+    match t.log with
+    | Some log when not t.halted ->
       if Hashtbl.length t.asks > 0 then begin
-        recall (fun ~instance ~value ~round ->
+        Wal.iter log (fun ~instance ~value ~round ->
             if Hashtbl.mem t.asks instance then begin
               Hashtbl.remove t.asks instance;
               t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
@@ -138,19 +139,49 @@ module Make (A : Live.Binding.ALGO) = struct
       Decided.spill t.decided
     | Some _ | None -> ()
 
+  (* What a catch-up has left to send: the rest of the log, or the
+     table from a chunk number on. *)
+  type catchup = {
+    to_peer : int;
+    mutable count : int;
+    mutable left : [ `Log of Wal.cursor | `Table of int | `Done ];
+  }
+
   let catchup t ~peer =
-    let count = ref 0 in
+    {
+      to_peer = peer;
+      count = 0;
+      left =
+        (match t.log with Some w -> `Log (Wal.cursor w) | None -> `Table 0);
+    }
+
+  let catchup_step t c =
     let send ~instance ~value ~round =
-      incr count;
+      c.count <- c.count + 1;
       t.stats.Stats.catchup_out <- t.stats.Stats.catchup_out + 1;
-      t.emit ~dest:peer (Live.Frame.Catchup { instance; value; round })
+      t.emit ~dest:c.to_peer (Live.Frame.Catchup { instance; value; round })
     in
-    (match t.recall with
-    | Some recall -> recall send
-    | None -> Decided.iter t.decided send);
-    t.emit ~dest:peer
-      (Live.Frame.Catchup { instance = 0; value = !count; round = 0 });
-    !count
+    let more =
+      match c.left with
+      | `Log cur -> Wal.next cur send
+      | `Table k -> (
+        match Decided.iter_from t.decided k send with
+        | Some k ->
+          c.left <- `Table k;
+          true
+        | None -> false)
+      | `Done -> false
+    in
+    if more then `More
+    else begin
+      (match c.left with
+      | `Done -> ()
+      | `Log _ | `Table _ ->
+        c.left <- `Done;
+        t.emit ~dest:c.to_peer
+          (Live.Frame.Catchup { instance = 0; value = c.count; round = 0 }));
+      `Done c.count
+    end
 
   (* Adopt a decision a peer reached (catch-up batch at rejoin, or a
      mirrored decide for an instance that was in flight while this node

@@ -43,7 +43,7 @@ module Make (A : Live.Binding.ALGO) : sig
   val create :
     config ->
     ?persist:(instance:int -> value:int -> round:int -> unit) ->
-    ?recall:((instance:int -> value:int -> round:int -> unit) -> unit) ->
+    ?log:Wal.t ->
     emit:(dest:int -> Live.Frame.t -> unit) ->
     unit ->
     t
@@ -53,12 +53,13 @@ module Make (A : Live.Binding.ALGO) : sig
 
       [persist] (the WAL {e staging} call, {!Wal.add}) runs on every new
       decision before its Decide frame is emitted.  The owner must make
-      what it staged durable before any emitted frame reaches a socket:
-      commit, then {!committed}, then flush.  {!Wal.append} as [persist]
-      satisfies that by itself.
+      what it staged durable before any emitted Decide or Catchup frame
+      reaches a socket: commit, then {!committed}, then flush those.
+      Data/Ctl frames reveal no decision and may leave first.
+      {!Wal.append} as [persist] satisfies that by itself.
 
-      [recall] streams every committed decision of the log [persist]
-      writes ({!Wal.iter}); it is ignored without [persist].  With both,
+      [log] is the log [persist] stages into, read back for catch-ups and
+      spilled re-submits; it is ignored without [persist].  With both,
       the decision table spills: a chunk of {!Decided.chunk_size}
       instances that are all decided drops out of memory at the first
       {!committed} after its last decision, and the log answers for it
@@ -67,8 +68,8 @@ module Make (A : Live.Binding.ALGO) : sig
   val committed : t -> unit
   (** The owner's commit returned, so everything persisted so far is
       durable.  Answers this turn's re-submits of spilled instances with
-      one pass of [recall] over the log, then spills every chunk that
-      completed before the commit.  A no-op without [recall]. *)
+      one pass over [log], then spills every chunk that completed before
+      the commit.  A no-op without [log]. *)
 
   val submit : t -> now:float -> instance:int -> proposal:int -> unit
   (** Start (or ignore, if known) an instance with this node's proposal. *)
@@ -86,11 +87,21 @@ module Make (A : Live.Binding.ALGO) : sig
       (or the log) instead of re-running the instance.  Replayed chunks
       spill at the next {!committed}. *)
 
-  val catchup : t -> peer:int -> int
-  (** Emit every decision to [peer] as a Catchup frame, then the round-0
-      end-of-batch marker carrying the count; returns that count.  With
-      [recall] the decisions stream from the log, so call it right after
-      a commit; otherwise they come from the table, in instance order. *)
+  type catchup
+  (** A rejoined peer's catch-up in progress. *)
+
+  val catchup : t -> peer:int -> catchup
+  (** Start sending every decision to [peer]: with [log], the log as
+      committed now (so start it right after a commit); otherwise the
+      table, in instance order.  Emits nothing by itself. *)
+
+  val catchup_step : t -> catchup -> [ `More | `Done of int ]
+  (** Emit the next slice as Catchup frames — one read of at most 64 KiB
+      of the log, or one chunk of the table — and, after the last, the
+      round-0 end-of-batch marker carrying the count.  [`Done count] once
+      the marker is out; stepping further emits nothing.  The owner
+      paces the steps against the peer's backlog, so a catch-up of any
+      length stays below the high-water mark. *)
 
   val decided_count : t -> int
   val spilled_chunks : t -> int

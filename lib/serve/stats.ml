@@ -17,6 +17,7 @@ type t = {
   mutable slab_capacity : int;
   mutable slab_reused : int;
   mutable wal_appends : int;
+  mutable presync_writes : int;
   mutable wal_replayed : int;
   mutable catchup_in : int;
   mutable catchup_out : int;
@@ -42,6 +43,7 @@ let create () =
     slab_capacity = 0;
     slab_reused = 0;
     wal_appends = 0;
+    presync_writes = 0;
     wal_replayed = 0;
     catchup_in = 0;
     catchup_out = 0;
@@ -69,6 +71,7 @@ let fields =
     ("slab_capacity", (fun s -> s.slab_capacity), fun s v -> s.slab_capacity <- v);
     ("slab_reused", (fun s -> s.slab_reused), fun s v -> s.slab_reused <- v);
     ("wal_appends", (fun s -> s.wal_appends), fun s v -> s.wal_appends <- v);
+    ("presync_writes", (fun s -> s.presync_writes), fun s v -> s.presync_writes <- v);
     ("wal_replayed", (fun s -> s.wal_replayed), fun s v -> s.wal_replayed <- v);
     ("catchup_in", (fun s -> s.catchup_in), fun s v -> s.catchup_in <- v);
     ("catchup_out", (fun s -> s.catchup_out), fun s v -> s.catchup_out <- v);
@@ -115,6 +118,9 @@ let pp ppf s =
        Printf.sprintf " · %d overflow kills" s.overflow_kills
      else "")
     (if s.wal_appends + s.wal_replayed + s.catchup_in + s.catchup_out > 0 then
-       Printf.sprintf " · wal %d fsyncs, %d replayed · catchup %d in / %d out"
-         s.wal_appends s.wal_replayed s.catchup_in s.catchup_out
+       Printf.sprintf
+         " · wal %d fsyncs (%d peer writes ahead), %d replayed · catchup %d \
+          in / %d out"
+         s.wal_appends s.presync_writes s.wal_replayed s.catchup_in
+         s.catchup_out
      else "")

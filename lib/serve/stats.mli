@@ -31,6 +31,11 @@ type t = {
           non-empty {!Wal.commit}; the {!Mux} never does, so an owner
           that persists through {!Wal.append} on its own counts nothing
           here. *)
+  mutable presync_writes : int;
+      (** peer write calls that left in a turn before that turn's WAL
+          fsync: mesh rounds sent while the turn's decisions were only
+          staged.  Zero without a WAL, and under a commit-before-pump
+          order. *)
   mutable wal_replayed : int;  (** decisions recovered from the WAL at restart *)
   mutable catchup_in : int;  (** peer catch-up decisions adopted *)
   mutable catchup_out : int;  (** decisions replayed/mirrored to rejoined peers *)

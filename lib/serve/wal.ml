@@ -189,13 +189,57 @@ let append t ~instance ~value ~round =
   add t ~instance ~value ~round;
   ignore (commit t)
 
+(* The bytes [off, stop) of the log are still to be read; [cdec] holds a
+   frame split across two slices.  No fd stays open between slices, so
+   an abandoned cursor costs nothing. *)
+type cursor = {
+  cpath : string;
+  mutable off : int;
+  stop : int;
+  cdec : Live.Frame.decoder;
+}
+
+let slice = 65536
+
+let cursor t =
+  {
+    cpath = t.path;
+    off = header_len;
+    stop = Unix.lseek t.fd 0 Unix.SEEK_CUR;
+    cdec = Live.Frame.decoder ();
+  }
+
+let next c f =
+  if c.off < c.stop then begin
+    let fd = Unix.openfile c.cpath [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        ignore (Unix.lseek fd c.off Unix.SEEK_SET);
+        let buf = Bytes.create (min slice (c.stop - c.off)) in
+        match read_some fd buf 0 (Bytes.length buf) with
+        | 0 -> c.off <- c.stop
+        | k ->
+          c.off <- c.off + k;
+          Live.Frame.feed c.cdec (Bytes.unsafe_to_string buf) ~pos:0 ~len:k;
+          let rec pop () =
+            match Live.Frame.pop_view c.cdec with
+            | `View v when v.Live.Frame.kind = Live.Frame.K_decide ->
+              f ~instance:v.Live.Frame.instance ~value:v.Live.Frame.value
+                ~round:v.Live.Frame.round;
+              pop ()
+            | `Need_more -> ()
+            | `View _ | `Corrupt _ -> c.off <- c.stop
+          in
+          pop ())
+  end;
+  c.off < c.stop
+
 let iter t f =
-  let fd = Unix.openfile t.path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      ignore (Unix.lseek fd header_len Unix.SEEK_SET);
-      ignore (scan fd f))
+  let c = cursor t in
+  while next c f do
+    ()
+  done
 
 let appended t = t.appended
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

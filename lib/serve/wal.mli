@@ -3,8 +3,9 @@
     Decisions are {e staged} with {!add} and made durable together by
     {!commit}: one [write] and one [fsync] for everything staged since the
     last commit.  The engine commits once per event-loop turn, before any
-    frame of that turn reaches a socket, so once a client can see a
-    decision, the decision survives the process.  {!append} is [add] then
+    frame of that turn that reveals a decision (a Decide or a Catchup)
+    reaches a socket, so once a client or a peer can see a decision from
+    this node, the decision survives the process.  {!append} is [add] then
     [commit], for owners that want the per-decision behaviour.  A
     respawned engine replays its WAL to re-seed the mux's decision table,
     so re-submitted instances are answered idempotently and never re-run.
@@ -67,10 +68,21 @@ val append : t -> instance:int -> value:int -> round:int -> unit
 (** {!add} then {!commit}: when [append] returns, the decision is
     durable. *)
 
+type cursor
+(** A resumable read of the log as committed when the cursor was made. *)
+
+val cursor : t -> cursor
+(** A cursor at the log's first entry.  Entries committed later are not
+    part of it. *)
+
+val next : cursor -> (instance:int -> value:int -> round:int -> unit) -> bool
+(** Stream the next slice of the cursor's entries (one read of at most
+    64 KiB) through [f], in log order.  [true] while entries remain. *)
+
 val iter : t -> (instance:int -> value:int -> round:int -> unit) -> unit
 (** Stream every committed decision in the log, in log order — the
-    replayed prefix included, staged entries excluded.  One sequential
-    read of the file. *)
+    replayed prefix included, staged entries excluded: a {!cursor} read
+    to its end. *)
 
 val appended : t -> int
 (** Entries committed through this handle (excludes replayed ones). *)

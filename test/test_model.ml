@@ -97,18 +97,7 @@ let test_crashes_per_round () =
       ]
   in
   Alcotest.(check (list (pair int int))) "per round" [ (1, 2); (3, 1) ]
-    (Schedule.crashes_per_round s);
-  Alcotest.(check bool) "not one-per-round" false
-    (Schedule.at_most_one_crash_per_round s);
-  let s' =
-    Schedule.of_list
-      [
-        (Pid.of_int 1, ev 1 Crash.Before_send);
-        (Pid.of_int 3, ev 3 Crash.Before_send);
-      ]
-  in
-  Alcotest.(check bool) "one-per-round" true
-    (Schedule.at_most_one_crash_per_round s')
+    (Schedule.crashes_per_round s)
 
 let test_schedule_validate () =
   let ok = Schedule.of_list [ (Pid.of_int 2, ev 1 (Crash.After_data 1)) ] in

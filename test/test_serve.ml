@@ -985,6 +985,40 @@ let prop_wal_roundtrip =
       wal_write path entries;
       wal_entries path = entries)
 
+let test_wal_cursor_resumes () =
+  (* A cursor reads the log as committed when it was made, one slice per
+     [next], resuming inside a frame split across two slices; a later
+     commit is not part of it. *)
+  let path = wal_tmp "cursor" in
+  (try Sys.remove path with Sys_error _ -> ());
+  match Serve.Wal.recover ~path ~node:1 with
+  | Error e -> Alcotest.fail e
+  | Ok (w, _) ->
+    let k = 10_000 in
+    for i = 0 to k - 1 do
+      Serve.Wal.add w ~instance:i ~value:(3 * i) ~round:(1 + (i mod 2))
+    done;
+    ignore (Serve.Wal.commit w);
+    let c = Serve.Wal.cursor w in
+    Serve.Wal.append w ~instance:k ~value:0 ~round:1;
+    let got = ref [] and slices = ref 1 in
+    let f ~instance ~value ~round =
+      got := { Serve.Wal.instance; value; round } :: !got
+    in
+    while Serve.Wal.next c f do
+      incr slices
+    done;
+    let logged = wal_entries path in
+    Alcotest.(check int) "the later commit is in the file" (k + 1)
+      (List.length logged);
+    Alcotest.(check bool) "exactly the log as it was" true
+      (List.rev !got = List.filteri (fun i _ -> i < k) logged);
+    Alcotest.(check bool) "several slices" true (!slices > 1);
+    Alcotest.(check bool) "an ended cursor reads nothing" false
+      (Serve.Wal.next c (fun ~instance:_ ~value:_ ~round:_ ->
+           Alcotest.fail "read past its end"));
+    Serve.Wal.close w
+
 let test_wal_truncation_sweep () =
   (* Every possible torn tail: load keeps the CRC-valid prefix, recover
      truncates the tear and appends cleanly on top of it. *)
@@ -1153,8 +1187,8 @@ let test_wal_torn_batch_sweep () =
       (wal_entries flip = damaged)
   done
 
-(* A WAL-backed mux as the engine wires it: [persist] stages, [recall]
-   streams the committed log; the test plays the loop's commit. *)
+(* A WAL-backed mux as the engine wires it: [persist] stages into the
+   log the mux reads back; the test plays the loop's commit. *)
 let wal_mux tag =
   let path = wal_tmp ("mux-" ^ tag) in
   (try Sys.remove path with Sys_error _ -> ());
@@ -1167,7 +1201,7 @@ let wal_mux tag =
   let mux =
     M.create
       { Serve.Mux.me = 1; n = 3; t = 1; big_d = 1.0; max_rounds = 2; kill_after = None }
-      ~persist:(Serve.Wal.add w) ~recall:(Serve.Wal.iter w)
+      ~persist:(Serve.Wal.add w) ~log:w
       ~emit:(fun ~dest f ->
         match f with
         | Live.Frame.Decide _ | Live.Frame.Catchup _ -> out := (dest, f) :: !out
@@ -1210,6 +1244,12 @@ let test_mux_spilled_resubmit_from_log () =
     (M.stats mux).Serve.Stats.decides;
   Serve.Wal.close w
 
+(* A whole catch-up, stepped to its end marker; returns its count. *)
+let catchup_all mux ~peer =
+  let c = M.catchup mux ~peer in
+  let rec go () = match M.catchup_step mux c with `More -> go () | `Done k -> k in
+  go ()
+
 let test_mux_catchup_after_spill () =
   (* A rejoining peer's catch-up streams from the log once chunks have
      spilled: its count is the whole decided table, and the rejoiner
@@ -1219,7 +1259,7 @@ let test_mux_catchup_after_spill () =
   commit ();
   Alcotest.(check int) "spilled" 2 (M.spilled_chunks mux);
   out := [];
-  let count = M.catchup mux ~peer:2 in
+  let count = catchup_all mux ~peer:2 in
   Alcotest.(check int) "count = decided" (M.decided_count mux) count;
   let frames = List.rev !out in
   (match List.rev frames with
@@ -1235,6 +1275,173 @@ let test_mux_catchup_after_spill () =
   in
   List.iter (fun (_, f) -> M.on_view rejoiner ~now:0.0 ~from:1 (view_of_frame f)) frames;
   Alcotest.(check int) "rejoiner adopted all" count (M.decided_count rejoiner);
+  Serve.Wal.close w
+
+let test_mux_catchup_streams_in_slices () =
+  (* A catch-up is paced by its owner: each step emits one log read (at
+     most 64 KiB of frames) or one table chunk, never the whole history,
+     and the end marker follows the last slice exactly once. *)
+  let w, mux, out, commit, decide_upto = wal_mux "catchup-slices" in
+  let total = (2 * chunk) + 100 in
+  decide_upto total;
+  commit ();
+  out := [];
+  let c = M.catchup mux ~peer:2 in
+  Alcotest.(check int) "starting emits nothing" 0 (List.length !out);
+  let rec steps k =
+    match M.catchup_step mux c with
+    | `More ->
+      let bytes =
+        List.fold_left
+          (fun acc (_, f) -> acc + String.length (Live.Frame.encode f))
+          0 !out
+      in
+      (* 64 KiB read, plus the rest of a frame the last read split *)
+      Alcotest.(check bool) "a step sends one slice of the log" true
+        (bytes > 0 && bytes <= 65536 + 64);
+      out := [];
+      steps (k + 1)
+    | `Done n ->
+      Alcotest.(check int) "count = decided" total n;
+      k + 1
+  in
+  let k = steps 0 in
+  Alcotest.(check bool) "the log took several steps" true (k > 1);
+  out := [];
+  Alcotest.(check bool) "done stays done" true
+    (M.catchup_step mux c = `Done total && !out = []);
+  Serve.Wal.close w;
+  (* Without a log the table streams one chunk per step. *)
+  let sent = ref [] in
+  let mux =
+    M.create
+      { Serve.Mux.me = 1; n = 3; t = 1; big_d = 1.0; max_rounds = 2; kill_after = None }
+      ~emit:(fun ~dest f ->
+        match f with Live.Frame.Catchup _ -> sent := (dest, f) :: !sent | _ -> ())
+      ()
+  in
+  for i = 0 to total - 1 do
+    M.submit mux ~now:0.0 ~instance:i ~proposal:(1000 + i)
+  done;
+  let c = M.catchup mux ~peer:3 in
+  let per_step = ref [] in
+  let rec go () =
+    let r = M.catchup_step mux c in
+    per_step := List.length !sent :: !per_step;
+    sent := [];
+    match r with `More -> go () | `Done n -> n
+  in
+  Alcotest.(check int) "table count" total (go ());
+  Alcotest.(check (list int)) "one chunk per step, then the marker"
+    [ chunk; chunk; 100; 1 ] (List.rev !per_step)
+
+let test_mux_coordinator_dies_before_fsync () =
+  (* The crash window of the engine's order: p1 coordinates round 1, and
+     its Data/Ctl frames leave before the turn's fsync.  Here they are
+     delivered and p1 dies with its decisions only staged.  The peers
+     decide p1's values; p1, recovered from a log that holds none of
+     them, must adopt exactly those values from a peer's catch-up and
+     answer a re-Submit with them.  [persist] sees every decision a node
+     takes on, so no node may ever hold a second value. *)
+  let cfg me =
+    { Serve.Mux.me; n = 3; t = 1; big_d = 1.0; max_rounds = 2; kill_after = None }
+  in
+  let path = wal_tmp "coordinator-dies" in
+  (try Sys.remove path with Sys_error _ -> ());
+  let open_wal () =
+    match Serve.Wal.reopen ~path ~node:1 with
+    | Ok (w, _) -> w
+    | Error e -> Alcotest.fail e
+  in
+  let holds = Hashtbl.create 16 in
+  let hold node ~instance ~value ~round:_ =
+    match Hashtbl.find_opt holds (node, instance) with
+    | Some v when v <> value ->
+      Alcotest.failf "p%d holds instance %d as %d and %d" node instance v value
+    | _ -> Hashtbl.replace holds (node, instance) value
+  in
+  (* Frames each node emitted, oldest first once reversed. *)
+  let wire = Array.make 4 [] in
+  let node ?wal me =
+    let persist ~instance ~value ~round =
+      hold me ~instance ~value ~round;
+      Option.iter (fun w -> Serve.Wal.add w ~instance ~value ~round) wal
+    in
+    M.create (cfg me) ~persist ?log:wal
+      ~emit:(fun ~dest f -> wire.(me) <- (dest, f) :: wire.(me))
+      ()
+  in
+  let take me =
+    let frames = List.rev wire.(me) in
+    wire.(me) <- [];
+    frames
+  in
+  let deliver ~from frames ~to_:(dest, mux) =
+    List.iter
+      (fun (d, f) -> if d = dest then M.on_view mux ~now:0.0 ~from (view_of_frame f))
+      frames
+  in
+  let instances = [ 0; 1; 2; 3 ] in
+  let w = open_wal () in
+  let p1 = node ~wal:w 1 and p2 = node 2 and p3 = node 3 in
+  List.iter
+    (fun i ->
+      M.submit p2 ~now:0.0 ~instance:i ~proposal:(200 + i);
+      M.submit p3 ~now:0.0 ~instance:i ~proposal:(300 + i);
+      M.submit p1 ~now:0.0 ~instance:i ~proposal:(100 + i))
+    instances;
+  let sent = take 1 in
+  Alcotest.(check int) "p1 decided every instance, staged only"
+    (List.length instances) (M.stats p1).Serve.Stats.decides;
+  deliver ~from:1 sent ~to_:(2, p2);
+  deliver ~from:1 sent ~to_:(3, p3);
+  List.iter
+    (fun i ->
+      List.iter
+        (fun me ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "p%d decided instance %d from p1's frames" me i)
+            (Some (100 + i))
+            (Hashtbl.find_opt holds (me, i)))
+        [ 2; 3 ])
+    instances;
+  (* The kill: the staged entries never reach the file. *)
+  Serve.Wal.close w;
+  Alcotest.(check int) "nothing durable" 0 (List.length (wal_entries path));
+  let w = open_wal () in
+  let p1 = node ~wal:w 1 in
+  Serve.Wal.iter w (M.seed_decision p1);
+  ignore (catchup_all p2 ~peer:1);
+  ignore (catchup_all p3 ~peer:1);
+  deliver ~from:2 (take 2) ~to_:(1, p1);
+  deliver ~from:3 (take 3) ~to_:(1, p1);
+  ignore (Serve.Wal.commit w);
+  M.committed p1;
+  ignore (take 1);
+  List.iter (fun i -> M.submit p1 ~now:1.0 ~instance:i ~proposal:(900 + i)) instances;
+  let answers = take 1 in
+  List.iter
+    (fun i ->
+      let to_clients =
+        List.filter_map
+          (function
+            | 0, Live.Frame.Decide d when d.instance = i -> Some d.value
+            | _ -> None)
+          answers
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "re-Submit of instance %d answered with the peers' value" i)
+        [ 100 + i ] to_clients)
+    instances;
+  Alcotest.(check bool) "no mesh frame: adopted, never re-run" true
+    (List.for_all (fun (d, _) -> d = 0) answers);
+  Alcotest.(check (list (pair int int)))
+    "the recovered log holds the peers' values"
+    (List.map (fun i -> (i, 100 + i)) instances)
+    (List.sort compare
+       (List.map
+          (fun (e : Serve.Wal.entry) -> (e.instance, e.value))
+          (wal_entries path)));
   Serve.Wal.close w
 
 (* --- Chaos proxy ------------------------------------------------------------- *)
@@ -1438,6 +1645,90 @@ let test_chaosproxy_throttle () =
 
 (* --- Crash-recovery: respawn + WAL replay + client reconnect ----------------- *)
 
+let test_engine_catchup_past_peer_hwm () =
+  (* A rejoining peer's catch-up longer than the peer high-water mark
+     (8 MiB, about 420k decisions): the engine must stream it whole, never
+     cutting the peer off for the backlog it queued itself. *)
+  let dir = fleet_workspace "catchup-hwm" in
+  let path = Serve.Wal.path ~dir ~node:1 in
+  (try Sys.remove path with Sys_error _ -> ());
+  let total = 450_000 in
+  (match Serve.Wal.recover ~path ~node:1 with
+  | Error e -> Alcotest.fail e
+  | Ok (w, _) ->
+    for i = 0 to total - 1 do
+      Serve.Wal.add w ~instance:i ~value:(i land 0xffff) ~round:1
+    done;
+    ignore (Serve.Wal.commit w);
+    Serve.Wal.close w);
+  let sock = Filename.concat dir "p1.sock" in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX sock);
+  Unix.listen lfd 8;
+  let log = open_out (Filename.concat dir "p1.log") in
+  let e =
+    Serve.Engine.Rwwc.create ~clock:Unix.gettimeofday ~listen:lfd
+      ~peers:(Array.make 3 None) ~clients:[]
+      {
+        Serve.Engine.me = 1;
+        n = 3;
+        t = 1;
+        transport = `Unix dir;
+        big_d = 0.25;
+        max_rounds = 2;
+        batch = true;
+        kill_after = None;
+        linger = true;
+        wal_dir = Some dir;
+        rejoin = true;
+        dial = None;
+        status = log;
+        log;
+      }
+  in
+  let p2 = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect p2 (Unix.ADDR_UNIX sock);
+  let hello = Live.Frame.encode (Live.Frame.Hello { node = 2 }) in
+  ignore (Unix.write_substring p2 hello 0 (String.length hello));
+  Unix.set_nonblock p2;
+  let dec = Live.Frame.decoder () in
+  let buf = Bytes.create 65536 in
+  let got = ref 0 and marker = ref None and closed = ref false in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while !marker = None && (not !closed) && Unix.gettimeofday () < deadline do
+    ignore (Serve.Engine.Rwwc.step e ~timeout:0.0);
+    let rec read () =
+      match Unix.read p2 buf 0 (Bytes.length buf) with
+      | 0 -> closed := true
+      | k ->
+        Live.Frame.feed dec (Bytes.unsafe_to_string buf) ~pos:0 ~len:k;
+        read ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    in
+    read ();
+    let rec pop () =
+      match Live.Frame.pop_view dec with
+      | `View v when v.Live.Frame.kind = Live.Frame.K_catchup ->
+        if v.Live.Frame.round = 0 then marker := Some v.Live.Frame.value
+        else incr got;
+        pop ()
+      | `View _ -> pop ()
+      | `Need_more | `Corrupt _ -> ()
+    in
+    pop ()
+  done;
+  let stats = Serve.Engine.Rwwc.stats e in
+  Serve.Engine.Rwwc.close e;
+  Unix.close p2;
+  close_out log;
+  Alcotest.(check int) "never cut off for its own backlog" 0
+    stats.Serve.Stats.overflow_kills;
+  Alcotest.(check (option int)) "end marker carries the whole log"
+    (Some total) !marker;
+  Alcotest.(check int) "every decision arrived" total !got
+
+
 let test_fleet_respawn_recovers () =
   (* The full recovery path: a mid-storm SIGKILL victim is respawned by
      the fleet, replays its WAL, catches up over the mesh, and the
@@ -1476,9 +1767,13 @@ let test_fleet_respawn_recovers () =
       outcome.Serve.Client.decisions
 
 let test_fleet_client_decides_are_durable ~batch () =
-  (* Durability before visibility, checked from outside the engines:
-     across a mid-storm kill and respawn, every Decide the client
-     received from node k is in node k's log. *)
+  (* Durable before revealed, checked from outside the engines: across a
+     mid-storm kill and respawn, every Decide the client received from
+     node k is in node k's log, and no two logs (nor two entries of one
+     log) hold different values for an instance.  And the order that
+     allows: p1 coordinates round 1 and decides in the turn that sends
+     its Data/Ctl, so those peer writes leave ahead of the turn's fsync
+     (committing before the mesh pump reads 0 here). *)
   let tag = if batch then "durable-batch" else "durable-nobatch" in
   let cfg =
     fleet_config ~tag ~n:3 ~t:1 ~batch ~respawn:true
@@ -1490,7 +1785,17 @@ let test_fleet_client_decides_are_durable ~batch () =
         storm_drive ~reconnect:true cfg ~on_idle)
   with
   | Error e -> Alcotest.fail e
-  | Ok (outcome, _) ->
+  | Ok (outcome, mesh) ->
+    (match List.assoc_opt 1 mesh.Serve.Fleet.node_stats with
+    | None -> Alcotest.fail "no stats from p1"
+    | Some s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p1: %d fsyncs, %d peer writes ahead of them"
+           s.Serve.Stats.wal_appends s.Serve.Stats.presync_writes)
+        true
+        (s.Serve.Stats.wal_appends > 0 && s.Serve.Stats.presync_writes > 0));
+    let durable = Hashtbl.create 256 in
+    let shared = ref 0 in
     for node = 1 to cfg.Serve.Fleet.n do
       let path = Serve.Wal.path ~dir:cfg.Serve.Fleet.workspace ~node in
       let logged = Hashtbl.create 256 in
@@ -1499,6 +1804,13 @@ let test_fleet_client_decides_are_durable ~batch () =
       | Ok r ->
         List.iter
           (fun (e : Serve.Wal.entry) ->
+            (match Hashtbl.find_opt durable e.instance with
+            | Some (value, other) when value <> e.value ->
+              Alcotest.failf "instance %d: p%d logged %d, p%d logged %d"
+                e.instance other value node e.value
+            | Some (_, other) -> if other <> node then incr shared
+            | None -> ());
+            Hashtbl.replace durable e.instance (e.value, node);
             Hashtbl.replace logged e.instance (e.value, e.round))
           r.Serve.Wal.entries);
       let seen = ref 0 in
@@ -1517,7 +1829,10 @@ let test_fleet_client_decides_are_durable ~batch () =
       Alcotest.(check bool)
         (Printf.sprintf "p%d answered the client" node)
         true (!seen > 0)
-    done
+    done;
+    Alcotest.(check bool)
+      (Printf.sprintf "the logs overlap (%d shared entries)" !shared)
+      true (!shared > 0)
 
 let test_fleet_reused_workspace_starts_fresh () =
   (* Regression: a new fleet in a workspace an earlier fleet left its
@@ -1621,6 +1936,10 @@ let () =
             test_mux_spilled_resubmit_from_log;
           Alcotest.test_case "catchup-after-spill" `Quick
             test_mux_catchup_after_spill;
+          Alcotest.test_case "catchup-streams-in-slices" `Quick
+            test_mux_catchup_streams_in_slices;
+          Alcotest.test_case "coordinator-dies-before-fsync" `Quick
+            test_mux_coordinator_dies_before_fsync;
         ] );
       ( "loopback",
         [
@@ -1660,6 +1979,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
           QCheck_alcotest.to_alcotest prop_wal_roundtrip;
+          Alcotest.test_case "cursor-resumes" `Quick test_wal_cursor_resumes;
           Alcotest.test_case "truncation-sweep" `Quick
             test_wal_truncation_sweep;
           Alcotest.test_case "byte-flip-sweep" `Quick test_wal_byte_flip_sweep;
@@ -1690,6 +2010,8 @@ let () =
             test_fleet_latency_not_tick_quantized;
           Alcotest.test_case "sixty-four-clients" `Slow
             test_fleet_many_clients;
+          Alcotest.test_case "catchup-past-peer-hwm" `Slow
+            test_engine_catchup_past_peer_hwm;
           Alcotest.test_case "respawn-recovers" `Slow
             test_fleet_respawn_recovers;
           Alcotest.test_case "client-decides-durable-batched" `Slow
