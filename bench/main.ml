@@ -474,6 +474,29 @@ let bench_frame_decode_views () =
   in
   if drain 0 <> 2000 then failwith "bench_frame_decode_views: lost frames"
 
+(* The write path: 64 coordinator rounds of an n=5 instance as
+   [Mux.send_round] emits them — one Data value to p2..p5, then one Ctl
+   value to p5..p2 — encoded into a batcher, then one flush.  Nobody
+   listens, so the flush keeps its buffers. *)
+let encode_batch =
+  Serve.Batch.create ~n:5 ~batch:true ~stats:(Serve.Stats.create ())
+    ~send:(fun ~dest:_ _ ~len:_ -> `Done)
+
+let bench_frame_encode_round () =
+  for instance = 0 to 63 do
+    let data =
+      Live.Frame.Data { instance; round = 1; payload = "\x00\x00\x00\x2a" }
+    in
+    let ctl = Live.Frame.Ctl { instance; round = 1 } in
+    for dest = 2 to 5 do
+      Serve.Batch.add_frame encode_batch ~dest data
+    done;
+    for dest = 5 downto 2 do
+      Serve.Batch.add_frame encode_batch ~dest ctl
+    done
+  done;
+  Serve.Batch.flush encode_batch
+
 let kernels =
   [
     ("table-F1/rwwc-traced-n8-f3", bench_f1);
@@ -511,6 +534,7 @@ let kernels =
     ("dist/checkpoint-save-load", bench_dist_checkpoint);
     ("frame/decode-throughput", bench_frame_decode);
     ("frame/decode-throughput-views", bench_frame_decode_views);
+    ("frame/encode-round-n5", bench_frame_encode_round);
     ("serve/loopback-storm-n5-i1000", bench_serve_loopback_storm);
     ("serve/loopback-kill-storm-n5-i500", bench_serve_loopback_kill_storm);
   ]
@@ -570,16 +594,15 @@ let measure_kernel (name, fn) =
   in
   attempt ~quota:1.0 ~tries:1
 
+(* [--kernel] names; none means every kernel. *)
+let chosen only name = only = [] || List.mem name only
+
 let run_benchmarks ~only () =
   let table =
     Diag.Table.create ~title:"Micro-benchmarks (monotonic clock)"
       ~header:[ "benchmark"; "ns/run"; "r^2" ] ()
   in
-  let selected =
-    match only with
-    | None -> kernels
-    | Some k -> List.filter (fun (name, _) -> name = k) kernels
-  in
+  let selected = List.filter (fun (name, _) -> chosen only name) kernels in
   let rows =
     List.map
       (fun kernel ->
@@ -656,7 +679,7 @@ let print_table e =
 
 let () =
   let json_file = ref None in
-  let only = ref None in
+  let only = ref [] in
   let once = ref false in
   let no_tables = ref false in
   Arg.parse
@@ -665,8 +688,8 @@ let () =
         Arg.String (fun f -> json_file := Some f),
         "FILE  also write the micro-benchmark estimates as JSON to FILE" );
       ( "--kernel",
-        Arg.String (fun k -> only := Some k),
-        "NAME  measure only the named kernel" );
+        Arg.String (fun k -> only := k :: !only),
+        "NAME  measure only the named kernel (repeatable)" );
       ( "--once",
         Arg.Set once,
         "  execute each selected kernel exactly once, untimed (smoke mode)" );
@@ -676,12 +699,12 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "bench [--json FILE] [--kernel NAME] [--once] [--no-tables]";
-  (match !only with
-  | Some k when not (List.mem_assoc k kernels) ->
+  (match List.find_opt (fun k -> not (List.mem_assoc k kernels)) !only with
+  | Some k ->
     Printf.eprintf "unknown kernel %S (known: %s)\n" k
       (String.concat ", " (List.map fst kernels));
     exit 2
-  | Some _ | None -> ());
+  | None -> ());
   if not !no_tables then begin
     print_endline
       "=== Reproduction tables (one experiment per paper artefact) ===\n";
@@ -691,11 +714,10 @@ let () =
     (* CI smoke mode: prove the kernels run, skip the statistics. *)
     List.iter
       (fun (name, fn) ->
-        match !only with
-        | Some k when k <> name -> ()
-        | Some _ | None ->
+        if chosen !only name then begin
           fn ();
-          Printf.printf "ran %s\n%!" name)
+          Printf.printf "ran %s\n%!" name
+        end)
       kernels;
     exit 0
   end;

@@ -1,33 +1,32 @@
 let table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref (Int32.of_int i) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun i ->
+      let c = ref i in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let digest ?(init = 0l) s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32.digest: out of bounds";
-  let table = Lazy.force table in
-  let c = ref (Int32.logxor init 0xFFFFFFFFl) in
+(* The one checksum loop.  Every value stays within 32 bits of a native
+   int, so nothing is boxed; callers have checked the range. *)
+let loop init s ~pos ~len =
+  let c = ref (init lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+      lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  !c lxor 0xFFFFFFFF
 
-let string s = digest s ~pos:0 ~len:(String.length s)
+let digest ?(init = 0) s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Crc32.digest: out of bounds";
+  loop init s ~pos ~len
 
-let bytes ?init b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+let string s = loop 0 s ~pos:0 ~len:(String.length s)
+
+let bytes ?(init = 0) b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
     invalid_arg "Crc32.bytes: out of bounds";
-  (* The range is validated above and [digest] only reads it, so the
+  (* The range is validated above and [loop] only reads it, so the
      no-copy cast is safe even if the caller mutates [b] afterwards. *)
-  digest ?init (Bytes.unsafe_to_string b) ~pos ~len
+  loop init (Bytes.unsafe_to_string b) ~pos ~len

@@ -3,15 +3,18 @@
     Guards every live wire frame: a frame whose body fails its checksum is
     treated as line corruption and the connection it arrived on as dead —
     never fed to the algorithm.  Self-contained so the live runtime adds no
-    dependency beyond [unix]. *)
+    dependency beyond [unix].  Checksums are native [int]s in
+    [0 .. 2^32 - 1]: one loop over an [int] table, so a digest allocates
+    nothing. *)
 
-val digest : ?init:int32 -> string -> pos:int -> len:int -> int32
+val digest : ?init:int -> string -> pos:int -> len:int -> int
 (** Checksum of [len] bytes of the string starting at [pos].  [init]
     continues a running digest (default: fresh). *)
 
-val string : string -> int32
+val string : string -> int
 (** [string s] = [digest s ~pos:0 ~len:(String.length s)]. *)
 
-val bytes : ?init:int32 -> Bytes.t -> pos:int -> len:int -> int32
-(** Same digest over a [Bytes.t] range, without copying — the decoder uses
-    this to checksum a frame body in place inside its receive buffer. *)
+val bytes : ?init:int -> Bytes.t -> pos:int -> len:int -> int
+(** Same digest over a [Bytes.t] range, without copying — the decoder
+    checksums a frame body in place inside its receive buffer, and the
+    writer checksums the body it has just written. *)

@@ -43,84 +43,95 @@ let pp ppf = function
   | Catchup { instance; value; round } ->
     Format.fprintf ppf "catchup(i%d,v%d,r%d)" instance value round
 
-let add_be32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+let set_be32 b off v =
+  Bytes.unsafe_set b off (Char.unsafe_chr ((v lsr 24) land 0xff));
+  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr (v land 0xff))
 
 (* Instance ids ride as LEB128 varints: 7 value bits per byte, low group
    first, high bit set on every byte but the last.  The common case — low
    ids in a fresh storm — costs one byte, and the cap at [max_instance]
    bounds decoding to five bytes. *)
-let add_varint buf v =
+let varint_size v =
   if v < 0 || v > max_instance then
     invalid_arg "Frame: instance id out of range";
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
+  if v < 0x80 then 1
+  else if v < 0x4000 then 2
+  else if v < 0x200000 then 3
+  else if v < 0x10000000 then 4
+  else 5
 
-let body_of = function
-  | Hello { node } ->
-    let b = Buffer.create 5 in
-    Buffer.add_char b '\x01';
-    add_be32 b node;
-    Buffer.contents b
-  | Data { instance; round; payload } ->
-    let b = Buffer.create (10 + String.length payload) in
-    Buffer.add_char b '\x02';
-    add_varint b instance;
-    add_be32 b round;
-    Buffer.add_string b payload;
-    Buffer.contents b
-  | Ctl { instance; round } ->
-    let b = Buffer.create 10 in
-    Buffer.add_char b '\x03';
-    add_varint b instance;
-    add_be32 b round;
-    Buffer.contents b
-  | Submit { instance; proposal } ->
-    let b = Buffer.create 10 in
-    Buffer.add_char b '\x04';
-    add_varint b instance;
-    add_be32 b proposal;
-    Buffer.contents b
-  | Decide { instance; value; round } ->
-    let b = Buffer.create 14 in
-    Buffer.add_char b '\x05';
-    add_varint b instance;
-    add_be32 b round;
-    add_be32 b value;
-    Buffer.contents b
-  | Catchup { instance; value; round } ->
-    let b = Buffer.create 14 in
-    Buffer.add_char b '\x06';
-    add_varint b instance;
-    add_be32 b round;
-    add_be32 b value;
-    Buffer.contents b
+(* Writes [v] at [off]; the offset after it. *)
+let rec set_varint b off v =
+  if v < 0x80 then begin
+    Bytes.unsafe_set b off (Char.unsafe_chr v);
+    off + 1
+  end
+  else begin
+    Bytes.unsafe_set b off (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    set_varint b (off + 1) (v lsr 7)
+  end
 
-let add_framed out body =
-  let len = String.length body in
+let body_size = function
+  | Hello _ -> 5
+  | Data { instance; payload; _ } ->
+    5 + varint_size instance + String.length payload
+  | Ctl { instance; _ } | Submit { instance; _ } -> 5 + varint_size instance
+  | Decide { instance; _ } | Catchup { instance; _ } -> 9 + varint_size instance
+
+let size frame =
+  let len = body_size frame in
   if len > max_body then invalid_arg "Frame.encode: body too large";
-  Buffer.add_char out magic0;
-  Buffer.add_char out magic1;
-  add_be32 out len;
-  Buffer.add_string out body;
-  add_be32 out (Int32.to_int (Crc32.string body) land 0xFFFFFFFF)
+  10 + len
+
+(* Tag, varint instance and the first be32 field: the prefix every kind
+   but Hello shares.  The offset after it. *)
+let set_head b off tag instance x =
+  Bytes.unsafe_set b off tag;
+  let off = set_varint b (off + 1) instance in
+  set_be32 b off x;
+  off + 4
+
+(* The one encoder: header, body and CRC written in place, so a frame
+   costs no allocation wherever its bytes go. *)
+let write b off frame =
+  let total = size frame in
+  if off < 0 || off > Bytes.length b - total then
+    invalid_arg "Frame.write: out of bounds";
+  let body = off + 6 in
+  Bytes.unsafe_set b off magic0;
+  Bytes.unsafe_set b (off + 1) magic1;
+  set_be32 b (off + 2) (total - 10);
+  let stop =
+    match frame with
+    | Hello { node } ->
+      Bytes.unsafe_set b body '\x01';
+      set_be32 b (body + 1) node;
+      body + 5
+    | Data { instance; round; payload } ->
+      let at = set_head b body '\x02' instance round in
+      let len = String.length payload in
+      Bytes.unsafe_blit_string payload 0 b at len;
+      at + len
+    | Ctl { instance; round } -> set_head b body '\x03' instance round
+    | Submit { instance; proposal } -> set_head b body '\x04' instance proposal
+    | Decide { instance; value; round } ->
+      let at = set_head b body '\x05' instance round in
+      set_be32 b at value;
+      at + 4
+    | Catchup { instance; value; round } ->
+      let at = set_head b body '\x06' instance round in
+      set_be32 b at value;
+      at + 4
+  in
+  set_be32 b stop (Crc32.bytes b ~pos:body ~len:(stop - body));
+  stop + 4
 
 let encode frame =
-  let body = body_of frame in
-  let out = Buffer.create (10 + String.length body) in
-  add_framed out body;
-  Buffer.contents out
-
-let encode_into out frame = add_framed out (body_of frame)
+  let b = Bytes.create (size frame) in
+  ignore (write b 0 frame : int);
+  Bytes.unsafe_to_string b
 
 (* --- Incremental decoding ------------------------------------------------- *)
 
@@ -143,25 +154,30 @@ type decoder = {
   mutable stop : int;  (* one past the last valid byte *)
   mutable corrupt : string option;  (* sticky *)
   view : view;  (* reused across pops: no per-frame allocation *)
+  ready : [ `View of view | `Need_more | `Corrupt of string ];
+      (* [`View view], built once: what every successful pop returns *)
 }
 
 let decoder () =
+  let view =
+    {
+      kind = K_hello;
+      node = 0;
+      instance = 0;
+      round = 0;
+      value = 0;
+      payload_buf = Bytes.empty;
+      payload_pos = 0;
+      payload_len = 0;
+    }
+  in
   {
     buf = Bytes.create 1024;
     start = 0;
     stop = 0;
     corrupt = None;
-    view =
-      {
-        kind = K_hello;
-        node = 0;
-        instance = 0;
-        round = 0;
-        value = 0;
-        payload_buf = Bytes.empty;
-        payload_pos = 0;
-        payload_len = 0;
-      };
+    view;
+    ready = `View view;
   }
 
 let buffered d = d.stop - d.start
@@ -205,19 +221,18 @@ let fail d msg =
   d.corrupt <- Some msg;
   `Corrupt msg
 
-(* Returns [Some (value, next_off)], or [None] on truncation, a group
-   beyond five bytes, or a decoded value over [max_instance]. *)
-let read_varint b ~off ~stop =
-  let rec go acc shift off =
-    if off >= stop || shift > 28 then None
-    else
-      let c = Char.code (Bytes.get b off) in
-      let acc = acc lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 = 0 then
-        if acc > max_instance then None else Some (acc, off + 1)
-      else go acc (shift + 7) (off + 1)
-  in
-  go 0 0 off
+(* [(value lsl 3) lor width], [width] the 1..5 bytes read; [-1] on
+   truncation, a group beyond five bytes, or a decoded value over
+   [max_instance].  Packed into one int, and top-level rather than a
+   closure, so reading an id allocates nothing. *)
+let rec read_varint b ~stop acc off width =
+  if off >= stop || width >= 5 then -1
+  else
+    let c = Char.code (Bytes.get b off) in
+    let acc = acc lor ((c land 0x7f) lsl (7 * width)) in
+    if c land 0x80 = 0 then
+      if acc > max_instance then -1 else (acc lsl 3) lor (width + 1)
+    else read_varint b ~stop acc (off + 1) (width + 1)
 
 (* Parse one CRC-validated body in place: [off..stop) inside [d.buf].
    Fills the decoder's reused [view]; Data payloads stay a window into the
@@ -234,13 +249,14 @@ let parse_body d ~off ~stop =
       else begin
         v.kind <- K_hello;
         v.node <- be32 d.buf off;
-        `View v
+        d.ready
       end
-    | '\x02' .. '\x06' -> (
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) -> (
-        v.instance <- instance;
+    | '\x02' .. '\x06' ->
+      let packed = read_varint d.buf ~stop 0 off 0 in
+      if packed < 0 then fail d "bad varint instance id"
+      else begin
+        v.instance <- packed lsr 3;
+        let off = off + (packed land 7) in
         let rest = stop - off in
         match kind with
         | '\x02' ->
@@ -251,21 +267,21 @@ let parse_body d ~off ~stop =
             v.payload_buf <- d.buf;
             v.payload_pos <- off + 4;
             v.payload_len <- rest - 4;
-            `View v
+            d.ready
           end
         | '\x03' ->
           if rest <> 4 then fail d "ctl body has trailing bytes"
           else begin
             v.kind <- K_ctl;
             v.round <- be32 d.buf off;
-            `View v
+            d.ready
           end
         | '\x04' ->
           if rest <> 4 then fail d "submit body has trailing bytes"
           else begin
             v.kind <- K_submit;
             v.value <- be32 d.buf off;
-            `View v
+            d.ready
           end
         | _ ->
           let decide = kind = '\x05' in
@@ -277,8 +293,9 @@ let parse_body d ~off ~stop =
             v.kind <- (if decide then K_decide else K_catchup);
             v.round <- be32 d.buf off;
             v.value <- be32 d.buf (off + 4);
-            `View v
-          end))
+            d.ready
+          end
+      end
     | c -> fail d (Printf.sprintf "unknown frame kind 0x%02x" (Char.code c))
   end
 
@@ -300,12 +317,12 @@ let pop_view d =
       else begin
         let body = d.start + 6 in
         let declared = be32 d.buf (body + len) in
-        let actual = Int32.to_int (Crc32.bytes d.buf ~pos:body ~len) land 0xFFFFFFFF in
+        let actual = Crc32.bytes d.buf ~pos:body ~len in
         if declared <> actual then
           fail d (Printf.sprintf "CRC mismatch (wire %08x, computed %08x)" declared actual)
         else begin
           match parse_body d ~off:body ~stop:(body + len) with
-          | `View v ->
+          | `View _ as ready ->
             (* Consuming only moves indices, never bytes, so the view's
                payload window stays valid until the next [feed]. *)
             d.start <- body + len + 4;
@@ -313,8 +330,8 @@ let pop_view d =
               d.start <- 0;
               d.stop <- 0
             end;
-            `View v
-          | `Corrupt _ as c -> c
+            ready
+          | (`Need_more | `Corrupt _) as c -> c
         end
       end
 
@@ -339,7 +356,7 @@ let pop d =
 
 (* Every Hello encodes to the same size, so a handshake can read exactly
    one — no peer bytes beyond it ever land in the wrong decoder. *)
-let hello_size = String.length (encode (Hello { node = 1 }))
+let hello_size = size (Hello { node = 1 })
 
 let hello_of_string bytes =
   let d = decoder () in

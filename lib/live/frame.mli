@@ -30,13 +30,16 @@
 
     The same encoder/decoder pair runs under both the socket transport and
     the in-memory loopback, so loopback tests exercise the exact bytes that
-    go on a real wire.  Decoding is incremental: a decoder is fed arbitrary
-    byte slices (whatever [read] returned) and pops complete frames; a
-    truncated tail — what a killed sender leaves in flight — simply never
-    completes, and any header/CRC mismatch is reported as corruption, which
-    callers treat as a dead peer.  The hot read path is zero-copy: a reused
-    {!view} exposes each frame's fields, with Data payloads as a window into
-    the decoder's own buffer. *)
+    go on a real wire.  There is one encoder, {!write}: it puts a frame's
+    header, body and CRC straight into a caller's buffer at an offset and
+    allocates nothing; {!encode} wraps it.  Decoding is incremental: a
+    decoder is fed arbitrary byte slices (whatever [read] returned) and
+    pops complete frames; a truncated tail — what a killed sender leaves
+    in flight — simply never completes, and any header/CRC mismatch is
+    reported as corruption, which callers treat as a dead peer.
+    The hot read path is zero-copy and allocation-free: a reused {!view}
+    exposes each frame's fields, with Data payloads as a window into the
+    decoder's own buffer. *)
 
 type t =
   | Hello of { node : int }
@@ -46,11 +49,20 @@ type t =
   | Decide of { instance : int; value : int; round : int }
   | Catchup of { instance : int; value : int; round : int }
 
-val encode : t -> string
-(** One full frame, ready for a single sequential write. *)
+val size : t -> int
+(** Encoded length of the frame, header and CRC included.  Raises
+    [Invalid_argument] on an instance id outside [0 .. max_instance] or a
+    body over {!max_body}, as {!write} would. *)
 
-val encode_into : Buffer.t -> t -> unit
-(** Append {!encode}'s bytes to a buffer the caller reuses. *)
+val write : Bytes.t -> int -> t -> int
+(** [write b off f] writes [f]'s {!size} bytes into [b] starting at [off]
+    and returns the offset just past them.  Allocates nothing.  Raises
+    [Invalid_argument] if the frame does not fit in [b] from [off]. *)
+
+val encode : t -> string
+(** One full frame, ready for a single sequential write: {!write} into a
+    fresh string. *)
+
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -98,9 +110,10 @@ type view = private {
 and kind = K_hello | K_data | K_ctl | K_submit | K_decide | K_catchup
 
 val pop_view : decoder -> [ `View of view | `Need_more | `Corrupt of string ]
-(** Like {!pop} but without materializing: no allocation per frame.  The
-    returned view aliases decoder-owned storage and is invalidated by the
-    next [feed]/[pop]/[pop_view] on the same decoder. *)
+(** Like {!pop} but without materializing: no allocation per frame — the
+    [`View] itself is built once per decoder and returned by every
+    successful pop.  The returned view aliases decoder-owned storage and is
+    invalidated by the next [feed]/[pop]/[pop_view] on the same decoder. *)
 
 val view_payload : view -> string
 (** Copy a Data view's payload out as a fresh string. *)

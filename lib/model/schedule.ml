@@ -23,18 +23,6 @@ let bindings = Pid.Map.bindings
 let max_crash_round sched =
   Pid.Map.fold (fun _ (ev : Crash.event) acc -> max ev.round acc) sched 0
 
-let crashes_per_round sched =
-  let module Im = Map.Make (Int) in
-  let counts =
-    Pid.Map.fold
-      (fun _ (ev : Crash.event) acc ->
-        Im.update ev.round
-          (function None -> Some 1 | Some c -> Some (c + 1))
-          acc)
-      sched Im.empty
-  in
-  Im.bindings counts
-
 let validate ~model ~n ~t sched =
   let ( let* ) = Result.bind in
   let* () =

@@ -37,9 +37,6 @@ val bindings : t -> (Pid.t * Crash.event) list
 val max_crash_round : t -> int
 (** Largest round in which a crash occurs; [0] for the empty schedule. *)
 
-val crashes_per_round : t -> (int * int) list
-(** [(round, count)] pairs in increasing round order. *)
-
 val validate :
   model:Model_kind.t -> n:int -> t:int -> t -> (unit, string) result
 (** Check that the schedule is executable in the given system: every faulty

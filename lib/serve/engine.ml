@@ -319,7 +319,7 @@ module Make (A : Live.Binding.ALGO) = struct
           | Live.Frame.Catchup _ when gated && dest > 0 ->
             held.(dest - 1) <- true
           | _ -> ());
-          Batch.add (engine ()).batch ~dest (Live.Frame.encode frame))
+          Batch.add_frame (engine ()).batch ~dest frame)
         ()
     in
     let stats = M.stats mux in

@@ -180,9 +180,10 @@ module Make (A : Live.Binding.ALGO) = struct
             let b = Buffer.create 256 in
             List.iter
               (fun i ->
-                Live.Frame.encode_into b
-                  (Live.Frame.Submit
-                     { instance = i; proposal = cfg.proposals i (idx + 1) }))
+                Buffer.add_string b
+                  (Live.Frame.encode
+                     (Live.Frame.Submit
+                        { instance = i; proposal = cfg.proposals i (idx + 1) })))
               (List.rev !fresh);
             Outq.push ch.out
               (Outq.chunk ~recycle:ignore (Buffer.to_bytes b)

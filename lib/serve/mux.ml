@@ -235,51 +235,57 @@ module Make (A : Live.Binding.ALGO) = struct
   (* The send phase of [slot]'s current round.  Mesh writes burn the kill
      budget one frame at a time, so a scripted kill lands between two
      writes of one instance's round — the paper's sequential-write prefix
-     crash, realized mid-storm. *)
+     crash, realized mid-storm.  A round builds one Ctl value and one Data
+     value per distinct payload, so the batcher encodes each once. *)
   let send_round t slot =
-    let round = slot.round in
+    let round = slot.round and instance = slot.instance in
     let data = A.data_sends slot.state ~round in
     let syncs = A.sync_sends slot.state ~round in
+    (* Emit while the budget lasts; the number of frames written. *)
+    let rec send_data written prev = function
+      | [] -> written
+      | (dest, msg) :: rest ->
+        if not (budget_left t) then written
+        else begin
+          let payload = A.encode_msg msg in
+          let frame =
+            match prev with
+            | Live.Frame.Data { payload = p; _ } when String.equal p payload ->
+              prev
+            | _ -> Live.Frame.Data { instance; round; payload }
+          in
+          t.mesh_writes <- t.mesh_writes + 1;
+          t.emit ~dest:(Pid.to_int dest) frame;
+          send_data (written + 1) frame rest
+        end
+    in
+    let ctl = Live.Frame.Ctl { instance; round } in
+    let rec send_ctl written = function
+      | [] -> written
+      | dest :: rest ->
+        if not (budget_left t) then written
+        else begin
+          t.mesh_writes <- t.mesh_writes + 1;
+          t.emit ~dest:(Pid.to_int dest) ctl;
+          send_ctl (written + 1) rest
+        end
+    in
     let d_count = List.length data in
     let c_count = List.length syncs in
-    let written = ref 0 in
-    let ok = ref true in
-    List.iter
-      (fun (dest, msg) ->
-        if !ok then
-          if budget_left t then begin
-            t.mesh_writes <- t.mesh_writes + 1;
-            t.emit ~dest:(Pid.to_int dest)
-              (Live.Frame.Data
-                 { instance = slot.instance; round; payload = A.encode_msg msg });
-            incr written
-          end
-          else ok := false)
-      data;
-    List.iter
-      (fun dest ->
-        if !ok then
-          if budget_left t then begin
-            t.mesh_writes <- t.mesh_writes + 1;
-            t.emit ~dest:(Pid.to_int dest)
-              (Live.Frame.Ctl { instance = slot.instance; round });
-            incr written
-          end
-          else ok := false)
-      syncs;
-    if !ok then begin
+    (* [prev] starts as the Ctl: no Data value to share yet. *)
+    let k = send_data 0 ctl data in
+    let k = if k < d_count then k else send_ctl k syncs in
+    if k = d_count + c_count then begin
       slot.sent <- true;
       `Sent
     end
     else begin
-      let k = !written in
       let phase =
         if k = 0 then Live.Script.Before_send
         else if k < d_count then Live.Script.During_data k
-        else if k < d_count + c_count then Live.Script.During_ctl (k - d_count)
-        else Live.Script.After_send
+        else Live.Script.During_ctl (k - d_count)
       in
-      halt t ~mid:(Some { instance = slot.instance; round; phase });
+      halt t ~mid:(Some { instance; round; phase });
       `Halted
     end
 

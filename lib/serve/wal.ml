@@ -4,11 +4,13 @@ let header_len = 12
 
 (* A commit that staged more than this leaves a buffer worth shrinking. *)
 let staged_keep = 65536
+let staged_initial = 4096
 
 type t = {
   fd : Unix.file_descr;
   path : string;
-  staged : Buffer.t;  (* encoded Decides not yet written *)
+  mutable staged : Bytes.t;  (* encoded Decides not yet written ... *)
+  mutable staged_len : int;  (* ... in its first [staged_len] bytes *)
   mutable pending : int;  (* entries in [staged] *)
   mutable appended : int;
 }
@@ -35,7 +37,7 @@ let header ~node =
   Buffer.add_char b (Char.chr ((node lsr 16) land 0xff));
   Buffer.add_char b (Char.chr ((node lsr 8) land 0xff));
   Buffer.add_char b (Char.chr (node land 0xff));
-  Buffer.contents b
+  Buffer.to_bytes b
 
 let check_header ~node s =
   if String.length s < header_len then Error "wal: file shorter than header"
@@ -124,16 +126,21 @@ let load ~path ~node =
     | Error _ as e -> e
     | Ok (_, discarded) -> Ok { entries = entries (); discarded })
 
-let write_all fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
+let write_all fd b ~len =
   let rec go off =
     if off < len then go (off + Unix.write fd b off (len - off))
   in
   go 0
 
 let handle fd path =
-  { fd; path; staged = Buffer.create 4096; pending = 0; appended = 0 }
+  {
+    fd;
+    path;
+    staged = Bytes.create staged_initial;
+    staged_len = 0;
+    pending = 0;
+    appended = 0;
+  }
 
 (* Open [path] for appending — creating it with a fresh header if
    missing — and scan the valid prefix through [f]; the rejected suffix
@@ -143,7 +150,7 @@ let open_log ~path ~node f =
   match Unix.openfile path [ Unix.O_RDWR ] 0o644 with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
     let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-    write_all fd (header ~node);
+    write_all fd (header ~node) ~len:header_len;
     Unix.fsync fd;
     Ok (handle fd path, 0)
   | fd -> (
@@ -169,17 +176,23 @@ let reopen ~path ~node =
   open_log ~path ~node (fun ~instance:_ ~value:_ ~round:_ -> ())
 
 let add t ~instance ~value ~round =
-  Live.Frame.encode_into t.staged
-    (Live.Frame.Decide { instance; value; round });
+  let frame = Live.Frame.Decide { instance; value; round } in
+  let need = t.staged_len + Live.Frame.size frame in
+  if need > Bytes.length t.staged then begin
+    let grown = Bytes.create (max need (2 * Bytes.length t.staged)) in
+    Bytes.blit t.staged 0 grown 0 t.staged_len;
+    t.staged <- grown
+  end;
+  t.staged_len <- Live.Frame.write t.staged t.staged_len frame;
   t.pending <- t.pending + 1
 
 let commit t =
   let k = t.pending in
   if k > 0 then begin
-    write_all t.fd (Buffer.contents t.staged);
+    write_all t.fd t.staged ~len:t.staged_len;
     Unix.fsync t.fd;
-    if Buffer.length t.staged > staged_keep then Buffer.reset t.staged
-    else Buffer.clear t.staged;
+    if t.staged_len > staged_keep then t.staged <- Bytes.create staged_initial;
+    t.staged_len <- 0;
     t.pending <- 0;
     t.appended <- t.appended + k
   end;

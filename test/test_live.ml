@@ -8,9 +8,9 @@ open Model
 
 let test_crc_vectors () =
   (* The IEEE 802.3 check value. *)
-  Alcotest.(check int32) "123456789" 0xCBF43926l (Live.Crc32.string "123456789");
-  Alcotest.(check int32) "empty" 0l (Live.Crc32.string "");
-  Alcotest.(check int32) "a" 0xE8B7BE43l (Live.Crc32.string "a")
+  Alcotest.(check int) "123456789" 0xCBF43926 (Live.Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (Live.Crc32.string "");
+  Alcotest.(check int) "a" 0xE8B7BE43 (Live.Crc32.string "a")
 
 let test_crc_incremental () =
   let s = "the quick brown fox jumps over the lazy dog" in
@@ -19,7 +19,7 @@ let test_crc_incremental () =
   let rest =
     Live.Crc32.digest ~init:first s ~pos:split ~len:(String.length s - split)
   in
-  Alcotest.(check int32) "streaming = one-shot" (Live.Crc32.string s) rest
+  Alcotest.(check int) "streaming = one-shot" (Live.Crc32.string s) rest
 
 (* --- Frames ---------------------------------------------------------------- *)
 
@@ -302,6 +302,89 @@ let test_retry_wait_jitter_envelope () =
   Alcotest.(check bool) "deterministic per seed" true (a = draws 0x5eed);
   Alcotest.(check bool) "spread across the envelope" true
     (List.length (List.sort_uniq compare a) > 100)
+
+(* The v3 bytes of one frame of each kind.  WALs and streams already
+   written hold exactly these bytes, so no encoder change may move them. *)
+let golden_frames =
+  [
+    (Live.Frame.Hello { node = 3 }, "fad0000000050100000003624b8f17");
+    ( Live.Frame.Data { instance = 0; round = 1; payload = "\x00\x00\x00\x05" },
+      "fad00000000a02000000000100000005aa756574" );
+    ( Live.Frame.Ctl { instance = Live.Frame.max_instance; round = 3 },
+      "fad00000000a03ffffffff0300000003cfe2134e" );
+    ( Live.Frame.Submit { instance = 128; proposal = 9 },
+      "fad00000000704800100000009332f7ea1" );
+    ( Live.Frame.Decide { instance = 300; value = 7; round = 2 },
+      "fad00000000b05ac02000000020000000763e619b4" );
+    ( Live.Frame.Catchup { instance = 16384; value = 1; round = 1 },
+      "fad00000000c06808001000000010000000158105274" );
+  ]
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_frame_golden_bytes () =
+  List.iter
+    (fun (f, want) ->
+      let name = Format.asprintf "%a" Live.Frame.pp f in
+      Alcotest.(check string) name want (hex (Live.Frame.encode f));
+      let d = Live.Frame.decoder () in
+      Live.Frame.feed_string d (Live.Frame.encode f);
+      match Live.Frame.pop d with
+      | `Frame g when Live.Frame.equal f g -> ()
+      | _ -> Alcotest.failf "%s does not decode back" name)
+    golden_frames
+
+let prop_frame_write_at_offset =
+  Helpers.qtest ~count:500 "write at any offset = encode, size = its length"
+    QCheck2.Gen.(triple frame_gen (int_range 0 64) (int_range 0 16))
+    (fun (f, off, slack) ->
+      let wire = Live.Frame.encode f in
+      let size = Live.Frame.size f in
+      let b = Bytes.make (off + size + slack) '\x55' in
+      let stop = Live.Frame.write b off f in
+      size = String.length wire
+      && stop = off + size
+      && Bytes.sub_string b off size = wire
+      && Bytes.sub_string b 0 off = String.make off '\x55'
+      && Bytes.sub_string b stop slack = String.make slack '\x55')
+
+(* Minor words [f] allocates beyond what measuring an empty function
+   costs. *)
+let minor_words_of f =
+  let measure g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let empty = measure ignore in
+  measure f -. empty
+
+let test_pop_view_allocates_zero () =
+  let wire =
+    String.concat ""
+      (List.init 500 (fun i ->
+           Live.Frame.encode
+             (Live.Frame.Data
+                { instance = i * 2113; round = 1; payload = "\x00\x00\x00\x2a" })
+           ^ Live.Frame.encode (Live.Frame.Ctl { instance = i * 2113; round = 1 })))
+  in
+  let d = Live.Frame.decoder () in
+  (* Closed over nothing, so the loop itself allocates nothing. *)
+  let rec pop_all d k =
+    match Live.Frame.pop_view d with
+    | `View _ -> pop_all d (k + 1)
+    | `Need_more -> k
+    | `Corrupt why -> failwith why
+  in
+  let drain () =
+    Live.Frame.feed_string d wire;
+    if pop_all d 0 <> 1000 then failwith "lost frames"
+  in
+  drain () (* warm: the receive buffer has grown *);
+  Alcotest.(check (float 0.0)) "1000 pop_views allocate nothing" 0.0
+    (minor_words_of drain)
 
 let prop_frame_view_equivalence =
   Helpers.qtest ~count:500 "pop_view sees exactly what pop sees"
@@ -864,6 +947,10 @@ let () =
           prop_frame_fuzz_interleaved_truncation;
           prop_frame_fuzz_corruption;
           prop_frame_view_equivalence;
+          Alcotest.test_case "golden v3 bytes" `Quick test_frame_golden_bytes;
+          prop_frame_write_at_offset;
+          Alcotest.test_case "pop_view allocates zero" `Quick
+            test_pop_view_allocates_zero;
         ] );
       ( "script",
         [

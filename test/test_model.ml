@@ -87,18 +87,6 @@ let test_schedule_empty () =
   Alcotest.(check int) "max round" 0 (Schedule.max_crash_round Schedule.empty);
   Alcotest.(check string) "pp" "no-crash" (Schedule.to_string Schedule.empty)
 
-let test_crashes_per_round () =
-  let s =
-    Schedule.of_list
-      [
-        (Pid.of_int 1, ev 1 Crash.Before_send);
-        (Pid.of_int 2, ev 1 Crash.After_send);
-        (Pid.of_int 3, ev 3 Crash.Before_send);
-      ]
-  in
-  Alcotest.(check (list (pair int int))) "per round" [ (1, 2); (3, 1) ]
-    (Schedule.crashes_per_round s)
-
 let test_schedule_validate () =
   let ok = Schedule.of_list [ (Pid.of_int 2, ev 1 (Crash.After_data 1)) ] in
   Alcotest.(check bool) "extended valid" true
@@ -141,7 +129,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_schedule_basics;
           Alcotest.test_case "duplicates" `Quick test_schedule_rejects_duplicates;
           Alcotest.test_case "empty" `Quick test_schedule_empty;
-          Alcotest.test_case "per-round" `Quick test_crashes_per_round;
           Alcotest.test_case "validate" `Quick test_schedule_validate;
           Alcotest.test_case "model-kind" `Quick test_model_kind;
         ] );

@@ -606,6 +606,79 @@ let test_batch_dropped_sends_are_not_writes () =
         0 stats.Serve.Stats.write_calls)
     [ true; false ]
 
+(* Every destination's bytes, in the order the batcher sent them. *)
+let batch_capture ~n ~batch =
+  let stats = Serve.Stats.create () in
+  let got = Array.make (n + 1) [] in
+  let b =
+    Serve.Batch.create ~n ~batch ~stats ~send:(fun ~dest bytes ~len ->
+        got.(dest) <- Bytes.sub_string bytes 0 len :: got.(dest);
+        `Done)
+  in
+  (b, stats, fun dest -> String.concat "" (List.rev got.(dest)))
+
+let test_batch_add_frame_matches_add () =
+  (* [add_frame], reusing bytes for a repeated frame (also into the same
+     buffer while it grows, and across a flush), writes and counts exactly
+     what [add] of each frame's encoding does. *)
+  let data = Live.Frame.Data { instance = 70000; round = 1; payload = "\x00\x00\x00\x09" } in
+  let ctl = Live.Frame.Ctl { instance = 70000; round = 1 } in
+  let big = Live.Frame.Data { instance = 3; round = 2; payload = String.make 5000 'p' } in
+  let plan =
+    [ (2, data); (3, data); (3, data); (1, big); (1, big); (3, ctl); (2, ctl); (0, ctl) ]
+  in
+  List.iter
+    (fun batch ->
+      let b1, s1, got1 = batch_capture ~n:3 ~batch in
+      let b2, s2, got2 = batch_capture ~n:3 ~batch in
+      let run add = List.iter (fun (dest, f) -> add ~dest f) plan in
+      run (fun ~dest f -> Serve.Batch.add_frame b1 ~dest f);
+      Serve.Batch.flush b1;
+      run (fun ~dest f -> Serve.Batch.add_frame b1 ~dest f);
+      Serve.Batch.flush b1;
+      run (fun ~dest f -> Serve.Batch.add b2 ~dest (Live.Frame.encode f));
+      Serve.Batch.flush b2;
+      run (fun ~dest f -> Serve.Batch.add b2 ~dest (Live.Frame.encode f));
+      Serve.Batch.flush b2;
+      for dest = 0 to 3 do
+        Alcotest.(check string)
+          (Printf.sprintf "batch=%b: bytes to %d" batch dest)
+          (got2 dest) (got1 dest)
+      done;
+      Alcotest.(check int) "frames" s2.Serve.Stats.frames_out s1.Serve.Stats.frames_out;
+      Alcotest.(check int) "bytes" s2.Serve.Stats.bytes_out s1.Serve.Stats.bytes_out;
+      Alcotest.(check int) "max batch" s2.Serve.Stats.max_batch s1.Serve.Stats.max_batch)
+    [ true; false ]
+
+let test_batch_round_allocates_zero () =
+  (* A coordinator's round at n=5 as [Mux.send_round] emits it: one Data
+     value to p2..p5, then one Ctl value to p5..p2. *)
+  let stats = Serve.Stats.create () in
+  let b =
+    Serve.Batch.create ~n:5 ~batch:true ~stats ~send:(fun ~dest:_ _ ~len:_ ->
+        `Done)
+  in
+  let data = Live.Frame.Data { instance = 4242; round = 1; payload = "\x00\x00\x00\x07" } in
+  let ctl = Live.Frame.Ctl { instance = 4242; round = 1 } in
+  let round () =
+    for dest = 2 to 5 do
+      Serve.Batch.add_frame b ~dest data
+    done;
+    for dest = 5 downto 2 do
+      Serve.Batch.add_frame b ~dest ctl
+    done;
+    Serve.Batch.flush b
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  round () (* warm *);
+  Alcotest.(check (float 0.0)) "4 Data + 4 Ctl + flush allocate nothing"
+    (words ignore) (words round);
+  Alcotest.(check int) "frames" 16 stats.Serve.Stats.frames_out
+
 (* --- Socket fleet ------------------------------------------------------------ *)
 
 let fleet_workspace tag =
@@ -1974,6 +2047,10 @@ let () =
         [
           Alcotest.test_case "dropped-sends-not-writes" `Quick
             test_batch_dropped_sends_are_not_writes;
+          Alcotest.test_case "add-frame-matches-add" `Quick
+            test_batch_add_frame_matches_add;
+          Alcotest.test_case "round-allocates-zero" `Quick
+            test_batch_round_allocates_zero;
         ] );
       ( "wal",
         [
