@@ -735,8 +735,9 @@ let bivalency_cmd =
   let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes (keep small).") in
   let t = Arg.(value & opt int 2 & info [ "t" ] ~doc:"Crash budget.") in
   let go n t =
-    if t < 0 || t >= n then begin
-      Format.eprintf "bivalency: need 0 <= t < n, got n = %d, t = %d@." n t;
+    if n < 2 || t < 0 || t >= n then begin
+      Format.eprintf "bivalency: need n >= 2 and 0 <= t < n, got n = %d, t = %d@."
+        n t;
       2
     end
     else

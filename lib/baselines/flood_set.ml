@@ -29,8 +29,11 @@ let sync_sends _state ~round:_ = []
 
 let decide_now state round = round >= state.t + 1
 
+(* The reference step drives this list half over immutable configurations,
+   so it merges into a copy; only the flat [receive] mutates in place. *)
 let compute state ~round ~data ~syncs =
   assert (syncs = []);
+  let state = { state with values = Bitset.copy state.values } in
   List.iter (fun (_, vs) -> Bitset.union_into ~src:vs ~dst:state.values) data;
   if decide_now state round then
     (state, Some (Option.get (Bitset.min_elt_opt state.values)))

@@ -32,7 +32,7 @@ module Make (A : Algo_intf.S) = struct
          else if succs = [] then
            Printf.ksprintf failwith
              "Bivalency: algorithm %s still undecided after round %d" A.name
-             (S.resilience root + 2)
+             (root.S.t + 2)
          else
            List.sort_uniq Int.compare
              (List.concat_map (fun (s : S.node) -> values.(s.id)) succs))
@@ -42,7 +42,9 @@ module Make (A : Algo_intf.S) = struct
   let reachable_values config = (snd (valences config)).(0)
 
   let analyze ~n ~t ~proposals =
-    let nodes, values = valences (S.initial ~n ~t ~proposals) in
+    let nodes, values =
+      valences (S.initial (Sync_sim.Engine.config ~n ~t ~proposals ()))
+    in
     (* A descendant's values are a subset of the root's, so nothing below a
        univalent root is bivalent. *)
     let bivalent =
@@ -57,7 +59,7 @@ module Make (A : Algo_intf.S) = struct
         (match values.(0) with [ v ] -> Univalent v | vs -> Bivalent vs);
       max_bivalent_depth =
         List.fold_left
-          (fun depth { S.config; _ } -> max depth (S.next_round config - 1))
+          (fun depth { S.config; _ } -> max depth (config.S.next_round - 1))
           0 bivalent;
       bivalent_with_decision =
         List.exists (fun { S.config; _ } -> S.decided_values config <> []) bivalent;

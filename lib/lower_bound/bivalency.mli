@@ -39,5 +39,6 @@ module Make (A : Algo_intf.S) : sig
 
   val analyze : n:int -> t:int -> proposals:int array -> report
   (** Settle the valence of every configuration reachable from the initial
-      one, bottom-up.  Raises [Invalid_argument] unless [0 <= t < n]. *)
+      one, bottom-up.  Raises [Invalid_argument] unless [n >= 2] and
+      [0 <= t < n] ({!Sync_sim.Engine.config}'s conditions). *)
 end

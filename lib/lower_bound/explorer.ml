@@ -44,14 +44,13 @@ module Make (A : Algo_intf.S) = struct
       | _ :: _ :: _ -> true
       | vs -> not (List.for_all (fun v -> Array.mem v proposals) vs)
     in
-    let nodes =
-      S.search ~per_round:t ~stop:violates (S.initial ~n ~t ~proposals)
-    in
+    let cfg = Sync_sim.Engine.config ~n ~t ~proposals () in
+    let nodes = S.search ~per_round:t ~stop:violates (S.initial cfg) in
     let last = nodes.(Array.length nodes - 1) in
     if not (violates last.S.config) then None
     else
       let schedule = S.schedule last in
-      let result = E.run (Sync_sim.Engine.config ~schedule ~n ~t ~proposals ()) in
+      let result = E.run { cfg with schedule } in
       let open Spec.Properties in
       if all_ok [ uniform_agreement result; validity result ] then
         failwith

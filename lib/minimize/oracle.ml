@@ -33,9 +33,9 @@ module Lan_rwwc =
 module Lan_runner = Timed_sim.Timed_engine.Make (Lan_rwwc)
 module R = Sync_sim.Engine.Make_flat (Core.Rwwc)
 
-(* The previous engine generation, kept as an independent lane: the flat
-   engine must stay byte-identical to it on every schedule the oracle sees. *)
-module R_ref = Sync_sim.Engine_reference.Make (Core.Rwwc)
+(* The reference semantics, an independent lane: the flat engine must stay
+   byte-identical to it on every schedule the oracle sees. *)
+module R_ref = Sync_sim.Reference.Make (Core.Rwwc)
 
 let lane_of_result name res =
   {
@@ -75,25 +75,23 @@ let check_schedule ~n ~t schedule =
   let proposals = Sync_sim.Engine.distinct_proposals n in
   let cfg = Sync_sim.Engine.config ~schedule ~n ~t ~proposals () in
   let res_run = R.run cfg in
-  let res_runner = R.runner cfg schedule in
   let reference = lane_of_result "engine-run" res_run in
-  let runner_lane = lane_of_result "engine-runner" res_runner in
-  let runner_diffs =
-    if Sync_sim.Run_result.equal_observable res_run res_runner then []
-    else
-      compare_lanes reference runner_lane
-      @ [ "engine-runner observable result differs from engine-run \
-           (statuses, rounds or wire counters)" ]
+  (* A lane that must match [engine-run] on everything observable. *)
+  let twin name res =
+    let lane = lane_of_result name res in
+    ( lane,
+      if Sync_sim.Run_result.equal_observable res_run res then []
+      else
+        compare_lanes reference lane
+        @ [
+            name
+            ^ " observable result differs from engine-run (statuses, rounds \
+               or wire counters)";
+          ] )
   in
-  let res_ref = R_ref.run cfg in
-  let ref_lane = lane_of_result "engine-reference" res_ref in
-  let ref_diffs =
-    if Sync_sim.Run_result.equal_observable res_run res_ref then []
-    else
-      compare_lanes reference ref_lane
-      @ [ "flat engine observable result differs from the reference engine \
-           (statuses, rounds or wire counters)" ]
+  let runner_lane, runner_diffs = twin "engine-runner" (R.runner cfg schedule)
   in
+  let ref_lane, ref_diffs = twin "engine-reference" (R_ref.run cfg) in
   let timed_lane, timed_diffs =
     match
       Lan.Realization.translate_rwwc_schedule ~n ~big_d ~delta schedule

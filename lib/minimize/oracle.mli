@@ -1,13 +1,14 @@
 (** The differential conformance oracle.
 
-    Four independent executions of the Figure 1 protocol coexist in this
+    Five independent executions of the Figure 1 protocol coexist in this
     repository: the abstract round engine ({!Sync_sim.Engine.run}), its
-    reused-scratch twin ([runner]), the continuous-time LAN realization
-    ({!Lan.Realization} on {!Timed_sim.Timed_engine}), and the
+    reused-scratch twin ([runner]), the reference semantics as a fold of
+    the pure round step ({!Sync_sim.Reference}), the continuous-time LAN
+    realization ({!Lan.Realization} on {!Timed_sim.Timed_engine}), and the
     fault-masking transport ({!Lan.Masked}).  Each was validated against a
     spec in isolation; this module checks them against {e each other}, per
     schedule — any disagreement in decisions, decision rounds or crash-set
-    is a bug in one of the four, reported loudly with the per-lane
+    is a bug in one of the five, reported loudly with the per-lane
     verdicts.  EXP-DIFF runs it over the full canonical n=4 sweep; the
     [fuzz] subcommand and CI smoke feed it random schedules and fault
     plans, shrinking on failure. *)
@@ -15,7 +16,8 @@
 open Model
 
 type lane = {
-  name : string;  (** [engine-run], [engine-runner] or [timed-lan] *)
+  name : string;
+      (** [engine-run], [engine-runner], [engine-reference] or [timed-lan] *)
   decisions : (int * int * int) list;  (** (pid, value, round), pid order *)
   crashed : int list;  (** crashed without deciding, pid order *)
   note : string;  (** non-empty when the lane was skipped, with the reason *)
@@ -29,8 +31,9 @@ val lanes : verdict -> lane list
 
 val check_schedule : n:int -> t:int -> Schedule.t -> verdict
 (** Run one crash schedule through the abstract engine (both entry
-    points, compared via {!Sync_sim.Run_result.equal_observable}) and the
-    timed LAN realization (D = 100, δ = 2, latencies uniform in (0, D],
+    points) and the reference semantics, all three compared via
+    {!Sync_sim.Run_result.equal_observable}, and through the timed LAN
+    realization (D = 100, δ = 2, latencies uniform in (0, D],
     fixed seed — latency draws cannot change the verdict, which is the
     realization's own theorem).  The timed lane is skipped — noted, not
     failed — on schedules whose [During_data] subsets are not prefixes of

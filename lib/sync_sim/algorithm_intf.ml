@@ -97,9 +97,9 @@ end
     engine's arena buffers; [receive] replaces [compute] by reading a
     {!Round_view.t} over them and signalling decisions through
     {!Round_view.decide}.  The list functions stay part of the signature —
-    the lower-bound stepper and bivalency explorer still drive algorithms
+    {!Reference} (and through it the lower-bound search) drives algorithms
     through them, and {!Of_list} derives the flat half mechanically — so a
-    module of this type runs identically under both engine paths.
+    module of this type runs identically under both.
 
     One semantic note: the flat receive-set is a bitset over senders, so
     duplicate control messages from one sender to one destination in a

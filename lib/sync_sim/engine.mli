@@ -21,9 +21,8 @@
     steady-state round allocates nothing; algorithms implementing
     {!Algorithm_intf.FLAT} run zero-copy through {!Make_flat}, while the
     legacy list API runs unchanged through {!Make} (a thin adapter over the
-    same core).  The previous engine generation is preserved verbatim as
-    {!Engine_reference} and pinned byte-identical by the golden differential
-    suite.
+    same core).  The golden differential suite pins it byte-identical to
+    {!Reference}, the same round as a pure step.
 
     Quiet-round fast path: an algorithm declaring
     {!Algorithm_intf.Coordinator_rounds} quiescence lets unobserved runs

@@ -58,9 +58,9 @@ val all_correct_decided : t -> bool
 val equal_observable : t -> t -> bool
 (** Equality on everything except the trace: statuses, rounds executed,
     wire counters and post-decision crashes.  This is the relation the
-    differential oracle checks between {!Engine.run} and the reused-scratch
-    {!Engine.runner} — traces are excluded because recording is optional
-    and orthogonal to the outcome. *)
+    differential oracle checks between {!Engine.run}, the reused-scratch
+    {!Engine.runner} and {!Reference} — traces are excluded because
+    recording is optional and orthogonal to the outcome. *)
 
 val total_msgs : t -> int
 val total_bits : t -> int

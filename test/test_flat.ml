@@ -3,9 +3,10 @@
    Pins the flat-memory engine core ([Engine.Make_flat] and the list-API
    adapter path [Engine.Make]) byte-identical — in the
    {!Run_result.equal_observable} sense: statuses, rounds, all four wire
-   counters, post-decision crashes — to the preserved previous-generation
-   engine ([Engine_reference]), across the whole minimizer algorithm
-   registry and the full exhaustive n=4 schedule space.  Also pins:
+   counters, post-decision crashes — to the reference semantics
+   ([Reference], a fold of the pure round step), across the whole minimizer
+   algorithm registry plus the [`Announce] baseline and the full exhaustive
+   n=4 schedule space.  Also pins:
 
    - the bitset FloodSet against a local reimplementation of the historical
      [Set.Make (Int)] version;
@@ -13,7 +14,9 @@
      zero-copy view records exactly what its list-API twin records
      (qcheck, random extended-model schedules);
    - the zero-allocation guarantee: a warm flat-runner round performs zero
-     minor-heap allocation (Gc counters; satellite of the n=1024 target). *)
+     minor-heap allocation (Gc counters; satellite of the n=1024 target);
+   - that the reference refuses what the engine refuses, and that stepping
+     a configuration leaves it unchanged. *)
 
 open Model
 open Sync_sim
@@ -26,7 +29,9 @@ type entry = { name : string; modl : Model_kind.t; algo : (module FLAT_ALGO) }
 
 (* Mirrors the [Minimize.Algo] registry: the natively-flat algorithms as
    themselves, the list-API ablations through the adapter — exactly the
-   modules production call sites run. *)
+   modules production call sites run — plus nonuniform-early, the one
+   [`Announce] algorithm: decided processes that keep running and crashes
+   after a decision. *)
 let registry : entry list =
   [
     {
@@ -66,11 +71,18 @@ let registry : entry list =
       algo =
         (module Algorithm_intf.Of_list (Baselines.Early_stopping) : FLAT_ALGO);
     };
+    {
+      name = "nonuniform-early";
+      modl = Model_kind.Classic;
+      algo =
+        (module Algorithm_intf.Of_list (Baselines.Nonuniform_early)
+        : FLAT_ALGO);
+    };
   ]
 
 let check_identical ~who ~schedule flat reference =
   if not (Run_result.equal_observable flat reference) then
-    Alcotest.failf "%s diverges from reference engine on %s:@.flat %a@.ref %a"
+    Alcotest.failf "%s diverges from the reference on %s:@.flat %a@.ref %a"
       who
       (Schedule.to_string schedule)
       Run_result.pp flat Run_result.pp reference
@@ -83,7 +95,7 @@ let check_identical ~who ~schedule flat reference =
 let sweep_identical (e : entry) () =
   let module A = (val e.algo) in
   let module F = Engine.Make_flat (A) in
-  let module R = Engine_reference.Make (A) in
+  let module R = Reference.Make (A) in
   let n = 4 and t = 2 in
   let cfg =
     Engine.config ~n ~t ~proposals:(Engine.distinct_proposals n) ()
@@ -372,6 +384,78 @@ let warm_rounds_allocate_zero () =
        (long_rounds - short_rounds) short_words long_words)
     short_words long_words
 
+(* --- The reference refuses what the engine refuses ----------------------- *)
+
+(* A classic-model algorithm that nevertheless plans control messages. *)
+module Classic_chatter = struct
+  include Recorder_base
+
+  let name = "classic-chatter"
+  let model = Model_kind.Classic
+  let compute state ~round ~data:_ ~syncs:_ =
+    (state, if round >= 3 then Some state.me else None)
+end
+
+let refusals =
+  [
+    ( "classic algorithm emitting control messages",
+      (module Algorithm_intf.Of_list (Classic_chatter) : FLAT_ALGO),
+      Schedule.empty );
+    ( "after-data point under the classic model",
+      (module Baselines.Flood_set : FLAT_ALGO),
+      Schedule.of_list
+        [ (Pid.of_int 1, Crash.make ~round:1 (Crash.After_data 0)) ] );
+  ]
+
+let both_refuse (what, (module A : FLAT_ALGO), schedule) =
+  Alcotest.test_case what `Quick (fun () ->
+      let proposals = Engine.distinct_proposals 3 in
+      let cfg = Engine.config ~schedule ~n:3 ~t:1 ~proposals () in
+      List.iter
+        (fun (lane, run) ->
+          match run cfg with
+          | exception Engine.Model_violation _ -> ()
+          | (_ : Run_result.t) ->
+            Alcotest.failf "%s ran where it must raise Model_violation" lane)
+        [
+          ("flat engine", (let module F = Engine.Make_flat (A) in F.run));
+          ("reference", (let module R = Reference.Make (A) in R.run));
+        ])
+
+let step_guards () =
+  let module R = Reference.Make (Core.Rwwc) in
+  let c = R.initial (Engine.config ~n:4 ~t:2 ~proposals:[| 1; 2; 3; 4 |] ()) in
+  let rejects what crashes =
+    Alcotest.(check bool) what true
+      (match R.step c ~crashes with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let p = Pid.of_int in
+  rejects "victim listed twice"
+    [ (p 1, Crash.Before_send); (p 1, Crash.After_send) ];
+  rejects "budget overspent"
+    (List.map (fun i -> (p i, Crash.Before_send)) [ 1; 2; 3 ])
+
+(* FloodSet's flat [receive] merges in place; its list half must not, or
+   the step would corrupt the configuration it started from. *)
+let flood_step_leaves_parent () =
+  let module R = Reference.Make (Baselines.Flood_set) in
+  let known c =
+    Array.to_list
+      (Array.map (fun p -> Baselines.Flood_set.known p.R.state) c.R.procs)
+  in
+  let c = R.initial (Engine.config ~n:3 ~t:1 ~proposals:[| 5; 2; 9 |] ()) in
+  let first = R.step c ~crashes:[] in
+  let second = R.step c ~crashes:[] in
+  Alcotest.(check (list (list int))) "parent unchanged" [ [ 5 ]; [ 2 ]; [ 9 ] ]
+    (known c);
+  Alcotest.(check (list (list int))) "both steps equal" (known first)
+    (known second);
+  Alcotest.(check (list (list int))) "one round merges everything"
+    [ [ 2; 5; 9 ]; [ 2; 5; 9 ]; [ 2; 5; 9 ] ]
+    (known first)
+
 let () =
   Alcotest.run "flat-engine"
     [
@@ -391,4 +475,11 @@ let () =
       ( "allocation",
         [ Alcotest.test_case "warm rounds allocate zero" `Quick warm_rounds_allocate_zero ]
       );
+      ("refusals", List.map both_refuse refusals);
+      ( "ref-step",
+        [
+          Alcotest.test_case "guards" `Quick step_guards;
+          Alcotest.test_case "flood step leaves its parent" `Quick
+            flood_step_leaves_parent;
+        ] );
     ]

@@ -21,13 +21,13 @@ module Replay (A : Lower_bound.Algo_intf.S) = struct
 
   let statuses_agree ~n ~t ~proposals schedule =
     let rec go config =
-      if S.running config = [] || S.next_round config > t + 2 then config
+      if S.running config = [] || config.S.next_round > t + 2 then config
       else
         let crashes =
           List.filter_map
             (fun (pid, (ev : Crash.event)) ->
               if
-                ev.round = S.next_round config
+                ev.round = config.S.next_round
                 && List.exists (Pid.equal pid) (S.running config)
               then Some (pid, ev.point)
               else None)
@@ -35,8 +35,8 @@ module Replay (A : Lower_bound.Algo_intf.S) = struct
         in
         go (S.step config ~crashes)
     in
-    (E.run (Engine.config ~schedule ~n ~t ~proposals ())).Run_result.statuses
-    = S.statuses (go (S.initial ~n ~t ~proposals))
+    let cfg = Engine.config ~schedule ~n ~t ~proposals () in
+    (E.run cfg).Run_result.statuses = S.statuses (go (S.initial cfg))
 end
 
 let test_stepper_matches_engine_exhaustively () =
@@ -63,7 +63,7 @@ let test_stepper_matches_engine_exhaustively () =
     !checked
 
 let test_stepper_guards () =
-  let c = S.initial ~n:3 ~t:0 ~proposals:[| 1; 2; 3 |] in
+  let c = S.initial (Engine.config ~n:3 ~t:0 ~proposals:[| 1; 2; 3 |] ()) in
   Alcotest.(check bool) "budget enforced" true
     (try
        ignore (S.step c ~crashes:[ (Pid.of_int 1, Crash.Before_send) ]);
@@ -71,22 +71,66 @@ let test_stepper_guards () =
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "t = n rejected" true
     (try
-       ignore (S.initial ~n:3 ~t:3 ~proposals:[| 1; 2; 3 |]);
+       ignore (S.initial (Engine.config ~n:3 ~t:3 ~proposals:[| 1; 2; 3 |] ()));
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check int) "round counter" 1 (S.next_round c);
+  Alcotest.(check int) "round counter" 1 c.S.next_round;
   let c' = S.step c ~crashes:[] in
-  Alcotest.(check int) "advances" 2 (S.next_round c');
+  Alcotest.(check int) "advances" 2 c'.S.next_round;
   Alcotest.(check (list int)) "all decided after round 1" [ 1 ]
     (S.decided_values c')
 
 let test_stepper_fingerprint_distinguishes () =
-  let a = S.initial ~n:3 ~t:1 ~proposals:[| 1; 2; 3 |]
-  and b = S.initial ~n:3 ~t:1 ~proposals:[| 9; 2; 3 |] in
+  let initial proposals = S.initial (Engine.config ~n:3 ~t:1 ~proposals ()) in
+  let a = initial [| 1; 2; 3 |] and b = initial [| 9; 2; 3 |] in
   Alcotest.(check bool) "different proposals differ" false
     (S.fingerprint a = S.fingerprint b);
   Alcotest.(check bool) "same config same print" true
-    (S.fingerprint a = S.fingerprint (S.initial ~n:3 ~t:1 ~proposals:[| 1; 2; 3 |]))
+    (S.fingerprint a = S.fingerprint (initial [| 1; 2; 3 |]))
+
+(* Under [`Announce] a decided process keeps sending, so what it has heard
+   since deciding is part of the configuration: every process announces its
+   own proposal in round 1 and keeps the largest value it has heard. *)
+module Announcer = Lower_bound.Algo_intf.Of_list (struct
+  type msg = int
+  type state = { me : int; n : int; proposal : int; heard : int }
+
+  let name = "announcer"
+  let model = Model_kind.Classic
+  let decision_mode = `Announce
+  let msg_bits ~value_bits _ = value_bits
+  let pp_msg = Format.pp_print_int
+  let init ~n ~t:_ ~me ~proposal =
+    { me = Pid.to_int me; n; proposal; heard = proposal }
+
+  let data_sends s ~round:_ =
+    List.filter_map
+      (fun d -> if Pid.to_int d = s.me then None else Some (d, s.heard))
+      (Pid.all ~n:s.n)
+
+  let sync_sends _ ~round:_ = []
+
+  let compute s ~round ~data ~syncs:_ =
+    let heard = List.fold_left (fun acc (_, v) -> max acc v) s.heard data in
+    ({ s with heard }, if round = 1 then Some s.proposal else None)
+
+  let estimate s = s.heard
+  let fingerprint s = string_of_int s.heard
+end)
+
+let test_stepper_fingerprint_announced_state () =
+  let module S = Lower_bound.Stepper.Make (Announcer) in
+  let c = S.initial (Engine.config ~n:3 ~t:1 ~proposals:[| 1; 2; 3 |] ()) in
+  let p3_reaches only =
+    S.step c
+      ~crashes:[ (Pid.of_int 3, Crash.During_data (Pid.set_of_ints [ only ])) ]
+  in
+  let a = p3_reaches 1 and b = p3_reaches 2 in
+  Alcotest.(check bool) "same outcomes" true (S.statuses a = S.statuses b);
+  Alcotest.(check bool) "announced processes still active" true
+    a.S.procs.(0).S.active;
+  Alcotest.(check bool) "what they heard tells them apart" false
+    (S.fingerprint a = S.fingerprint b)
 
 (* --- Truncation ----------------------------------------------------------- *)
 
@@ -166,7 +210,8 @@ let search_disagreement (module A : Lower_bound.Algo_intf.S) ~n ~t =
   let disagree c = List.length (S.decided_values c) > 1 in
   let nodes =
     S.search ~per_round:t ~stop:disagree
-      (S.initial ~n ~t ~proposals:(Engine.distinct_proposals n))
+      (S.initial
+         (Engine.config ~n ~t ~proposals:(Engine.distinct_proposals n) ()))
   in
   let last = nodes.(Array.length nodes - 1) in
   if disagree last.S.config then Some (S.schedule last) else None
@@ -246,7 +291,7 @@ let test_bivalent_depth_grows_with_t () =
 let test_reachable_values_mid_run () =
   (* After p1 crashes delivering only to p2, both 0 (if p2 survives) and 1
      (if p2 is also crashed) remain reachable with budget 2. *)
-  let c = S.initial ~n:4 ~t:2 ~proposals:[| 0; 1; 1; 1 |] in
+  let c = S.initial (Engine.config ~n:4 ~t:2 ~proposals:[| 0; 1; 1; 1 |] ()) in
   let c' =
     S.step c
       ~crashes:[ (Pid.of_int 1, Crash.During_data (Pid.set_of_ints [ 2 ])) ]
@@ -262,6 +307,8 @@ let () =
           Alcotest.test_case "matches-engine" `Quick test_stepper_matches_engine_exhaustively;
           Alcotest.test_case "guards" `Quick test_stepper_guards;
           Alcotest.test_case "fingerprint" `Quick test_stepper_fingerprint_distinguishes;
+          Alcotest.test_case "announce-fingerprint" `Quick
+            test_stepper_fingerprint_announced_state;
         ] );
       ( "truncated",
         [
