@@ -1589,9 +1589,10 @@ let serve_cmd =
               else Format.printf "%a" Serve.Soak.pp s;
               if not s.Serve.Soak.ok then begin
                 Format.eprintf
-                  "serve: soak saw %d disagreement(s), %d instance(s) \
-                   undrained@."
-                  s.Serve.Soak.disagreements s.Serve.Soak.undrained;
+                  "serve: soak saw %d disagreement(s), %d in the WALs, %d \
+                   instance(s) undrained@."
+                  s.Serve.Soak.disagreements s.Serve.Soak.wal_disagreements
+                  s.Serve.Soak.undrained;
                 1
               end
               else (

@@ -4,9 +4,10 @@
     against the paper's spec; this one validates the executions against
     {e each other}.  For every canonical crash schedule at n = 4 the oracle
     ({!Minimize.Oracle.check_schedule}) runs the abstract engine twice
-    (fresh-allocation [run] and reused-scratch [runner], compared on the
-    full observable result) and the timed LAN realization (compared on
-    decisions, decision rounds and crash-set).  A second table replays the
+    (fresh-allocation [run] and reused-scratch [runner]) and the
+    reference semantics, all three compared on the full observable
+    result, and the timed LAN realization (compared on decisions,
+    decision rounds and crash-set).  A second table replays the
     chaos storm seeds through the masked transport.  Any disagreement
     anywhere fails the experiment — zero is the only acceptable column. *)
 
@@ -116,7 +117,7 @@ let run () = [ schedule_table (); masked_table () ]
 let experiment =
   {
     Experiment.id = "DIFF";
-    title = "differential conformance: four executions, zero disagreements";
+    title = "differential conformance: five lanes, zero disagreements";
     paper_ref = "verification harness (Sections 2.1-2.2 cross-checked)";
     run;
   }

@@ -29,9 +29,7 @@ let dial_hello ?jitter ~deadline ~me addr =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error ("hello: " ^ Sockets.error_to_string e))
 
-let handshake ?jitter
-    ?(client = fun _ -> failwith "handshake: client hello before the mesh")
-    ~deadline ~me ~n ~addr ~log lfd =
+let handshake ?jitter ~deadline ~me ~n ~addr ~log lfd =
   let fds = Array.make n None in
   for p = me + 1 to n do
     match dial_hello ?jitter ~deadline ~me (addr p) with
@@ -50,7 +48,9 @@ let handshake ?jitter
       | Ok bytes -> (
         match Frame.hello_of_string bytes with
         | Error why -> failwith why
-        | Ok 0 -> client fd
+        | Ok 0 ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          log "client hello before the mesh was up; closed"
         | Ok node when node >= 1 && node < me ->
           if fds.(node - 1) <> None then
             failwith (Printf.sprintf "handshake: duplicate hello from p%d" node);

@@ -43,7 +43,6 @@ val dial_hello :
 
 val handshake :
   ?jitter:Prng.Rng.t ->
-  ?client:(Unix.file_descr -> unit) ->
   deadline:float ->
   me:int ->
   n:int ->
@@ -53,7 +52,8 @@ val handshake :
   Unix.file_descr option array
 (** Dial the higher ids, then accept the lower ids on the listen fd — one
     dialer per edge, so no deadlock.  Index [p - 1] is the link to node
-    [p]; a client's Hello (node 0) goes to [client].  Raises [Failure]. *)
+    [p].  A client's Hello (node 0) is closed and logged: a node serves
+    clients only once its mesh is up.  Raises [Failure]. *)
 
 module Make (_ : Binding.ALGO) : sig
   (** One process's rounds, apart from any transport: {!main} drives them

@@ -33,6 +33,7 @@ type node = {
   mutable decoder : Live.Frame.decoder;
   mutable attempts : int;  (* reconnect attempts since the last success *)
   mutable next_try : float;  (* infinity = no reconnect pending *)
+  mutable unanswered : bool;  (* re-dialed, and no frame back on it yet *)
 }
 
 (* One in-flight instance.  [waiting] has bit [p - 1] set while node [p]
@@ -74,6 +75,7 @@ let run ?on_idle ?on_settle cfg =
             decoder = Live.Frame.decoder ();
             attempts = 0;
             next_try = infinity;
+            unanswered = false;
           })
     in
     let jitter = Prng.Rng.of_int 0x5eed in
@@ -242,7 +244,7 @@ let run ?on_idle ?on_settle cfg =
               | Ok () ->
                 node.decoder <- Live.Frame.decoder ();
                 node.attempts <- 0;
-                incr reconnects
+                node.unanswered <- true
             end)
           nodes
       in
@@ -250,6 +252,12 @@ let run ?on_idle ?on_settle cfg =
         let rec go () =
           match Live.Frame.pop_view node.decoder with
           | `View v ->
+            (* A rejoining engine refuses a client by closing unread, so
+               a re-dial counts once the engine answers on it. *)
+            if node.unanswered then begin
+              node.unanswered <- false;
+              incr reconnects
+            end;
             (match v.Live.Frame.kind with
             | Live.Frame.K_decide -> (
               let idx = v.Live.Frame.instance - cfg.first in

@@ -34,7 +34,11 @@
     a value the others did not; for a decided one it would report the
     decision it adopted from its peers, which {!Report} would judge as
     its own.  For those instances the node stays crashed, as the crash
-    model has it. *)
+    model has it.  A revived engine that has not caught up with its peers
+    closes the connection unread; the client re-dials it under the same
+    backoff, and counts the re-dial in [reconnects] only once the engine
+    answers on it.  So a node counts live again only for instances that
+    start on every node at once. *)
 
 type load =
   | Count of int  (** instances [first .. first+k-1], then stop *)
@@ -74,7 +78,10 @@ type outcome = {
   dead_nodes : int list;
       (** nodes down when the run closed — with [reconnect], the ones
           that never came back *)
-  reconnects : int;  (** successful re-dials of dead engines *)
+  reconnects : int;
+      (** re-dials of dead engines that answered: a rejoining engine
+          refuses a client until it has caught up, so a dial it closed
+          unread does not count *)
 }
 
 val run :

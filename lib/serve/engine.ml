@@ -22,11 +22,6 @@ let handshake_timeout = 10.0
    us when it recovers. *)
 let rejoin_dial_timeout = 2.0
 
-(* Fallback for the catch-up gate: if a dialed peer never sends its
-   end-of-batch marker (killed mid-push), the rejoining engine starts
-   serving clients anyway after this long. *)
-let catchup_timeout = 5.0
-
 (* A freshly accepted connection has this long to say Hello before the
    loop drops it — a slow-loris fd costs a map entry, never a stall. *)
 let hello_deadline = 2.0
@@ -78,6 +73,7 @@ module Make (A : Live.Binding.ALGO) = struct
     pbuf : Bytes.t;
     mutable got : int;
     pdeadline : float;
+    gated : bool;  (* accepted before the rejoin gate opened: refused *)
   }
 
   type kind = K_listen | K_peer of peer | K_client of client | K_pending of pending
@@ -103,9 +99,9 @@ module Make (A : Live.Binding.ALGO) = struct
     stats : Stats.t;
     batch : Batch.t;
     buf : Bytes.t;  (* one read buffer for every socket *)
-    catchup_expect : int;
-    mutable catchup_got : int;
-    catchup_deadline : float;
+    awaited : bool array;
+        (* reached peers (index [p - 1]) whose catch-up end marker has
+           neither arrived nor been overtaken by their death *)
     mutable caught_up : bool;
     mirror_until : float array;
     held : bool array;
@@ -142,6 +138,7 @@ module Make (A : Live.Binding.ALGO) = struct
     try Unix.close fd with Unix.Unix_error _ -> ()
 
   let mark_dead e peer why =
+    e.awaited.(peer.pid - 1) <- false;
     match peer.fd with
     | None -> ()
     | Some fd ->
@@ -170,8 +167,8 @@ module Make (A : Live.Binding.ALGO) = struct
     | Some f -> f p
     | None -> Live.Sockets.addr_of ~transport:cfg.transport p
 
-  (* The listen fd stays open for late clients, and a client racing the
-     mesh joins the client list.  A rejoining engine instead dials every
+  (* The listen fd stays open for late clients; a client racing the mesh
+     is closed by the handshake.  A rejoining engine instead dials every
      peer with a bounded timeout, tolerating peers that are down, and
      expects no accepts: its peers push their logs as Catchup batches. *)
   let establish cfg =
@@ -198,21 +195,13 @@ module Make (A : Live.Binding.ALGO) = struct
             logf cfg "rejoin: dialed p%d" p
           | Error why -> logf cfg "rejoin: p%d: %s" p why
       done;
-      (lfd, peer_fds, [])
+      (lfd, peer_fds)
     end
-    else begin
-      let clients = ref [] in
-      let peer_fds =
+    else
+      ( lfd,
         Live.Node.handshake ~jitter ~me:cfg.me ~n:cfg.n ~addr:(dial_addr cfg)
           ~deadline:(Live.Sockets.now () +. handshake_timeout)
-          ~log:(logf cfg "%s")
-          ~client:(fun fd ->
-            clients := fd :: !clients;
-            logf cfg "client connected during handshake")
-          lfd
-      in
-      (lfd, peer_fds, List.rev !clients)
-    end
+          ~log:(logf cfg "%s") lfd )
 
   (* The durable decision log.  A fresh engine starts a new one: a log
      already in place belongs to an earlier life of the directory, whose
@@ -324,12 +313,6 @@ module Make (A : Live.Binding.ALGO) = struct
     in
     let stats = M.stats mux in
     Option.iter (fun w -> Wal.iter w (M.seed_decision mux)) wal;
-    (* A rejoin awaits one catch-up batch from each peer it reached. *)
-    let reached =
-      if cfg.rejoin then
-        Array.fold_left (fun k fd -> if fd = None then k else k + 1) 0 peer_fds
-      else 0
-    in
     let e =
       {
         cfg;
@@ -348,10 +331,12 @@ module Make (A : Live.Binding.ALGO) = struct
         stats;
         batch = Batch.create ~n:cfg.n ~batch:cfg.batch ~stats ~send;
         buf = Bytes.create 65536;
-        catchup_expect = reached;
-        catchup_got = 0;
-        catchup_deadline = clock () +. catchup_timeout;
-        caught_up = reached = 0;
+        (* A rejoin awaits one catch-up batch from each peer it reached,
+           and starts gated even when it reached none. *)
+        awaited =
+          Array.mapi (fun i fd -> cfg.rejoin && i + 1 <> cfg.me && fd <> None)
+            peer_fds;
+        caught_up = not cfg.rejoin;
         mirror_until = Array.make cfg.n 0.0;
         held;
         ready_clients = [];
@@ -384,23 +369,16 @@ module Make (A : Live.Binding.ALGO) = struct
     if recovered > 0 then logf cfg "wal: replayed %d decisions" recovered;
     e
 
-  (* Rejoin catch-up gate: until every reached peer has pushed its
-     decision-log batch (or the fallback deadline passes), client Submits
-     stay unread — re-running an instance the mesh already decided, alone
-     and from round 1, could converge on a different value.  Mesh traffic
-     flows normally throughout. *)
+  (* Rejoin catch-up gate: it opens once every reached peer has sent its
+     end-of-batch marker or died.  A client accepted before then is
+     refused unread: its Submits name instances the peers started at
+     once, and by the time the gate opens they may have expired round 1,
+     so this node would run them alone.  Mesh traffic flows throughout. *)
   let check_caught_up e =
-    if not e.caught_up then
-      if e.catchup_got >= e.catchup_expect then begin
-        e.caught_up <- true;
-        logf e.cfg "caught up: %d peer batches, %d decisions adopted"
-          e.catchup_got e.stats.Stats.catchup_in
-      end
-      else if e.clock () > e.catchup_deadline then begin
-        e.caught_up <- true;
-        logf e.cfg "catch-up timed out (%d of %d batches); serving anyway"
-          e.catchup_got e.catchup_expect
-      end
+    if (not e.caught_up) && not (Array.mem true e.awaited) then begin
+      e.caught_up <- true;
+      logf e.cfg "caught up: %d decisions adopted" e.stats.Stats.catchup_in
+    end
 
   (* Peers that recently rejoined keep receiving every new decision as a
      Catchup mirror until the instances that straddled their outage have
@@ -460,10 +438,9 @@ module Make (A : Live.Binding.ALGO) = struct
           if
             v.Live.Frame.kind = Live.Frame.K_catchup && v.Live.Frame.round = 0
           then begin
-            e.catchup_got <- e.catchup_got + 1;
+            e.awaited.(peer.pid - 1) <- false;
             logf e.cfg "catch-up batch from p%d: %d decisions" peer.pid
-              v.Live.Frame.value;
-            check_caught_up e
+              v.Live.Frame.value
           end
           else M.on_view e.mux ~now:(e.clock ()) ~from:peer.pid v;
           go ()
@@ -523,6 +500,7 @@ module Make (A : Live.Binding.ALGO) = struct
             pbuf = Bytes.create Live.Frame.hello_size;
             got = 0;
             pdeadline = e.clock () +. hello_deadline;
+            gated = not e.caught_up;
           }
         in
         e.pendings <- p :: e.pendings;
@@ -542,6 +520,9 @@ module Make (A : Live.Binding.ALGO) = struct
       if p.got >= Live.Frame.hello_size then begin
         e.pendings <- List.filter (fun q -> q != p) e.pendings;
         match Live.Frame.hello_of_string (Bytes.to_string p.pbuf) with
+        | Ok 0 when p.gated ->
+          logf cfg "client refused: connected before the catch-up gate opened";
+          drop_fd e p.pfd
         | Ok 0 ->
           ignore (new_client e p.pfd);
           logf cfg "client connected"
@@ -594,11 +575,9 @@ module Make (A : Live.Binding.ALGO) = struct
      backlogged clients rejoin even without new bytes. *)
   let serve_clients e =
     let service =
-      if not e.caught_up then []
-      else
-        List.filter
-          (fun c -> c.alive && (c.backlog || List.memq c e.ready_clients))
-          e.clients
+      List.filter
+        (fun c -> c.alive && (c.backlog || List.memq c e.ready_clients))
+        e.clients
     in
     match service with
     | [] -> ()
@@ -757,8 +736,8 @@ module Make (A : Live.Binding.ALGO) = struct
 
   let main cfg =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let listen, peers, clients = establish cfg in
-    let e = create ~clock:Live.Sockets.now ~listen ~peers ~clients cfg in
+    let listen, peers = establish cfg in
+    let e = create ~clock:Live.Sockets.now ~listen ~peers ~clients:[] cfg in
     let report event fields =
       Live.Children.status_event cfg.status
         ((("event", Obs.Json.String event) :: ("node", Obs.Json.Int cfg.me)

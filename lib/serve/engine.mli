@@ -18,8 +18,12 @@
     Decides, and every peer queue that took a Catchup this turn, drained
     whole to keep it FIFO.  A fresh engine starts a new log,
     replacing any it finds.  A respawned engine sets [rejoin]: it replays
-    its log (a rejected one degrades to a fresh join), dials every peer and holds client Submits until each reached peer has
-    sent its decision log as a Catchup batch.  Any engine answers a
+    its log (a rejected one degrades to a fresh join) and dials every
+    peer.  Its catch-up gate opens once each peer it reached has sent its
+    decision log as a Catchup batch, end marker included, or has died.
+    A client it accepted before then is closed unread: its Submits name
+    instances its peers started at once, which this node, starting them
+    late, could decide alone.  Any engine answers a
     post-startup mesh Hello that way, streaming the log a few slices a
     turn while the peer's queue is short of 1 MiB, so a log of any
     length stays below the high-water mark; then it mirrors new
@@ -66,8 +70,9 @@ module Make (A : Live.Binding.ALGO) : sig
     config ->
     t
   (** An engine over connected fds, which it owns from then on: [peers]
-      (index [p - 1] is the link to node [p]), [clients] and the [listen]
-      fd for late clients and rejoins.  It reads time from [clock]; with
+      (index [p - 1] is the link to node [p]), [clients], served from
+      the first turn even when rejoining, and the [listen] fd for late
+      clients and rejoins.  It reads time from [clock]; with
       [wal_dir] it opens (and, rejoining, replays) its WAL.  [transport],
       [dial] and [status] are {!main}'s alone. *)
 

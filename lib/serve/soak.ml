@@ -12,6 +12,7 @@ type t = {
   elapsed : float;
   settled : int;
   disagreements : int;
+  wal_disagreements : int;
   undrained : int;
   decisions_per_sec : float;
   kills : int;
@@ -23,6 +24,36 @@ type t = {
 (* After the stream stops submitting, in-flight instances get this long
    to settle before the soak closes and counts them undrained. *)
 let drain_grace = 3.0
+
+(* The durable record, judged after teardown: every node's log streamed
+   back, counting the instances on which two entries — of two logs, or
+   of one — hold different values.  [seen.(i)] is instance [i]'s first
+   logged value (a wire value, never negative), [-1] before any, [split]
+   once counted. *)
+let wal_disagreements ~dir ~n =
+  let split = -2 and seen = ref [||] and count = ref 0 in
+  let note ~instance ~value ~round:_ =
+    let len = Array.length !seen in
+    if instance >= len then begin
+      let grown = Array.make (max (instance + 1) (2 * len)) (-1) in
+      Array.blit !seen 0 grown 0 len;
+      seen := grown
+    end;
+    let v = !seen.(instance) in
+    if v = -1 then !seen.(instance) <- value
+    else if v <> split && v <> value then begin
+      !seen.(instance) <- split;
+      incr count
+    end
+  in
+  let rec go node =
+    if node > n then Ok !count
+    else
+      match Wal.stream ~path:(Wal.path ~dir ~node) ~node note with
+      | Ok _ -> go (node + 1)
+      | Error why -> Error (Printf.sprintf "serve soak: p%d's log: %s" node why)
+  in
+  go 1
 
 let run ?kill_every cfg ~duration ~bucket =
   if duration <= 0.0 then Error "serve soak: duration must be positive"
@@ -40,12 +71,16 @@ let run ?kill_every cfg ~duration ~bucket =
       let next_kill =
         ref (match kill_every with Some ke -> started +. ke | None -> infinity)
       in
+      (* Kills stop with the stream: a victim killed in the drain grace
+         gets no fresh instance to answer, so it could never be counted
+         back. *)
       let on_idle () =
+        let now = Live.Sockets.now () in
         (match kill_every with
-        | Some ke when Live.Sockets.now () >= !next_kill ->
+        | Some ke when now >= !next_kill && now < started +. duration ->
           if kill !next_victim then incr kills;
           next_victim := (!next_victim mod cfg.Fleet.n) + 1;
-          next_kill := Live.Sockets.now () +. ke
+          next_kill := now +. ke
         | Some _ | None -> ());
         on_idle ()
       in
@@ -111,6 +146,7 @@ let run ?kill_every cfg ~duration ~bucket =
             elapsed;
             settled = !settled;
             disagreements = !disagreements;
+            wal_disagreements = 0;
             undrained;
             decisions_per_sec =
               (if elapsed > 0.0 then float_of_int !settled /. elapsed else 0.0);
@@ -122,6 +158,10 @@ let run ?kill_every cfg ~duration ~bucket =
     in
     match Fleet.with_mesh cfg drive with
     | Error e -> Error e
+    | Ok (t, _mesh) when cfg.Fleet.wal || cfg.Fleet.respawn -> (
+      match wal_disagreements ~dir:cfg.Fleet.workspace ~n:cfg.Fleet.n with
+      | Error e -> Error e
+      | Ok k -> Ok { t with wal_disagreements = k; ok = t.ok && k = 0 })
     | Ok (t, _mesh) -> Ok t
 
 let to_json t =
@@ -132,6 +172,7 @@ let to_json t =
       ("elapsed", Obs.Json.Float t.elapsed);
       ("settled", Obs.Json.Int t.settled);
       ("disagreements", Obs.Json.Int t.disagreements);
+      ("wal_disagreements", Obs.Json.Int t.wal_disagreements);
       ("undrained", Obs.Json.Int t.undrained);
       ("decisions_per_sec", Obs.Json.Float t.decisions_per_sec);
       ("kills", Obs.Json.Int t.kills);
@@ -153,8 +194,9 @@ let to_json t =
     ]
 
 let pp ppf t =
-  Format.fprintf ppf "soak: %.0fs, %d settled (%.1f/s), %d disagreement(s)%s%s@."
-    t.duration t.settled t.decisions_per_sec t.disagreements
+  Format.fprintf ppf
+    "soak: %.0fs, %d settled (%.1f/s), %d disagreement(s), %d in the WALs%s%s@."
+    t.duration t.settled t.decisions_per_sec t.disagreements t.wal_disagreements
     (if t.undrained > 0 then Printf.sprintf ", %d undrained" t.undrained else "")
     (if t.kills > 0 then
        Printf.sprintf ", %d kill(s) / %d reconnect(s)" t.kills t.reconnects

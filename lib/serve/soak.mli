@@ -15,13 +15,21 @@
     stops settling is not healthy, however well it agreed before.
 
     With [kill_every] (requires the fleet's respawn policy), the fleet's
-    [on_idle] hook is wrapped by a round-robin SIGKILL schedule: the
+    [on_idle] hook is wrapped by a round-robin SIGKILL schedule, which
+    stops when the stream stops submitting: the
     fleet respawns each victim through the WAL-replay / catch-up path
     and the client re-dials it exactly as it does for any storm
     (re-Hello, a fresh decoder, counted live again for the instances
     submitted after the re-dial).  The bucketed percentiles then show
     the recovery dips, and {!ok} still demands zero disagreements
-    across every kill. *)
+    across every kill.
+
+    With WALs on (the fleet's [wal] or [respawn]), the soak also judges
+    the durable record: after teardown it streams every node's log back
+    ({!Wal.stream}, no entry lists) and counts the instances on which two
+    logs hold different values.  A client sees only the answers of the
+    nodes it was waiting on; the logs also hold what a revived node
+    decided while the client counted it crashed. *)
 
 type bucket = {
   since : float;  (** bucket start, seconds from soak start *)
@@ -37,12 +45,15 @@ type t = {
   elapsed : float;  (** actual wall time incl. the drain grace *)
   settled : int;
   disagreements : int;
+  wal_disagreements : int;
+      (** instances on which two WAL entries hold different values; 0
+          without WALs *)
   undrained : int;  (** instances still in flight when the soak closed *)
   decisions_per_sec : float;  (** settled / elapsed *)
   kills : int;  (** scheduled SIGKILLs delivered ([kill_every]) *)
-  reconnects : int;  (** successful re-dials of respawned engines *)
+  reconnects : int;  (** re-dials of respawned engines that answered *)
   buckets : bucket list;  (** ascending by [since]; empty buckets omitted *)
-  ok : bool;  (** no disagreements, and nothing left undrained *)
+  ok : bool;  (** no disagreements (WALs included), nothing undrained *)
 }
 
 val run :

@@ -113,18 +113,19 @@ let collector () =
   ( (fun ~instance ~value ~round -> acc := { instance; value; round } :: !acc),
     fun () -> List.rev !acc )
 
-let load ~path ~node =
+let stream ~path ~node f =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> Ok { entries = []; discarded = 0 }
-  | fd -> (
-    let f, entries = collector () in
-    match
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> read_log fd ~node f)
-    with
-    | Error _ as e -> e
-    | Ok (_, discarded) -> Ok { entries = entries (); discarded })
+  | exception Unix.Unix_error _ -> Ok 0
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> Result.map snd (read_log fd ~node f))
+
+let load ~path ~node =
+  let f, entries = collector () in
+  Result.map
+    (fun discarded -> { entries = entries (); discarded })
+    (stream ~path ~node f)
 
 let write_all fd b ~len =
   let rec go off =

@@ -45,6 +45,15 @@ val load : path:string -> node:int -> (recovery, string) result
     mismatch (bad magic, unknown version, wrong node) is [Error].  Never
     raises. *)
 
+val stream :
+  path:string ->
+  node:int ->
+  (instance:int -> value:int -> round:int -> unit) ->
+  (int, string) result
+(** {!load} without the entry list: stream the valid prefix through [f],
+    one read-sized slice at a time, and return the discarded byte count.
+    Read-only, like {!load}. *)
+
 val recover : path:string -> node:int -> (t * recovery, string) result
 (** Open [path] for appending, creating it (with a fresh header) if
     missing.  Replays the valid prefix, truncates any rejected suffix in

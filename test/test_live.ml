@@ -746,6 +746,46 @@ let test_sockets_listen_error () =
     Alcotest.(check bool) "printable" true
       (String.length (Live.Sockets.error_to_string e) > 0)
 
+let test_handshake_closes_client_hello () =
+  (* A client's Hello racing the mesh is closed and logged, and the
+     handshake still links the peer behind it. *)
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "live-handshake-%d.sock" (Unix.getpid ()))
+  in
+  (try Sys.remove path with Sys_error _ -> ());
+  let lfd =
+    match Live.Sockets.listen (Unix.ADDR_UNIX path) with
+    | Ok fd -> fd
+    | Error e -> Alcotest.fail (Live.Sockets.error_to_string e)
+  in
+  let dial node =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    let hello = Live.Frame.encode (Live.Frame.Hello { node }) in
+    ignore (Unix.write_substring fd hello 0 (String.length hello));
+    fd
+  in
+  let client = dial 0 in
+  let peer = dial 1 in
+  let logged = ref [] in
+  let fds =
+    Live.Node.handshake
+      ~deadline:(Live.Sockets.now () +. 5.0)
+      ~me:2 ~n:2
+      ~addr:(fun _ -> Alcotest.fail "p2 dials nobody")
+      ~log:(fun line -> logged := line :: !logged)
+      lfd
+  in
+  Alcotest.(check bool) "p1 linked" true (fds.(0) <> None);
+  Alcotest.(check bool) "the client Hello is logged" true
+    (List.exists (contains ~sub:"client") !logged);
+  Alcotest.(check int) "the client reads EOF" 0
+    (Unix.read client (Bytes.create 1) 0 1);
+  Array.iter (Option.iter Unix.close) fds;
+  List.iter Unix.close [ client; peer; lfd ];
+  Sys.remove path
+
 (* --- Supervisor self-healing events ---------------------------------------- *)
 
 let counting_instrument () =
@@ -987,6 +1027,8 @@ let () =
             test_sockets_listen_error;
           Alcotest.test_case "retry-wait jitter envelope" `Quick
             test_retry_wait_jitter_envelope;
+          Alcotest.test_case "handshake closes a client" `Quick
+            test_handshake_closes_client_hello;
         ] );
       ( "supervisor",
         [

@@ -1802,6 +1802,144 @@ let test_engine_catchup_past_peer_hwm () =
   Alcotest.(check int) "every decision arrived" total !got
 
 
+(* --- The rejoin gate, on a clock that never moves ------------------------ *)
+
+(* p1 of three over a real listen socket, with a socketpair link to each
+   peer in [reached]; the test holds the far ends ([far.(p - 1)]). *)
+let gate_rig ~tag ~rejoin ~reached =
+  let dir = fleet_workspace ("gate-" ^ tag) in
+  let sock = Filename.concat dir "p1.sock" in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX sock);
+  Unix.listen lfd 8;
+  let peers = Array.make 3 None and far = Array.make 3 None in
+  List.iter
+    (fun p ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      peers.(p - 1) <- Some a;
+      far.(p - 1) <- Some b)
+    reached;
+  let log = open_out (Filename.concat dir "p1.log") in
+  let e =
+    Serve.Engine.Rwwc.create ~clock:(fun () -> 0.0) ~listen:lfd ~peers
+      ~clients:[]
+      {
+        Serve.Engine.me = 1;
+        n = 3;
+        t = 1;
+        transport = `Unix dir;
+        big_d = 0.25;
+        max_rounds = 2;
+        batch = true;
+        kill_after = None;
+        linger = true;
+        wal_dir = None;
+        rejoin;
+        dial = None;
+        status = log;
+        log;
+      }
+  in
+  let finish () =
+    Serve.Engine.Rwwc.close e;
+    Array.iter
+      (Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()))
+      far;
+    close_out log;
+    try Sys.remove sock with Sys_error _ -> ()
+  in
+  (e, sock, far, finish)
+
+(* A client that says Hello and submits one instance at once. *)
+let gate_client sock ~instance =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  send fd
+    (Live.Frame.encode (Live.Frame.Hello { node = 0 })
+    ^ Live.Frame.encode (Live.Frame.Submit { instance; proposal = 7 }));
+  Unix.set_nonblock fd;
+  fd
+
+let gate_turns e k =
+  for _ = 1 to k do
+    ignore (Serve.Engine.Rwwc.step e ~timeout:0.0)
+  done
+
+let gate_submits e = (Serve.Engine.Rwwc.stats e).Serve.Stats.submits
+
+(* Whether the engine closed the client's connection. *)
+let gate_refused fd =
+  let buf = Bytes.create 256 in
+  match Unix.read fd buf 0 (Bytes.length buf) with
+  | 0 -> true
+  | _ -> false
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+
+let end_marker =
+  Live.Frame.encode (Live.Frame.Catchup { instance = 0; value = 0; round = 0 })
+
+let test_gate_refuses_while_closed () =
+  (* Regression: a rejoining engine held a client's Submits unread while
+     its peers' catch-ups were under way, then started them once the
+     gate opened — behind peers that had started them at once. *)
+  let e, sock, far, finish = gate_rig ~tag:"closed" ~rejoin:true ~reached:[ 2; 3 ] in
+  Fun.protect ~finally:finish (fun () ->
+      let c = gate_client sock ~instance:5 in
+      gate_turns e 5;
+      Alcotest.(check bool) "a client accepted while the gate is closed reads EOF"
+        true (gate_refused c);
+      Alcotest.(check int) "its Submit is not started" 0 (gate_submits e);
+      List.iter (fun p -> send (Option.get far.(p - 1)) end_marker) [ 2; 3 ];
+      gate_turns e 5;
+      Alcotest.(check int) "nor once the gate opens" 0 (gate_submits e);
+      Unix.close c)
+
+let test_gate_marker_or_death_opens () =
+  (* Each reached peer's share of the gate completes with its end marker
+     or its death; no timer is involved, the clock never moves. *)
+  let e, sock, far, finish = gate_rig ~tag:"opens" ~rejoin:true ~reached:[ 2; 3 ] in
+  Fun.protect ~finally:finish (fun () ->
+      send (Option.get far.(1)) end_marker;
+      Unix.close (Option.get far.(2));
+      far.(2) <- None;
+      gate_turns e 3;
+      let c = gate_client sock ~instance:5 in
+      gate_turns e 5;
+      Alcotest.(check bool) "a client accepted after the gate opened is served"
+        false (gate_refused c);
+      Alcotest.(check int) "its Submit is started" 1 (gate_submits e);
+      Unix.close c)
+
+let test_gate_no_peer_refuses_backlog () =
+  (* A rejoin that reached no peer still starts gated: a client waiting
+     in the listen backlog through the dials is accepted on the first
+     turn and refused; one that connects after it is served. *)
+  let e, sock, _, finish = gate_rig ~tag:"no-peer" ~rejoin:true ~reached:[] in
+  Fun.protect ~finally:finish (fun () ->
+      let early = gate_client sock ~instance:5 in
+      gate_turns e 5;
+      Alcotest.(check bool) "the backlog's client reads EOF" true
+        (gate_refused early);
+      Alcotest.(check int) "its Submit is not started" 0 (gate_submits e);
+      let late = gate_client sock ~instance:6 in
+      gate_turns e 5;
+      Alcotest.(check bool) "a later client is served" false (gate_refused late);
+      Alcotest.(check int) "its Submit is started" 1 (gate_submits e);
+      Unix.close early;
+      Unix.close late)
+
+let test_gate_fresh_engine_serves () =
+  (* A fresh engine has no gate: the backlog's client is served at once. *)
+  let e, sock, _, finish = gate_rig ~tag:"fresh" ~rejoin:false ~reached:[ 2; 3 ] in
+  Fun.protect ~finally:finish (fun () ->
+      let c = gate_client sock ~instance:5 in
+      gate_turns e 5;
+      Alcotest.(check bool) "served" false (gate_refused c);
+      Alcotest.(check int) "its Submit is started" 1 (gate_submits e);
+      Unix.close c)
+
 let test_fleet_respawn_recovers () =
   (* The full recovery path: a mid-storm SIGKILL victim is respawned by
      the fleet, replays its WAL, catches up over the mesh, and the
@@ -2061,6 +2199,17 @@ let () =
             test_wal_truncation_sweep;
           Alcotest.test_case "byte-flip-sweep" `Quick test_wal_byte_flip_sweep;
           Alcotest.test_case "torn-batch-sweep" `Quick test_wal_torn_batch_sweep;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "refuses-while-closed" `Quick
+            test_gate_refuses_while_closed;
+          Alcotest.test_case "marker-or-death-opens" `Quick
+            test_gate_marker_or_death_opens;
+          Alcotest.test_case "no-peer-refuses-backlog" `Quick
+            test_gate_no_peer_refuses_backlog;
+          Alcotest.test_case "fresh-engine-serves" `Quick
+            test_gate_fresh_engine_serves;
         ] );
       ( "chaosproxy",
         [
