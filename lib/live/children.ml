@@ -41,6 +41,7 @@ type child = {
   lines : Buffer.t;
   mutable exit : exit_obs option;
   mutable respawns : int;
+  mutable streak : int;
   mutable due : float option;
 }
 
@@ -82,6 +83,7 @@ let add t ~id pid status =
       lines = Buffer.create 256;
       exit = None;
       respawns = 0;
+      streak = 0;
       due = None;
     }
   in
@@ -106,6 +108,7 @@ let respawn t ?log c body =
   c.status <- Some r;
   c.exit <- None;
   c.respawns <- c.respawns + 1;
+  c.streak <- c.streak + 1;
   c.due <- None
 
 (* Hand every newline-terminated line to [on_event]; keep the tail. *)
@@ -189,12 +192,14 @@ let kill c =
   | () -> true
   | exception Unix.Unix_error _ -> false
 
-let respawn_delay ~budget ~base attempt =
+let respawn_delay ~budget ~base ~streak attempt =
   if attempt >= budget then None
-  else Some (base *. Float.of_int (1 lsl attempt))
+  else Some (base *. Float.of_int (1 lsl streak))
+
+let ready c = c.streak <- 0
 
 let schedule_respawn c ~budget ~base =
-  let delay = respawn_delay ~budget ~base c.respawns in
+  let delay = respawn_delay ~budget ~base ~streak:c.streak c.respawns in
   Option.iter (fun d -> c.due <- Some (Sockets.now () +. d)) delay;
   delay
 

@@ -19,7 +19,8 @@
       point (it raised [SIGSTOP] on itself at an exact write position); it
       is answered with the real [SIGKILL] and reported as [`Stop_killed].
     - Respawn bookkeeping: a per-child attempt count, a delay of
-      [base * 2^attempt] while attempts remain in the budget, and a due
+      [base * 2^k] while attempts remain in the budget, where [k] counts
+      the respawns since the child last reported {!ready}, and a due
       time; {!respawn} replaces the process inside the same {!child}.
     - {!teardown} kills and reaps every survivor, closes every parent-side
       fd and unlinks the node sockets. *)
@@ -50,6 +51,7 @@ type child = private {
   lines : Buffer.t;  (** status bytes not yet ended by a newline *)
   mutable exit : exit_obs option;  (** [None] while not yet reaped *)
   mutable respawns : int;  (** respawn attempts consumed *)
+  mutable streak : int;  (** respawns since the last {!ready} *)
   mutable due : float option;  (** a scheduled respawn's due time *)
 }
 
@@ -101,10 +103,15 @@ val reap : child -> exit_obs option
 val kill : child -> bool
 (** SIGKILL a child not yet reaped; whether a signal was sent. *)
 
-val respawn_delay : budget:int -> base:float -> int -> float option
-(** The wait before respawn attempt [k + 1] after [k] attempts:
-    [Some (base * 2^k)] while [k < budget], [None] once the budget is
-    spent. *)
+val respawn_delay :
+  budget:int -> base:float -> streak:int -> int -> float option
+(** The wait before the next respawn after [k] attempts, [streak] of
+    them since the child was last healthy: [Some (base * 2^streak)]
+    while [k < budget], [None] once the budget is spent. *)
+
+val ready : child -> unit
+(** The child reported itself healthy: its next respawn waits [base]
+    again.  The budget still counts every attempt. *)
 
 val schedule_respawn : child -> budget:int -> base:float -> float option
 (** Set the child's due time from {!respawn_delay}; the delay, or [None]

@@ -15,7 +15,11 @@
     per destination per wakeup is gone; {!Stats.t.copies_saved} counts
     how often.
 
-    Destination 0 is the client channel; 1..n are mesh peers.  In
+    Destination 0 is the client channel; 1..n are the owner's output
+    streams.  {!Engine} gives each (peer, lane) pair of its {!Outq} its
+    own destination, so a turn's Data, Ctl and Catchup frames to one
+    peer coalesce into separate buffers and can reach the kernel in the
+    paper's order.  In
     [batch:false] mode an add sends each frame immediately (its own
     buffer, its own write) and [flush] is a no-op — the same code path,
     only the coalescing differs, which is what keeps the comparison

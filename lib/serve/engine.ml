@@ -46,6 +46,19 @@ let client_frame_budget = 1024
 (* The longest [main] waits for readiness when nothing is due sooner. *)
 let idle_wait = 0.25
 
+(* A peer's outbound queue keeps the turn's frames in three lanes, so
+   that [release_rounds] can hand them to the kernel in the paper's order
+   and a catch-up waits for the WAL without holding back the rounds. *)
+let data_lane = 0
+let ctl_lane = 1
+let catchup_lane = 2
+let lanes = 3
+
+let lane_of = function
+  | Live.Frame.Ctl _ -> ctl_lane
+  | Live.Frame.Catchup _ -> catchup_lane
+  | _ -> data_lane
+
 module Make (A : Live.Binding.ALGO) = struct
   module M = Mux.Make (A)
 
@@ -55,7 +68,8 @@ module Make (A : Live.Binding.ALGO) = struct
     mutable decoder : Live.Frame.decoder;
         (* replaced wholesale when a restarted peer re-handshakes: the new
            connection is a fresh byte stream *)
-    outq : Outq.t;
+    outq : Outq.t;  (* lanes: [data_lane], [ctl_lane], [catchup_lane] *)
+    mutable stalled : bool;  (* a write to it blocked this turn *)
     mutable replay : M.catchup option;  (* a rejoin catch-up still to send *)
   }
 
@@ -104,9 +118,6 @@ module Make (A : Live.Binding.ALGO) = struct
            neither arrived nor been overtaken by their death *)
     mutable caught_up : bool;
     mirror_until : float array;
-    held : bool array;
-        (* peers (index [p - 1]) this turn sent a Catchup: with a WAL
-           their queue reveals a decision and waits for the commit *)
     mutable ready_clients : client list;
     mutable lfd_ready : bool;
   }
@@ -168,18 +179,23 @@ module Make (A : Live.Binding.ALGO) = struct
     | None -> Live.Sockets.addr_of ~transport:cfg.transport p
 
   (* The listen fd stays open for late clients; a client racing the mesh
-     is closed by the handshake.  A rejoining engine instead dials every
-     peer with a bounded timeout, tolerating peers that are down, and
-     expects no accepts: its peers push their logs as Catchup batches. *)
-  let establish cfg =
+     is closed by the handshake.  [listen] is one the caller bound before
+     it forked this engine; without it the engine binds its own.  A
+     rejoining engine dials every peer with a bounded timeout, tolerating
+     peers that are down, and expects no accepts: its peers push their
+     logs as Catchup batches. *)
+  let establish ?listen cfg =
     let jitter = Prng.Rng.of_int ((cfg.me * 7919) lxor Unix.getpid ()) in
     let lfd =
-      match
-        Live.Sockets.listen ~backlog:128
-          (Live.Sockets.addr_of ~transport:cfg.transport cfg.me)
-      with
-      | Ok fd -> fd
-      | Error e -> failwith ("listen: " ^ Live.Sockets.error_to_string e)
+      match listen with
+      | Some fd -> fd
+      | None -> (
+        match
+          Live.Sockets.listen ~backlog:128
+            (Live.Sockets.addr_of ~transport:cfg.transport cfg.me)
+        with
+        | Ok fd -> fd
+        | Error e -> failwith ("listen: " ^ Live.Sockets.error_to_string e))
     in
     if cfg.rejoin then begin
       let peer_fds = Array.make cfg.n None in
@@ -259,21 +275,22 @@ module Make (A : Live.Binding.ALGO) = struct
             pid = i + 1;
             fd = None;
             decoder = Live.Frame.decoder ();
-            outq = Outq.create ~hwm:peer_hwm ();
+            outq = Outq.create ~hwm:peer_hwm ~lanes ();
+            stalled = false;
             replay = None;
           })
     in
-    let held = Array.make cfg.n false and gated = wal <> None in
     let cell = ref None in
     let engine () = Option.get !cell in
     (* Mesh frames coalesce per peer; this send closure only *enqueues* —
        bytes hit a socket exclusively in [pump], when the fd is writable.
        Destination 0 broadcasts to every connected client through one
        refcounted chunk; the buffer returns to the batch pool when the
-       last client drains it. *)
-    let send ~dest bytes ~len =
+       last client drains it.  The batch's destinations past 0 are
+       (peer, lane) slots: [slot] below. *)
+    let send ~dest:slot bytes ~len =
       let recycle b = Batch.put_back (engine ()).batch b in
-      if dest = 0 then begin
+      if slot = 0 then begin
         let live = List.filter (fun c -> c.alive) (engine ()).clients in
         match live with
         | [] -> `Done  (* nobody listening: drop, reuse the buffer *)
@@ -285,12 +302,16 @@ module Make (A : Live.Binding.ALGO) = struct
           `Taken
       end
       else
-        let peer = peers.(dest - 1) in
+        let peer = peers.((slot - 1) / lanes) in
         match peer.fd with
         | None -> `Done  (* dead peer: drop *)
         | Some _ ->
-          Outq.push peer.outq (Outq.chunk ~recycle bytes ~len);
+          Outq.push ~lane:((slot - 1) mod lanes) peer.outq
+            (Outq.chunk ~recycle bytes ~len);
           `Taken
+    in
+    let slot ~dest frame =
+      if dest = 0 then 0 else ((dest - 1) * lanes) + lane_of frame + 1
     in
     let mux =
       M.create
@@ -304,11 +325,7 @@ module Make (A : Live.Binding.ALGO) = struct
         }
         ?persist:(Option.map Wal.add wal) ?log:wal
         ~emit:(fun ~dest frame ->
-          (match frame with
-          | Live.Frame.Catchup _ when gated && dest > 0 ->
-            held.(dest - 1) <- true
-          | _ -> ());
-          Batch.add_frame (engine ()).batch ~dest frame)
+          Batch.add_frame (engine ()).batch ~dest:(slot ~dest frame) frame)
         ()
     in
     let stats = M.stats mux in
@@ -329,7 +346,7 @@ module Make (A : Live.Binding.ALGO) = struct
         wal;
         mux;
         stats;
-        batch = Batch.create ~n:cfg.n ~batch:cfg.batch ~stats ~send;
+        batch = Batch.create ~n:(cfg.n * lanes) ~batch:cfg.batch ~stats ~send;
         buf = Bytes.create 65536;
         (* A rejoin awaits one catch-up batch from each peer it reached,
            and starts gated even when it reached none. *)
@@ -338,7 +355,6 @@ module Make (A : Live.Binding.ALGO) = struct
             peer_fds;
         caught_up = not cfg.rejoin;
         mirror_until = Array.make cfg.n 0.0;
-        held;
         ready_clients = [];
         lfd_ready = false;
       }
@@ -393,39 +409,71 @@ module Make (A : Live.Binding.ALGO) = struct
     done;
     M.set_mirror e.mux !live
 
-  (* Drain one destination's queue opportunistically and keep its write
-     interest armed exactly while bytes remain.  [Some why]: the
-     destination is dead — closed, or its backlog crossed [hwm]. *)
-  let pump e q fd ~hwm =
+  (* Drain one lane of a destination's queue as far as the kernel takes.
+     [`Dead why]: the destination is closed, or its backlog crossed
+     [hwm]. *)
+  let pump e q ?lane fd ~hwm =
     if Outq.over_hwm q then begin
       e.stats.Stats.overflow_kills <- e.stats.Stats.overflow_kills + 1;
-      Some (Printf.sprintf "outbound backlog over %d bytes" hwm)
+      `Dead (Printf.sprintf "outbound backlog over %d bytes" hwm)
     end
     else
-      match Outq.drain q ~stats:e.stats fd with
-      | `Empty ->
-        Evloop.register e.ev fd ~read:true ~write:false;
-        None
-      | `Blocked ->
-        Evloop.register e.ev fd ~read:true ~write:true;
-        None
-      | `Closed why -> Some why
+      match Outq.drain q ?lane ~stats:e.stats fd with
+      | `Closed why -> `Dead why
+      | (`Empty | `Blocked) as r -> r
 
-  let pump_peer e p =
+  (* A peer whose write blocked takes no more writes this turn. *)
+  let pump_peer e p lane =
     match p.fd with
-    | Some fd when not (Outq.is_empty p.outq) -> (
-      match pump e p.outq fd ~hwm:peer_hwm with
-      | Some why -> mark_dead e p why
-      | None -> ())
+    | Some fd when not (p.stalled || Outq.is_empty ~lane p.outq) -> (
+      match pump e p.outq ~lane fd ~hwm:peer_hwm with
+      | `Empty -> ()
+      | `Blocked -> p.stalled <- true
+      | `Dead why -> mark_dead e p why)
     | _ -> ()
+
+  (* A dead peer holds nothing back: its queue went with it. *)
+  let passed p lane = p.fd = None || Outq.is_empty ~lane p.outq
+
+  (* The paper's extended round, at the write boundary: every peer gets
+     its Data before any peer gets a Ctl, and the Ctl frames then go out
+     in [send_plan] order (descending pid), one destination in full
+     before the next.  Whatever a blocked write holds back waits for a
+     later turn, so a kill between any two writes leaves each round a
+     completed data step and a prefix of its control step (PAPER.md §1,
+     item 1).  Toward each peer Data still precedes Ctl, which
+     [round_senders] relies on.  [drain p lane] writes one lane. *)
+  let release_rounds e drain =
+    Array.iter (fun p -> drain p data_lane) e.peers;
+    if Array.for_all (fun p -> passed p data_lane) e.peers then begin
+      let rec ctl pid =
+        if pid >= 1 then begin
+          let p = e.peers.(pid - 1) in
+          drain p ctl_lane;
+          if passed p ctl_lane then ctl (pid - 1)
+        end
+      in
+      ctl e.cfg.n
+    end
+
+  (* Write interest exactly where a write blocked: a lane held back
+     behind another peer's write must not wake the loop. *)
+  let arm_peers e =
+    Array.iter
+      (fun p ->
+        match p.fd with
+        | Some fd -> Evloop.register e.ev fd ~read:true ~write:p.stalled
+        | None -> ())
+      e.peers
 
   let pump_clients e =
     List.iter
       (fun c ->
         if c.alive && not (Outq.is_empty c.coutq) then
           match pump e c.coutq c.cfd ~hwm:client_hwm with
-          | Some why -> client_dead e c why
-          | None -> ())
+          | `Dead why -> client_dead e c why
+          | (`Empty | `Blocked) as r ->
+            Evloop.register e.ev c.cfd ~read:true ~write:(r = `Blocked))
       e.clients
 
   let drain_peer e peer =
@@ -647,15 +695,15 @@ module Make (A : Live.Binding.ALGO) = struct
     (* Durable before revealed.  Everything this iteration produced goes
        to the queues — including, on a halt, the pre-crash prefix the
        budget allowed (the kernel would have flushed those buffers; the
-       mux already stopped counting) — and the mesh rounds drain before
-       the fsync: a Data/Ctl frame carries an estimate, not a durable
-       promise.  Only then do the client queues (Decides) and the peer
-       queues holding this turn's Catchups drain, whole, so each
-       destination stays FIFO.  Every pump goes only as far as the kernel
-       accepts without blocking. *)
+       mux already stopped counting) — and the mesh rounds leave before
+       the fsync, in [release_rounds]' order: a Data/Ctl frame carries an
+       estimate, not a durable promise.  Only then do the client queues
+       (Decides) and the Catchup lanes drain.  Every pump goes only as
+       far as the kernel accepts without blocking. *)
     Batch.flush e.batch;
+    Array.iter (fun p -> p.stalled <- false) e.peers;
     let writes = e.stats.Stats.write_calls in
-    Array.iteri (fun i p -> if not e.held.(i) then pump_peer e p) e.peers;
+    release_rounds e (pump_peer e);
     let frames = e.stats.Stats.frames_out in
     if commit e then
       e.stats.Stats.presync_writes <-
@@ -663,24 +711,18 @@ module Make (A : Live.Binding.ALGO) = struct
     (* Answers to spilled re-submits; no second flush otherwise. *)
     if e.stats.Stats.frames_out > frames then Batch.flush e.batch;
     pump_clients e;
-    Array.iteri
-      (fun i p ->
-        if e.held.(i) then begin
-          e.held.(i) <- false;
-          pump_peer e p
-        end)
-      e.peers;
+    Array.iter (fun p -> pump_peer e p catchup_lane) e.peers;
+    arm_peers e;
     e.clients <- List.filter (fun c -> c.alive) e.clients;
     if M.halted e.mux then begin
-      (* Off the steady-state loop now: deliver the allowed prefix with a
-         bounded synchronous flush. *)
+      (* Off the steady-state loop now: deliver the allowed prefix, in
+         the same order, with a bounded synchronous flush. *)
       let dl = Unix.gettimeofday () +. 2.0 in
-      Array.iter
-        (fun p ->
-          match p.fd with
-          | Some fd -> Outq.drain_blocking p.outq ~deadline:dl fd
-          | None -> ())
-        e.peers;
+      let drain p lane =
+        Option.iter (Outq.drain_blocking p.outq ~lane ~deadline:dl) p.fd
+      in
+      release_rounds e drain;
+      Array.iter (fun p -> drain p catchup_lane) e.peers;
       List.iter
         (fun c -> if c.alive then Outq.drain_blocking c.coutq ~deadline:dl c.cfd)
         e.clients;
@@ -734,9 +776,9 @@ module Make (A : Live.Binding.ALGO) = struct
     in
     forever ()
 
-  let main cfg =
+  let main ?listen cfg =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let listen, peers = establish cfg in
+    let listen, peers = establish ?listen cfg in
     let e = create ~clock:Live.Sockets.now ~listen ~peers ~clients:[] cfg in
     let report event fields =
       Live.Children.status_event cfg.status

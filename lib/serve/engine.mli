@@ -10,13 +10,24 @@
     state; clients are served under a per-client frame budget with a
     rotating start.
 
+    {b The paper's round order at the write boundary.}  Each peer queue
+    has three lanes: Data, Ctl and Catchup.  A turn first hands every
+    peer its Data; only when every live peer's Data lane has reached the
+    kernel do the Ctl lanes drain, in [send_plan] order (descending pid),
+    one destination in full before the next.  A write that blocks holds
+    back everything behind it to a later turn.  So a SIGKILL between any
+    two [write(2)]s leaves every round a completed data step followed by
+    a prefix of its control step, as the extended model requires.
+    Toward each peer Data still precedes Ctl.
+
     {b Durable before revealed.}  With [wal_dir] set, the mux stages
     each decision ({!Wal.add}) and the turn commits them with one write
     and one fsync ({!Wal.commit}).  The turn's mesh rounds (Data/Ctl)
-    drain before that fsync: they carry an estimate, not a durable
+    leave before that fsync: they carry an estimate, not a durable
     promise.  The frames that reveal a decision wait for it: client
-    Decides, and every peer queue that took a Catchup this turn, drained
-    whole to keep it FIFO.  A fresh engine starts a new log,
+    Decides, and the Catchup lanes (mirrors, catch-up slices, end
+    markers).  A Catchup backlog never holds back a peer's Data or Ctl.
+    A fresh engine starts a new log,
     replacing any it finds.  A respawned engine sets [rejoin]: it replays
     its log (a rejected one degrades to a fresh join) and dials every
     peer.  Its catch-up gate opens once each peer it reached has sent its
@@ -79,9 +90,10 @@ module Make (A : Live.Binding.ALGO) : sig
   val step : t -> timeout:float -> [ `Running | `Halted | `Exited ]
   (** One turn of the loop: wait up to [timeout] seconds for readiness,
       accept and read, feed the mux, expire due rounds, top up rejoin
-      catch-ups, flush the batcher, drain the peer queues, commit the WAL, then drain the
-      client queues and the peer queues holding this turn's Catchups —
-      each as far as the kernel takes.
+      catch-ups, flush the batcher, release the mesh rounds (every Data
+      lane, then the Ctl lanes in descending pid order), commit the WAL,
+      then drain the client queues and the Catchup lanes — each as far
+      as the kernel takes.
       [`Halted]: the kill budget ran out; the allowed prefix is already
       delivered and {!realized} holds the crash points; do not step
       again.  [`Exited]: without [linger], the last client left with no
@@ -101,10 +113,14 @@ module Make (A : Live.Binding.ALGO) : sig
   val close : t -> unit
   (** Close every fd the engine holds and its WAL. *)
 
-  val main : config -> unit
+  val main : ?listen:Unix.file_descr -> config -> unit
   (** Handshake, {!create}, report ["ready"], then {!step} until exit.
-      Raises [Failure] on handshake errors and never returns after a
-      kill-budget halt (SIGSTOP, then SIGKILL). *)
+      [listen] is a listener the caller bound for this node before it
+      forked the engine ({!Fleet} binds all n first, so no dial of the
+      handshake is refused); without it the engine binds its own, as a
+      rejoin and [serve --node] do.  Raises [Failure] on handshake
+      errors and never returns after a kill-budget halt (SIGSTOP, then
+      SIGKILL). *)
 end
 
 module Rwwc : module type of Make (Live.Binding.Rwwc)

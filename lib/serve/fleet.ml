@@ -20,6 +20,8 @@ type config = {
   verbose : bool;
 }
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let vlog cfg fmt =
   Printf.ksprintf
     (fun s -> if cfg.verbose then Printf.eprintf "serve: %s\n%!" s)
@@ -49,7 +51,9 @@ let handle_event nd j =
     | None -> ()
   in
   match Obs.Json.member "event" j with
-  | Some (Obs.Json.String "ready") -> nd.ready <- true
+  | Some (Obs.Json.String "ready") ->
+    nd.ready <- true;
+    Live.Children.ready nd.proc
   | Some (Obs.Json.String "stats") -> merge_stats ()
   | Some (Obs.Json.String "halted") ->
     merge_stats ();
@@ -69,7 +73,8 @@ let handle_event nd j =
 
 (* A killed engine (SIGSTOP answered with SIGKILL, or a direct SIGKILL
    from the driver / a chaos script) is eligible for a supervised respawn:
-   budgeted attempts with exponential backoff.  A clean exit is never
+   budgeted attempts with exponential backoff, which restarts from the
+   base once a life reports ready.  A clean exit is never
    respawned, and neither is anything once the drive is over. *)
 let reap_one cfg ~accepting (c : Live.Children.child) =
   match Live.Children.reap c with
@@ -130,8 +135,35 @@ let with_mesh cfg drive =
           | Error e -> Some e)
         cfg.chaos
     in
-    match proxy_err with
+    (* Every first-life listener is bound before any engine forks (and
+       after the proxies, which must not inherit them), so a handshake
+       dial lands in a backlog at once instead of sleeping in
+       [connect_retry]'s backoff until its peer has bound.  Engine i keeps
+       listener i and closes the others; the parent closes its copies
+       once every engine is forked.  A respawn binds its own. *)
+    let listeners = Array.make cfg.n None in
+    let close_listeners () =
+      Array.iteri
+        (fun idx fd ->
+          Option.iter close_quietly fd;
+          listeners.(idx) <- None)
+        listeners
+    in
+    let rec bind i =
+      if i > cfg.n then None
+      else
+        match
+          Live.Sockets.listen ~backlog:128
+            (Live.Sockets.addr_of ~transport:cfg.transport i)
+        with
+        | Ok fd ->
+          listeners.(i - 1) <- Some fd;
+          bind (i + 1)
+        | Error e -> Some ("listen: " ^ Live.Sockets.error_to_string e)
+    in
+    match if proxy_err = None then bind 1 else proxy_err with
     | Some e ->
+      close_listeners ();
       teardown ();
       Error ("serve fleet: " ^ e)
     | None ->
@@ -156,13 +188,17 @@ let with_mesh cfg drive =
         Filename.concat cfg.workspace (Printf.sprintf "serve-%d.log" i)
       in
       let engine ~rejoin i status_w =
+        let listen = if rejoin then None else listeners.(i - 1) in
+        Array.iteri
+          (fun idx fd -> if idx <> i - 1 then Option.iter close_quietly fd)
+          listeners;
         let kill_after =
           match cfg.kill with
           | Some k when k.Report.node = i && not rejoin ->
             Some k.Report.after_frames
           | _ -> None
         in
-        Engine.Rwwc.main
+        Engine.Rwwc.main ?listen
           {
             Engine.me = i;
             n = cfg.n;
@@ -182,16 +218,17 @@ let with_mesh cfg drive =
         0
       in
       let nodes =
-        Array.init cfg.n (fun idx ->
-            let i = idx + 1 in
-            {
-              proc =
-                Live.Children.spawn kids ~log:(log i) ~id:i
-                  (engine ~rejoin:false i);
-              ready = false;
-              realized = None;
-              stats = None;
-            })
+        Fun.protect ~finally:close_listeners (fun () ->
+            Array.init cfg.n (fun idx ->
+                let i = idx + 1 in
+                {
+                  proc =
+                    Live.Children.spawn kids ~log:(log i) ~id:i
+                      (engine ~rejoin:false i);
+                  ready = false;
+                  realized = None;
+                  stats = None;
+                }))
       in
       vlog cfg "spawned %d engines" cfg.n;
       let pump timeout =

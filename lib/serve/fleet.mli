@@ -30,7 +30,9 @@ type config = {
   client_timeout : float option;  (** default derived from the deadline chain *)
   respawn : bool;  (** respawn killed engines (implies [wal]) *)
   respawn_budget : int;  (** respawn attempts per node *)
-  respawn_backoff : float;  (** base backoff, doubled per attempt *)
+  respawn_backoff : float;
+      (** base backoff, doubled per respawn since the node last reported
+          ready *)
   wal : bool;  (** durable decision WALs in [workspace] even without respawn *)
   chaos : Chaosproxy.link list;  (** proxied mesh links with fault scripts *)
   verbose : bool;

@@ -13,7 +13,16 @@
     Chunks are refcounted so a broadcast (the same Decide bytes fanned
     out to every client) enqueues one buffer [k] times without copying;
     the buffer returns to its owner's recycle pool only when the last
-    queue has written it out. *)
+    queue has written it out.
+
+    {b Lanes.}  A queue may hold several FIFO lanes toward one fd, which
+    the owner drains one at a time, in whatever order it needs: the
+    engine keeps a peer's Data, Ctl and Catchup frames apart so that a
+    turn's Ctl frames reach the kernel only after every peer took its
+    Data (DESIGN.md §15).  Lanes switch only between whole chunks: a
+    chunk one lane left half-written goes out, alone, before any other
+    lane's bytes, so frames never interleave on the wire.  A queue made
+    without [lanes] has one, and every [?lane] defaults to it. *)
 
 type chunk
 (** One refcounted byte range shared between queues. *)
@@ -26,28 +35,37 @@ val chunk :
 
 type t
 
-val create : ?hwm:int -> unit -> t
+val create : ?hwm:int -> ?lanes:int -> unit -> t
 (** [hwm] (bytes, default 8 MiB) is the backlog level {!over_hwm} trips
-    at; the engine uses it to declare a never-draining peer dead. *)
+    at, across all lanes; the engine uses it to declare a never-draining
+    peer dead.  [lanes] (default 1) numbers the lanes [0 .. lanes - 1]. *)
 
-val push : t -> chunk -> unit
-val is_empty : t -> bool
+val push : ?lane:int -> t -> chunk -> unit
+val is_empty : ?lane:int -> t -> bool
+(** Without [lane]: every lane is empty. *)
+
 val queued_bytes : t -> int
+(** Unsent bytes across all lanes. *)
+
 val over_hwm : t -> bool
 
-val drain : t -> ?stats:Stats.t -> Unix.file_descr -> [ `Empty | `Blocked | `Closed of string ]
-(** Write queued chunks to [fd] until the queue empties ([`Empty]) or the
-    fd stops accepting bytes ([`Blocked] — re-arm write interest).  A
-    reset/closed peer reports [`Closed].  Never blocks: the fd must be
-    in nonblocking mode.  [stats] counts actual [write(2)] calls and
-    partial writes. *)
+val drain :
+  t -> ?lane:int -> ?stats:Stats.t -> Unix.file_descr ->
+  [ `Empty | `Blocked | `Closed of string ]
+(** Write [lane]'s chunks to [fd] until the lane empties ([`Empty]) or
+    the fd stops accepting bytes ([`Blocked] — re-arm write interest).
+    A chunk another lane left half-written is finished first; if that
+    blocks, nothing of [lane] is written.  A reset/closed peer reports
+    [`Closed].  Never blocks: the fd must be in nonblocking mode.
+    [stats] counts actual [write(2)] calls and partial writes. *)
 
-val drain_blocking : t -> deadline:float -> Unix.file_descr -> unit
+val drain_blocking :
+  t -> ?lane:int -> deadline:float -> Unix.file_descr -> unit
 (** Best-effort synchronous flush, waiting for writability up to
     [deadline] — used only off the event loop (pre-halt delivery of the
     kill budget's allowed prefix, final shutdown), never in steady
     state. *)
 
 val clear : t -> unit
-(** Drop everything queued, releasing each chunk's share (a dead
+(** Drop everything queued in every lane, releasing each chunk's share (a dead
     destination's backlog returns to the recycle pool). *)

@@ -948,7 +948,9 @@ let test_children_respawn_budget () =
   Alcotest.(check (list (option (float 1e-9))))
     "delay doubles, then stops at the budget"
     [ Some 0.05; Some 0.1; Some 0.2; None; None ]
-    (List.map (Live.Children.respawn_delay ~budget:3 ~base:0.05) [ 0; 1; 2; 3; 4 ]);
+    (List.map
+       (fun k -> Live.Children.respawn_delay ~budget:3 ~base:0.05 ~streak:k k)
+       [ 0; 1; 2; 3; 4 ]);
   let kids = Live.Children.create () in
   let body _ = 0 in
   let c = Live.Children.spawn kids ~id:1 body in
@@ -965,6 +967,44 @@ let test_children_respawn_budget () =
   done;
   Alcotest.(check bool) "budget spent" true (cycle () = None);
   Alcotest.(check bool) "nothing scheduled" false (Live.Children.respawn_due c);
+  Live.Children.teardown kids
+
+let test_children_backoff_resets_on_ready () =
+  (* Regression: the backoff doubled on every respawn and never reset, so
+     a node's fourth life in a kill storm started 8 * base after its
+     kill.  A life that reports ready restarts it from [base]; the budget
+     still counts every attempt. *)
+  let kids = Live.Children.create () in
+  let body _ = 0 in
+  let c = Live.Children.spawn kids ~id:1 body in
+  let next (c : Live.Children.child) =
+    ignore (reap_within c 500);
+    Live.Children.schedule_respawn c ~budget:5 ~base:0.2
+  in
+  for attempt = 1 to 4 do
+    Alcotest.(check (option (float 1e-9)))
+      (Printf.sprintf "kill %d after a healthy life waits base" attempt)
+      (Some 0.2) (next c);
+    Live.Children.respawn kids c body;
+    Live.Children.ready c
+  done;
+  Alcotest.(check int) "attempts counted" 4 c.Live.Children.respawns;
+  Alcotest.(check (option (float 1e-9))) "fifth attempt, last of the budget"
+    (Some 0.2) (next c);
+  Live.Children.respawn kids c body;
+  Alcotest.(check (option (float 1e-9))) "budget spent" None (next c);
+  Live.Children.teardown kids;
+  (* Without a ready in between, the wait doubles per respawn. *)
+  let kids = Live.Children.create () in
+  let c = Live.Children.spawn kids ~id:1 body in
+  let waits =
+    List.init 3 (fun _ ->
+        let w = next c in
+        Live.Children.respawn kids c body;
+        w)
+  in
+  Alcotest.(check (list (option (float 1e-9)))) "a crash loop backs off"
+    [ Some 0.2; Some 0.4; Some 0.8 ] waits;
   Live.Children.teardown kids
 
 let () =
@@ -1050,5 +1090,7 @@ let () =
             test_children_teardown;
           Alcotest.test_case "respawn delay and budget" `Quick
             test_children_respawn_budget;
+          Alcotest.test_case "backoff resets on ready" `Quick
+            test_children_backoff_resets_on_ready;
         ] );
     ]

@@ -548,6 +548,49 @@ let test_outq_partial_write_resume () =
   Unix.close a;
   Unix.close b
 
+let test_outq_lanes_switch_between_whole_chunks () =
+  (* Lane 1's chunk is cut by a full socket buffer; a drain of lane 0
+     must finish it before writing its own bytes, or the two lanes'
+     frames interleave on the wire. *)
+  let a, b = sendbuf_pair () in
+  let q = Serve.Outq.create ~lanes:2 () in
+  let big = 256 * 1024 in
+  let push lane c len =
+    Serve.Outq.push ~lane q
+      (Serve.Outq.chunk ~recycle:ignore (Bytes.make len c) ~len)
+  in
+  push 1 'c' big;
+  Alcotest.(check bool) "lane 1 is cut" true
+    (Serve.Outq.drain q ~lane:1 a = `Blocked);
+  push 0 'd' 16;
+  let received = Buffer.create big in
+  let rbuf = Bytes.create 65536 in
+  let rec pump guard =
+    if guard = 0 then Alcotest.fail "lane 0 never drained"
+    else begin
+      let k = Unix.read b rbuf 0 (Bytes.length rbuf) in
+      Buffer.add_subbytes received rbuf 0 k;
+      match Serve.Outq.drain q ~lane:0 a with
+      | `Empty -> ()
+      | `Blocked -> pump (guard - 1)
+      | `Closed why -> Alcotest.fail why
+    end
+  in
+  pump 1_000;
+  Unix.set_nonblock b;
+  (try
+     while true do
+       let k = Unix.read b rbuf 0 (Bytes.length rbuf) in
+       Buffer.add_subbytes received rbuf 0 k
+     done
+   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  Alcotest.(check string) "lane 1's whole chunk, then lane 0's"
+    (String.make big 'c' ^ String.make 16 'd')
+    (Buffer.contents received);
+  Alcotest.(check bool) "every lane empty" true (Serve.Outq.is_empty q);
+  Unix.close a;
+  Unix.close b
+
 let test_outq_refcounted_broadcast () =
   (* One chunk fanned out to two queues: the recycle callback must fire
      exactly once, after the *last* queue lets go. *)
@@ -1940,6 +1983,168 @@ let test_gate_fresh_engine_serves () =
       Alcotest.(check int) "its Submit is started" 1 (gate_submits e);
       Unix.close c)
 
+(* --- Drain order: the extended round at the write boundary -------------- *)
+
+(* p1 of five, the round-1 coordinator, over socketpair links: the test
+   holds p1's end of each peer link ([near.(p - 1)]), to fill it, and the
+   far end ([far.(p - 1)]), to read what p1 wrote. *)
+type order_rig = {
+  engine : Serve.Engine.Rwwc.t;
+  near : Unix.file_descr option array;
+  far : Unix.file_descr option array;
+  decs : Live.Frame.decoder array;
+  got : Live.Frame.kind list array;  (* mesh frames each peer read, in order *)
+  client : Unix.file_descr;
+  finish : unit -> unit;
+}
+
+let order_rig ~tag =
+  let dir = fleet_workspace ("order-" ^ tag) in
+  let near = Array.make 5 None and far = Array.make 5 None in
+  for p = 2 to 5 do
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.set_nonblock a;
+    Unix.set_nonblock b;
+    near.(p - 1) <- Some a;
+    far.(p - 1) <- Some b
+  done;
+  let c, client = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let log = open_out (Filename.concat dir "p1.log") in
+  let engine =
+    Serve.Engine.Rwwc.create ~clock:(fun () -> 0.0) ~peers:near ~clients:[ c ]
+      {
+        Serve.Engine.me = 1;
+        n = 5;
+        t = 2;
+        transport = `Unix dir;
+        big_d = 0.25;
+        max_rounds = 3;
+        batch = true;
+        kill_after = None;
+        linger = true;
+        wal_dir = None;
+        rejoin = false;
+        dial = None;
+        status = log;
+        log;
+      }
+  in
+  let finish () =
+    Serve.Engine.Rwwc.close engine;
+    Array.iter
+      (Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()))
+      far;
+    Unix.close client;
+    close_out log
+  in
+  {
+    engine;
+    near;
+    far;
+    decs = Array.init 5 (fun _ -> Live.Frame.decoder ());
+    got = Array.make 5 [];
+    client;
+    finish;
+  }
+
+(* Fill p1's end of its link to [p] with Hello frames until the kernel
+   refuses more: p1's next write to [p] blocks until the test reads. *)
+let order_fill r p =
+  let hello = Live.Frame.encode (Live.Frame.Hello { node = 1 }) in
+  let fd = Option.get r.near.(p - 1) in
+  let rec go () =
+    match Unix.write_substring fd hello 0 (String.length hello) with
+    | _ -> go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  go ()
+
+(* Read everything waiting at each far end; the fill's Hellos are
+   skipped. *)
+let order_read r =
+  let buf = Bytes.create 65536 in
+  for p = 2 to 5 do
+    let fd = Option.get r.far.(p - 1) and dec = r.decs.(p - 1) in
+    let rec read () =
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> ()
+      | k ->
+        Live.Frame.feed dec (Bytes.unsafe_to_string buf) ~pos:0 ~len:k;
+        read ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    in
+    read ();
+    let rec pop () =
+      match Live.Frame.pop_view dec with
+      | `View v ->
+        if v.Live.Frame.kind <> Live.Frame.K_hello then
+          r.got.(p - 1) <- r.got.(p - 1) @ [ v.Live.Frame.kind ];
+        pop ()
+      | `Need_more -> ()
+      | `Corrupt why -> Alcotest.fail why
+    in
+    pop ()
+  done
+
+let order_turns r k =
+  for _ = 1 to k do
+    ignore (Serve.Engine.Rwwc.step r.engine ~timeout:0.0)
+  done;
+  order_read r
+
+let order_ctls r peers =
+  List.fold_left
+    (fun acc p ->
+      acc + List.length (List.filter (( = ) Live.Frame.K_ctl) r.got.(p - 1)))
+    0 peers
+
+let order_submit r =
+  send r.client
+    (Live.Frame.encode (Live.Frame.Submit { instance = 1; proposal = 7 }))
+
+let order_whole_round r =
+  for p = 2 to 5 do
+    Alcotest.(check bool)
+      (Printf.sprintf "p%d read its Data, then its Ctl" p)
+      true
+      (r.got.(p - 1) = [ Live.Frame.K_data; Live.Frame.K_ctl ])
+  done
+
+let test_order_no_ctl_while_data_blocked () =
+  (* Regression: one pass wrote each peer's Data and Ctl in turn, so with
+     p2's Data stuck p3..p5 already held round 1's commit — a kill then
+     left p2 with neither, a piggybacked commit. *)
+  let r = order_rig ~tag:"data" in
+  Fun.protect ~finally:r.finish (fun () ->
+      order_fill r 2;
+      order_submit r;
+      order_turns r 3;
+      Alcotest.(check int) "no peer reads a Ctl while p2's Data is blocked" 0
+        (order_ctls r [ 2; 3; 4; 5 ]);
+      Alcotest.(check int) "p2's Data is blocked" 0 (List.length r.got.(1));
+      Alcotest.(check int) "p3..p5 read their Data" 3
+        (List.length
+           (List.filter (fun p -> r.got.(p - 1) = [ Live.Frame.K_data ]) [ 3; 4; 5 ]));
+      order_turns r 3;
+      order_whole_round r)
+
+let test_order_ctl_prefix_descending () =
+  (* Every Data has passed, but p5, first in the control step's order,
+     cannot take its Ctl: p4..p2 must not get theirs before it does. *)
+  let r = order_rig ~tag:"ctl" in
+  Fun.protect ~finally:r.finish (fun () ->
+      order_fill r 2;
+      order_submit r;
+      order_turns r 3;
+      order_fill r 5;
+      order_turns r 3;
+      Alcotest.(check int) "p4..p2 get no Ctl while p5's is blocked" 0
+        (order_ctls r [ 2; 3; 4 ]);
+      Alcotest.(check bool) "p2 read its Data" true
+        (r.got.(1) = [ Live.Frame.K_data ]);
+      order_turns r 3;
+      order_whole_round r)
+
 let test_fleet_respawn_recovers () =
   (* The full recovery path: a mid-storm SIGKILL victim is respawned by
      the fleet, replays its WAL, catches up over the mesh, and the
@@ -2071,6 +2276,51 @@ let test_fleet_reused_workspace_starts_fresh () =
         Alcotest.(check int) (label ^ ": completed") 200 r.Serve.Report.completed)
     [ "first fleet"; "second fleet, same workspace" ]
 
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Bring a fleet up, run a short storm on it, tear it down; the seconds
+   from the call to the first moment the drive runs. *)
+let bring_up cfg =
+  let t0 = Unix.gettimeofday () in
+  let up = ref nan in
+  match
+    Serve.Fleet.with_mesh cfg (fun ~on_idle ~kill:_ ->
+        up := Unix.gettimeofday () -. t0;
+        storm_drive cfg ~on_idle)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (outcome, _) ->
+    Alcotest.(check bool) "every node decided every instance" true
+      (Array.for_all (Array.for_all Option.is_some)
+         outcome.Serve.Client.decisions);
+    !up
+
+let test_fleet_bind_leaves_no_fd () =
+  (* The parent binds every listener before it forks: its copies must be
+     closed again, over either transport. *)
+  let unix = fleet_config ~tag:"bind-fds" 10 in
+  let tcp =
+    { unix with Serve.Fleet.transport = `Tcp (20000 + (Unix.getpid () mod 20000)) }
+  in
+  List.iter
+    (fun (label, cfg) ->
+      let before = fd_count () in
+      ignore (bring_up cfg);
+      Alcotest.(check int) (label ^ ": fd count unchanged") before (fd_count ()))
+    [ ("unix", unix); ("tcp", tcp) ]
+
+let test_fleet_bring_up_without_backoff () =
+  (* Regression: each engine bound its listener in its own child, so a
+     lower id dialed before a higher one had bound and slept in the
+     dial backoff (10-30 ms) — every fleet start paid it. *)
+  let cfg = fleet_config ~tag:"bring-up" ~n:5 ~t:2 10 in
+  let ups = List.sort compare (List.init 5 (fun _ -> bring_up cfg)) in
+  let median = List.nth ups 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "median n = 5 bring-up %.1f ms is under 10 ms"
+       (median *. 1000.0))
+    true (median < 0.010)
+
 let test_soak_kill_storm_runs_full_duration () =
   (* Regression: a rolling kill storm that takes down every node at
      least once must not end the soak early.  The soak's client has to
@@ -2180,6 +2430,8 @@ let () =
           Alcotest.test_case "refcounted-broadcast" `Quick
             test_outq_refcounted_broadcast;
           Alcotest.test_case "hwm-and-clear" `Quick test_outq_hwm_and_clear;
+          Alcotest.test_case "lanes-switch-between-whole-chunks" `Quick
+            test_outq_lanes_switch_between_whole_chunks;
         ] );
       ( "batch",
         [
@@ -2210,6 +2462,13 @@ let () =
             test_gate_no_peer_refuses_backlog;
           Alcotest.test_case "fresh-engine-serves" `Quick
             test_gate_fresh_engine_serves;
+        ] );
+      ( "order",
+        [
+          Alcotest.test_case "no-ctl-while-data-blocked" `Quick
+            test_order_no_ctl_while_data_blocked;
+          Alcotest.test_case "ctl-prefix-descending" `Quick
+            test_order_ctl_prefix_descending;
         ] );
       ( "chaosproxy",
         [
@@ -2249,5 +2508,9 @@ let () =
             test_soak_kill_storm_runs_full_duration;
           Alcotest.test_case "reused-workspace-starts-fresh" `Slow
             test_fleet_reused_workspace_starts_fresh;
+          Alcotest.test_case "bind-leaves-no-fd" `Slow
+            test_fleet_bind_leaves_no_fd;
+          Alcotest.test_case "bring-up-without-backoff" `Slow
+            test_fleet_bring_up_without_backoff;
         ] );
     ]
