@@ -1261,8 +1261,10 @@ let serve_report ~json ~min_dps (r : Serve.Report.t) =
   if json then print_endline (Obs.Json.to_string (Serve.Report.to_json r))
   else Format.printf "%a@." Serve.Report.pp r;
   if not r.Serve.Report.ok then begin
-    Format.eprintf "serve: %d instance(s) failed their judge verdict@."
-      (List.length r.Serve.Report.failures);
+    Format.eprintf
+      "serve: %d instance(s) failed their judge verdict, %d disagree in the \
+       WALs@."
+      (List.length r.Serve.Report.failures) r.Serve.Report.wal_disagreements;
     1
   end
   else

@@ -185,6 +185,11 @@ let reap c =
     c.exit
   end
 
+let stop_for_kill () =
+  Unix.kill (Unix.getpid ()) Sys.sigstop;
+  let rec forever () = Unix.sleep 3600; forever () in
+  forever ()
+
 let kill c =
   c.exit = None
   &&

@@ -16,8 +16,8 @@
       gone", not "some sibling still holds a copy".
     - {!reap} polls with a non-blocking [waitpid] that also reports
       stopped children.  A stopped child is a process at its scripted crash
-      point (it raised [SIGSTOP] on itself at an exact write position); it
-      is answered with the real [SIGKILL] and reported as [`Stop_killed].
+      point ({!stop_for_kill} at an exact write position); it is
+      answered with the real [SIGKILL] and reported as [`Stop_killed].
     - Respawn bookkeeping: a per-child attempt count, a delay of
       [base * 2^k] while attempts remain in the budget, where [k] counts
       the respawns since the child last reported {!ready}, and a due
@@ -99,6 +99,11 @@ val reap : child -> exit_obs option
 (** Non-blocking: [Some] the first time the child is seen dead (a stopped
     child is SIGKILLed and reaped first), [None] while it runs or once it
     has been reported. *)
+
+val stop_for_kill : unit -> 'a
+(** The child side of {!reap}'s stop-then-kill, for the live node and
+    the serve engine: [SIGSTOP] self, then sleep until the parent's
+    [SIGKILL].  Never returns. *)
 
 val kill : child -> bool
 (** SIGKILL a child not yet reaped; whether a signal was sent. *)

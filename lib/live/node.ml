@@ -221,18 +221,6 @@ module Make (A : Binding.ALGO) = struct
       | _ -> failwith ("bad go line: " ^ line))
     | exception End_of_file -> failwith "supervisor vanished before go"
 
-  (* The scripted crash point: write budget exhausted.  Stop and wait for
-     the supervisor's SIGKILL — the stop is the deterministic marker, the
-     kill is real. *)
-  let halt_scripted log =
-    log "scripted kill point reached: stopping for the supervisor";
-    Unix.kill (Unix.getpid ()) Sys.sigstop;
-    let rec forever () =
-      ignore (Unix.sleep 3600);
-      forever ()
-    in
-    forever ()
-
   let main (cfg : config) =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let logf fmt = Children.logf cfg.log ~me:cfg.me fmt in
@@ -305,7 +293,9 @@ module Make (A : Binding.ALGO) = struct
       in
       (match send p ~round ~write with
       | `Sent -> ()
-      | `Halted -> halt_scripted log);
+      | `Halted ->
+        log "scripted kill point reached: stopping for the supervisor";
+        Children.stop_for_kill ());
       collect ~round ~close:close_t;
       let close_skew = Sockets.now () -. close_t in
       let data_recv, ctl_recv, decision = compute p ~round in

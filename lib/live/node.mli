@@ -101,7 +101,8 @@ module Make (_ : Binding.ALGO) : sig
 
   val main : config -> unit
   (** The socket program: handshake, [ready], [go], then per round: sleep
-      to the round's opening, {!send} (a [`Halted] is the SIGSTOP), read
+      to the round's opening, {!send} (a [`Halted] is
+      {!Children.stop_for_kill}), read
       into the inboxes with {!receive} until the close, {!compute}, and
       the status lines.  Runs to decision, round horizon, or scripted
       stop.  Raises on unrecoverable setup failures (mesh never formed);

@@ -108,6 +108,12 @@ let writes_completed phase ~data ~ctl =
   | During_ctl k -> data + min k ctl
   | After_send -> data + ctl
 
+let phase_of_writes k ~data ~ctl =
+  if k <= 0 then Before_send
+  else if k < data then During_data k
+  else if k < data + ctl then During_ctl (k - data)
+  else After_send
+
 let default ~n ~f =
   List.init f (fun i ->
       let r = i + 1 in

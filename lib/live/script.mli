@@ -45,6 +45,12 @@ val writes_completed : phase -> data:int -> ctl:int -> int
 (** How many of the round's [data + ctl] sequential writes complete before
     the victim stops, clamped to the actual send counts. *)
 
+val phase_of_writes : int -> data:int -> ctl:int -> phase
+(** The inverse of {!writes_completed}: the phase of a victim cut after
+    [k] of the round's [data + ctl] writes.  Once every data write is
+    done the phase is [During_ctl], so [k = data] is [During_ctl 0];
+    [k >= data + ctl] is [After_send]. *)
+
 val default : n:int -> f:int -> t
 (** The canonical f-kill script used by [bin live --f]: coordinators
     [p_1 .. p_f] die in their own rounds, alternating mid-data-step and

@@ -46,6 +46,10 @@ let client_frame_budget = 1024
 (* The longest [main] waits for readiness when nothing is due sooner. *)
 let idle_wait = 0.25
 
+(* A halted engine keeps turning to deliver the prefix it queued before
+   the kill budget ran out, for at most this long on its own clock. *)
+let halt_drain = 2.0
+
 (* A peer's outbound queue keeps the turn's frames in three lanes, so
    that [release_rounds] can hand them to the kernel in the paper's order
    and a catch-up waits for the WAL without holding back the rounds. *)
@@ -120,6 +124,7 @@ module Make (A : Live.Binding.ALGO) = struct
     mirror_until : float array;
     mutable ready_clients : client list;
     mutable lfd_ready : bool;
+    mutable drain_until : float option;  (* from the mux's halt on *)
   }
 
   let watch e fd kind =
@@ -357,6 +362,7 @@ module Make (A : Live.Binding.ALGO) = struct
         mirror_until = Array.make cfg.n 0.0;
         ready_clients = [];
         lfd_ready = false;
+        drain_until = None;
       }
     in
     cell := Some e;
@@ -435,21 +441,18 @@ module Make (A : Live.Binding.ALGO) = struct
   (* A dead peer holds nothing back: its queue went with it. *)
   let passed p lane = p.fd = None || Outq.is_empty ~lane p.outq
 
-  (* The paper's extended round, at the write boundary: every peer gets
-     its Data before any peer gets a Ctl, and the Ctl frames then go out
-     in [send_plan] order (descending pid), one destination in full
-     before the next.  Whatever a blocked write holds back waits for a
-     later turn, so a kill between any two writes leaves each round a
-     completed data step and a prefix of its control step (PAPER.md §1,
-     item 1).  Toward each peer Data still precedes Ctl, which
-     [round_senders] relies on.  [drain p lane] writes one lane. *)
-  let release_rounds e drain =
-    Array.iter (fun p -> drain p data_lane) e.peers;
+  (* The paper's extended round at the write boundary (see the
+     interface): every Data lane first; only once all passed, the Ctl
+     lanes in [send_plan] order (descending pid), stopping at the first
+     that blocks.  Toward each peer Data still precedes Ctl, which
+     [round_senders] relies on. *)
+  let release_rounds e =
+    Array.iter (fun p -> pump_peer e p data_lane) e.peers;
     if Array.for_all (fun p -> passed p data_lane) e.peers then begin
       let rec ctl pid =
         if pid >= 1 then begin
           let p = e.peers.(pid - 1) in
-          drain p ctl_lane;
+          pump_peer e p ctl_lane;
           if passed p ctl_lane then ctl (pid - 1)
         end
       in
@@ -462,7 +465,8 @@ module Make (A : Live.Binding.ALGO) = struct
     Array.iter
       (fun p ->
         match p.fd with
-        | Some fd -> Evloop.register e.ev fd ~read:true ~write:p.stalled
+        | Some fd ->
+          Evloop.register e.ev fd ~read:(e.drain_until = None) ~write:p.stalled
         | None -> ())
       e.peers
 
@@ -473,7 +477,8 @@ module Make (A : Live.Binding.ALGO) = struct
           match pump e c.coutq c.cfd ~hwm:client_hwm with
           | `Dead why -> client_dead e c why
           | (`Empty | `Blocked) as r ->
-            Evloop.register e.ev c.cfd ~read:true ~write:(r = `Blocked))
+            Evloop.register e.ev c.cfd ~read:(e.drain_until = None)
+              ~write:(r = `Blocked))
       e.clients
 
   let drain_peer e peer =
@@ -691,19 +696,23 @@ module Make (A : Live.Binding.ALGO) = struct
       e.pendings;
     retire_mirrors e;
     M.expire e.mux ~now:(e.clock ());
-    if not (M.halted e.mux) then stream_catchups e;
-    (* Durable before revealed.  Everything this iteration produced goes
-       to the queues — including, on a halt, the pre-crash prefix the
-       budget allowed (the kernel would have flushed those buffers; the
-       mux already stopped counting) — and the mesh rounds leave before
-       the fsync, in [release_rounds]' order: a Data/Ctl frame carries an
-       estimate, not a durable promise.  Only then do the client queues
-       (Decides) and the Catchup lanes drain.  Every pump goes only as
-       far as the kernel accepts without blocking. *)
+    if not (M.halted e.mux) then stream_catchups e
+    else if e.drain_until = None then begin
+      (* The kill budget ran out this turn: from now on read nothing,
+         only drain the prefix it allowed. *)
+      e.drain_until <- Some (e.clock () +. halt_drain);
+      Hashtbl.iter
+        (fun fd _ -> Evloop.register e.ev fd ~read:false ~write:false)
+        e.registry
+    end;
+    (* Durable before revealed (see the interface): the mesh rounds
+       leave before the fsync, the client queues (Decides) and Catchup
+       lanes after it.  These pumps are the loop's only socket writers,
+       each going only as far as the kernel takes without blocking. *)
     Batch.flush e.batch;
     Array.iter (fun p -> p.stalled <- false) e.peers;
     let writes = e.stats.Stats.write_calls in
-    release_rounds e (pump_peer e);
+    release_rounds e;
     let frames = e.stats.Stats.frames_out in
     if commit e then
       e.stats.Stats.presync_writes <-
@@ -714,34 +723,31 @@ module Make (A : Live.Binding.ALGO) = struct
     Array.iter (fun p -> pump_peer e p catchup_lane) e.peers;
     arm_peers e;
     e.clients <- List.filter (fun c -> c.alive) e.clients;
-    if M.halted e.mux then begin
-      (* Off the steady-state loop now: deliver the allowed prefix, in
-         the same order, with a bounded synchronous flush. *)
-      let dl = Unix.gettimeofday () +. 2.0 in
-      let drain p lane =
-        Option.iter (Outq.drain_blocking p.outq ~lane ~deadline:dl) p.fd
-      in
-      release_rounds e drain;
-      Array.iter (fun p -> drain p catchup_lane) e.peers;
-      List.iter
-        (fun c -> if c.alive then Outq.drain_blocking c.coutq ~deadline:dl c.cfd)
-        e.clients;
+    (* A drain ends once every live destination took its queue, or when
+       its time is up (a peer that never reads loses the rest). *)
+    match e.drain_until with
+    | Some dl
+      when e.clock () < dl
+           && not
+                (Array.for_all (fun p -> Outq.is_empty p.outq) e.peers
+                && List.for_all (fun c -> Outq.is_empty c.coutq) e.clients) ->
+      `Running
+    | Some _ ->
       logf cfg "kill budget exhausted after %d mesh writes; stopping"
         (M.mesh_writes e.mux);
       `Halted
-    end
-    else if
-      (not cfg.linger) && e.had_client && e.clients = [] && M.active e.mux = 0
-    then begin
+    | None
+      when (not cfg.linger) && e.had_client && e.clients = [] && M.active e.mux = 0
+      ->
       logf cfg "last client gone and no instance active; exiting";
       `Exited
-    end
-    else `Running
+    | None -> `Running
 
   (* A client backlog, or a catch-up with room to grow, is due at once:
      the next turn must not wait. *)
   let next_deadline e =
-    if
+    if Option.is_some e.drain_until then e.drain_until
+    else if
       List.exists (fun c -> c.alive && c.backlog) e.clients
       || Array.exists catchup_due e.peers
     then
@@ -767,14 +773,6 @@ module Make (A : Live.Binding.ALGO) = struct
     List.iter (fun c -> client_dead e c "shutdown") e.clients;
     List.iter (fun p -> drop_fd e p.pfd) e.pendings;
     Option.iter Wal.close e.wal
-
-  let halt_forever () =
-    Unix.kill (Unix.getpid ()) Sys.sigstop;
-    let rec forever () =
-      ignore (Unix.sleep 3600);
-      forever ()
-    in
-    forever ()
 
   let main ?listen cfg =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -807,7 +805,7 @@ module Make (A : Live.Binding.ALGO) = struct
             ( "realized",
               Obs.Json.List (List.map Mux.realized_to_json (realized e)) );
           ];
-        halt_forever ()
+        Live.Children.stop_for_kill ()
       | `Exited -> report "stats" []
     in
     loop ();

@@ -40,10 +40,11 @@
     length stays below the high-water mark; then it mirrors new
     decisions to the rejoined peer for a round horizon.
 
-    {b Kills.}  A [kill_after] budget halts the mux mid-send; the engine
-    delivers the allowed prefix and reports the realized per-instance
-    crash points.  Without [linger], it exits once the last client has
-    gone and no instance is active.
+    {b Kills.}  A [kill_after] budget halts the mux mid-send.  From then
+    on the engine reads nothing; its pumps, still the only writers,
+    drain the allowed prefix over later turns, and it reports the
+    realized per-instance crash points.  Without [linger], it exits
+    once the last client has gone and no instance is active.
 
     {b One loop, two drivers.}  {!main} is the socket handshake followed
     by {!step} in a loop.  {!create} builds the same engine over fds that
@@ -94,15 +95,17 @@ module Make (A : Live.Binding.ALGO) : sig
       lane, then the Ctl lanes in descending pid order), commit the WAL,
       then drain the client queues and the Catchup lanes — each as far
       as the kernel takes.
-      [`Halted]: the kill budget ran out; the allowed prefix is already
-      delivered and {!realized} holds the crash points; do not step
-      again.  [`Exited]: without [linger], the last client left with no
-      instance active. *)
+      [`Halted]: the kill budget ran out and every live destination's
+      queue has since reached the kernel, or 2 s passed on the engine's
+      clock ([`Running] until then); {!realized} holds the crash points.
+      [`Exited]: without [linger], the last client left with no instance
+      active. *)
 
   val next_deadline : t -> float option
   (** When the engine next has work without new input: the earliest
       round deadline or hello timeout.  A client backlog, or a catch-up
-      whose peer queue has room, makes it due now. *)
+      whose peer queue has room, makes it due now; a halted one is due
+      at the end of its drain. *)
 
   val stats : t -> Stats.t
   (** The live counters, slab gauges refreshed. *)

@@ -362,10 +362,19 @@ let run cfg =
   in
   match with_mesh cfg drive with
   | Error e -> Error e
-  | Ok (outcome, mesh) ->
-    Ok
-      (Report.build ~n:cfg.n ~t:cfg.t ~proposals:cfg.proposals
-         ~decisions:outcome.Client.decisions ~victim:mesh.victim
-         ~send_plan:Live.Binding.Rwwc.send_plan ~elapsed:outcome.Client.elapsed
-         ~latencies:outcome.Client.latencies ~stats:mesh.node_stats
-         ~kill:cfg.kill)
+  | Ok (outcome, mesh) -> (
+    let r =
+      Report.build ~n:cfg.n ~t:cfg.t ~proposals:cfg.proposals
+        ~decisions:outcome.Client.decisions ~victim:mesh.victim
+        ~send_plan:Live.Binding.Rwwc.send_plan ~elapsed:outcome.Client.elapsed
+        ~latencies:outcome.Client.latencies ~stats:mesh.node_stats
+        ~kill:cfg.kill
+    in
+    (* The durable record, read back after teardown: the logs also hold
+       the answers the client did not wait for. *)
+    match
+      if cfg.wal || cfg.respawn then Wal.disagreements ~dir:cfg.workspace ~n:cfg.n
+      else Ok 0
+    with
+    | Error e -> Error ("serve fleet: " ^ e)
+    | Ok k -> Ok { r with wal_disagreements = k; ok = r.ok && k = 0 })

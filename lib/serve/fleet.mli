@@ -63,3 +63,5 @@ val default_timeout : config -> float
 (** The storm budget {!run} uses when [client_timeout] is [None]. *)
 
 val run : config -> (Report.t, string) result
+(** One judged storm over {!with_mesh}; with WALs on ([wal] or
+    [respawn]) the report also counts {!Wal.disagreements}. *)

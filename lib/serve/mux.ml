@@ -200,24 +200,16 @@ module Make (A : Live.Binding.ALGO) = struct
       t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
     end
 
-  let budget_left t =
-    match t.cfg.kill_after with
-    | Some k -> t.mesh_writes < k
-    | None -> true
-
   (* Freeze every surviving instance at its realized crash point.  The
      instance caught mid-send keeps its partial-write phase; all others
      realize as Before_send/After_send at their current round, which is
      exactly what a whole-process kill means for them: their next write
      never happens. *)
-  let halt t ~mid =
+  let halt t (mid : realized) =
     t.halted <- true;
-    let mid_inst =
-      match mid with Some (r : realized) -> r.instance | None -> -1
-    in
-    let acc = ref (match mid with Some r -> [ r ] | None -> []) in
+    let acc = ref [ mid ] in
     Slab.iter t.slab (fun id slot ->
-        if id <> mid_inst then
+        if id <> mid.instance then
           acc :=
             {
               instance = id;
@@ -232,60 +224,54 @@ module Make (A : Live.Binding.ALGO) = struct
         (fun (a : realized) (b : realized) -> compare a.instance b.instance)
         !acc
 
-  (* The send phase of [slot]'s current round.  Mesh writes burn the kill
-     budget one frame at a time, so a scripted kill lands between two
-     writes of one instance's round — the paper's sequential-write prefix
-     crash, realized mid-storm.  A round builds one Ctl value and one Data
-     value per distinct payload, so the batcher encodes each once. *)
+  (* The send phase of [slot]'s current round.  A kill budget cuts it
+     after as many frames as the budget has left, so a scripted kill
+     lands between two writes of one instance's round — the paper's
+     sequential-write prefix crash, realized mid-storm.  A round builds
+     one Ctl value and one Data value per distinct payload, so the
+     batcher encodes each once. *)
   let send_round t slot =
     let round = slot.round and instance = slot.instance in
     let data = A.data_sends slot.state ~round in
     let syncs = A.sync_sends slot.state ~round in
-    (* Emit while the budget lasts; the number of frames written. *)
-    let rec send_data written prev = function
-      | [] -> written
-      | (dest, msg) :: rest ->
-        if not (budget_left t) then written
-        else begin
-          let payload = A.encode_msg msg in
-          let frame =
-            match prev with
-            | Live.Frame.Data { payload = p; _ } when String.equal p payload ->
-              prev
-            | _ -> Live.Frame.Data { instance; round; payload }
-          in
-          t.mesh_writes <- t.mesh_writes + 1;
-          t.emit ~dest:(Pid.to_int dest) frame;
-          send_data (written + 1) frame rest
-        end
+    let d_count = List.length data and c_count = List.length syncs in
+    let total = d_count + c_count in
+    let allowed =
+      match t.cfg.kill_after with
+      | Some k -> max 0 (min total (k - t.mesh_writes))
+      | None -> total
+    in
+    t.mesh_writes <- t.mesh_writes + allowed;
+    let rec send_data k prev = function
+      | (dest, msg) :: rest when k > 0 ->
+        let payload = A.encode_msg msg in
+        let frame =
+          match prev with
+          | Live.Frame.Data { payload = p; _ } when String.equal p payload ->
+            prev
+          | _ -> Live.Frame.Data { instance; round; payload }
+        in
+        t.emit ~dest:(Pid.to_int dest) frame;
+        send_data (k - 1) frame rest
+      | _ -> ()
     in
     let ctl = Live.Frame.Ctl { instance; round } in
-    let rec send_ctl written = function
-      | [] -> written
-      | dest :: rest ->
-        if not (budget_left t) then written
-        else begin
-          t.mesh_writes <- t.mesh_writes + 1;
-          t.emit ~dest:(Pid.to_int dest) ctl;
-          send_ctl (written + 1) rest
-        end
+    let rec send_ctl k = function
+      | dest :: rest when k > 0 ->
+        t.emit ~dest:(Pid.to_int dest) ctl;
+        send_ctl (k - 1) rest
+      | _ -> ()
     in
-    let d_count = List.length data in
-    let c_count = List.length syncs in
     (* [prev] starts as the Ctl: no Data value to share yet. *)
-    let k = send_data 0 ctl data in
-    let k = if k < d_count then k else send_ctl k syncs in
-    if k = d_count + c_count then begin
+    send_data allowed ctl data;
+    send_ctl (allowed - d_count) syncs;
+    if allowed = total then begin
       slot.sent <- true;
       `Sent
     end
     else begin
-      let phase =
-        if k = 0 then Live.Script.Before_send
-        else if k < d_count then Live.Script.During_data k
-        else Live.Script.During_ctl (k - d_count)
-      in
-      halt t ~mid:(Some { instance; round; phase });
+      let phase = Live.Script.phase_of_writes allowed ~data:d_count ~ctl:c_count in
+      halt t { instance; round; phase };
       `Halted
     end
 

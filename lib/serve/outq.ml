@@ -99,21 +99,6 @@ let drain t ?(lane = 0) ?stats fd =
   | `Empty -> write_lane t ?stats fd lane ~one:false
   | (`Blocked | `Closed _) as r -> r
 
-let drain_blocking t ?lane ~deadline fd =
-  let rec go () =
-    match drain t ?lane fd with
-    | `Empty | `Closed _ -> ()
-    | `Blocked ->
-      let dt = deadline -. Unix.gettimeofday () in
-      if dt > 0.0 then begin
-        (match Unix.select [] [ fd ] [] dt with
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        go ()
-      end
-  in
-  go ()
-
 let clear t =
   Array.iter
     (fun q ->

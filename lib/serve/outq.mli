@@ -1,14 +1,12 @@
 (** Per-destination outbound byte queues — the serve loop's no-blocking
     guarantee.
 
-    The old engine called a blocking [write_all] (2 s deadline) for every
-    send inside the event loop: one slow client stalled the whole mesh
-    node and blew the round deadline for every instance — exactly the
-    synchrony violation [lib/net] injects on purpose.  Now a send only
-    {e enqueues} bytes; the event loop drains a queue when its fd reports
-    writable, resuming partial writes where they left off, and a queue
-    that climbs past its high-water mark marks the destination dead
-    instead of stalling anyone else.
+    A send only {e enqueues} bytes; the event loop drains a queue with
+    {!drain} when its fd reports writable, resuming partial writes where
+    they left off — no blocking write, a halting engine's last prefix
+    included — and a queue that climbs past its high-water mark marks
+    the destination dead instead of stalling anyone else.  (A blocking
+    write in the loop let one slow client stall the whole mesh node.)
 
     Chunks are refcounted so a broadcast (the same Decide bytes fanned
     out to every client) enqueues one buffer [k] times without copying;
@@ -58,13 +56,6 @@ val drain :
     blocks, nothing of [lane] is written.  A reset/closed peer reports
     [`Closed].  Never blocks: the fd must be in nonblocking mode.
     [stats] counts actual [write(2)] calls and partial writes. *)
-
-val drain_blocking :
-  t -> ?lane:int -> deadline:float -> Unix.file_descr -> unit
-(** Best-effort synchronous flush, waiting for writability up to
-    [deadline] — used only off the event loop (pre-halt delivery of the
-    kill budget's allowed prefix, final shutdown), never in steady
-    state. *)
 
 val clear : t -> unit
 (** Drop everything queued in every lane, releasing each chunk's share (a dead

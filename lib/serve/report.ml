@@ -25,6 +25,7 @@ type t = {
   victim : (int * Mux.realized list) option;
   judged : int;
   failures : instance_verdict list;
+  wal_disagreements : int;
   ok : bool;
 }
 
@@ -159,6 +160,7 @@ let build ~n ~t:tolerance ~proposals ~decisions ~victim ~send_plan ~elapsed
     victim;
     judged = instances;
     failures = List.rev !failures;
+    wal_disagreements = 0;
     ok = !failures = [];
   }
 
@@ -212,6 +214,7 @@ let to_json r =
                    ("judge", Live.Judge.to_json iv.transcript iv.verdict);
                  ])
              r.failures) );
+      ("wal_disagreements", Obs.Json.Int r.wal_disagreements);
       ("ok", Obs.Json.Bool r.ok);
     ]
 
@@ -241,8 +244,8 @@ let pp ppf r =
        float_of_int r.total.Stats.frames_out
        /. float_of_int r.total.Stats.write_calls
      else 0.0);
-  Format.fprintf ppf "  judged %d instances: %d failures@," r.judged
-    (List.length r.failures);
+  Format.fprintf ppf "  judged %d instances: %d failures, %d WAL disagreements@,"
+    r.judged (List.length r.failures) r.wal_disagreements;
   List.iter
     (fun iv ->
       Format.fprintf ppf "  instance %d FAILED:@,    @[<v>%a@]@," iv.instance

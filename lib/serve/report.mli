@@ -38,7 +38,11 @@ type t = {
           its instances realized, as judged *)
   judged : int;
   failures : instance_verdict list;
-  ok : bool;
+  wal_disagreements : int;
+      (** instances on which two WAL entries hold different values
+          ({!Wal.disagreements}); {!Fleet.run} fills it in when the fleet
+          keeps WALs, {!build} leaves it 0 *)
+  ok : bool;  (** every judged instance passed and no two WAL entries disagree *)
 }
 
 val build :

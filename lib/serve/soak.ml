@@ -25,36 +25,6 @@ type t = {
    to settle before the soak closes and counts them undrained. *)
 let drain_grace = 3.0
 
-(* The durable record, judged after teardown: every node's log streamed
-   back, counting the instances on which two entries — of two logs, or
-   of one — hold different values.  [seen.(i)] is instance [i]'s first
-   logged value (a wire value, never negative), [-1] before any, [split]
-   once counted. *)
-let wal_disagreements ~dir ~n =
-  let split = -2 and seen = ref [||] and count = ref 0 in
-  let note ~instance ~value ~round:_ =
-    let len = Array.length !seen in
-    if instance >= len then begin
-      let grown = Array.make (max (instance + 1) (2 * len)) (-1) in
-      Array.blit !seen 0 grown 0 len;
-      seen := grown
-    end;
-    let v = !seen.(instance) in
-    if v = -1 then !seen.(instance) <- value
-    else if v <> split && v <> value then begin
-      !seen.(instance) <- split;
-      incr count
-    end
-  in
-  let rec go node =
-    if node > n then Ok !count
-    else
-      match Wal.stream ~path:(Wal.path ~dir ~node) ~node note with
-      | Ok _ -> go (node + 1)
-      | Error why -> Error (Printf.sprintf "serve soak: p%d's log: %s" node why)
-  in
-  go 1
-
 let run ?kill_every cfg ~duration ~bucket =
   if duration <= 0.0 then Error "serve soak: duration must be positive"
   else if bucket <= 0.0 then Error "serve soak: bucket must be positive"
@@ -159,8 +129,8 @@ let run ?kill_every cfg ~duration ~bucket =
     match Fleet.with_mesh cfg drive with
     | Error e -> Error e
     | Ok (t, _mesh) when cfg.Fleet.wal || cfg.Fleet.respawn -> (
-      match wal_disagreements ~dir:cfg.Fleet.workspace ~n:cfg.Fleet.n with
-      | Error e -> Error e
+      match Wal.disagreements ~dir:cfg.Fleet.workspace ~n:cfg.Fleet.n with
+      | Error e -> Error ("serve soak: " ^ e)
       | Ok k -> Ok { t with wal_disagreements = k; ok = t.ok && k = 0 })
     | Ok (t, _mesh) -> Ok t
 

@@ -25,11 +25,10 @@
     across every kill.
 
     With WALs on (the fleet's [wal] or [respawn]), the soak also judges
-    the durable record: after teardown it streams every node's log back
-    ({!Wal.stream}, no entry lists) and counts the instances on which two
-    logs hold different values.  A client sees only the answers of the
-    nodes it was waiting on; the logs also hold what a revived node
-    decided while the client counted it crashed. *)
+    the durable record after teardown ({!Wal.disagreements}): a client
+    sees only the answers of the nodes it was waiting on; the logs also
+    hold what a revived node decided while the client counted it
+    crashed. *)
 
 type bucket = {
   since : float;  (** bucket start, seconds from soak start *)

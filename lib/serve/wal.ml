@@ -121,6 +121,33 @@ let stream ~path ~node f =
       ~finally:(fun () -> Unix.close fd)
       (fun () -> Result.map snd (read_log fd ~node f))
 
+(* [seen.(i)] is instance [i]'s first logged value (a wire value, never
+   negative), [-1] before any, [split] once counted. *)
+let disagreements ~dir ~n =
+  let split = -2 and seen = ref [||] and count = ref 0 in
+  let note ~instance ~value ~round:_ =
+    let len = Array.length !seen in
+    if instance >= len then begin
+      let grown = Array.make (max (instance + 1) (2 * len)) (-1) in
+      Array.blit !seen 0 grown 0 len;
+      seen := grown
+    end;
+    let v = !seen.(instance) in
+    if v = -1 then !seen.(instance) <- value
+    else if v <> split && v <> value then begin
+      !seen.(instance) <- split;
+      incr count
+    end
+  in
+  let rec go node =
+    if node > n then Ok !count
+    else
+      match stream ~path:(path ~dir ~node) ~node note with
+      | Ok _ -> go (node + 1)
+      | Error why -> Error (Printf.sprintf "p%d's log: %s" node why)
+  in
+  go 1
+
 let load ~path ~node =
   let f, entries = collector () in
   Result.map

@@ -54,6 +54,12 @@ val stream :
     one read-sized slice at a time, and return the discarded byte count.
     Read-only, like {!load}. *)
 
+val disagreements : dir:string -> n:int -> (int, string) result
+(** The durable record of a fleet, judged: stream the logs of nodes
+    [1..n] under [dir] ({!path}) and count the instances on which two
+    entries, of two logs or of one, hold different values.  A missing log
+    is empty; a rejected header is [Error]. *)
+
 val recover : path:string -> node:int -> (t * recovery, string) result
 (** Open [path] for appending, creating it (with a fresh header) if
     missing.  Replays the valid prefix, truncates any rejected suffix in

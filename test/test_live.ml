@@ -487,6 +487,35 @@ let test_writes_completed () =
   Alcotest.(check int) "after" 8
     (Live.Script.writes_completed Live.Script.After_send ~data:4 ~ctl:4)
 
+let test_phase_of_writes_round_trip () =
+  (* Every phase of every small round, cut by its write count and read
+     back: the same count (the phase, up to clamping), and every count
+     from 0 to data + ctl comes back exactly. *)
+  let open Live.Script in
+  for data = 0 to 5 do
+    for ctl = 0 to 5 do
+      let phases =
+        [ Before_send; After_send ]
+        @ List.init 7 (fun k -> During_data k)
+        @ List.init 7 (fun k -> During_ctl k)
+      in
+      List.iter
+        (fun ph ->
+          let k = writes_completed ph ~data ~ctl in
+          Alcotest.(check int)
+            (Printf.sprintf "%s, data %d, ctl %d" (phase_to_string ph) data ctl)
+            k
+            (writes_completed (phase_of_writes k ~data ~ctl) ~data ~ctl))
+        phases;
+      for k = 0 to data + ctl do
+        Alcotest.(check int)
+          (Printf.sprintf "%d writes, data %d, ctl %d" k data ctl)
+          k
+          (writes_completed (phase_of_writes k ~data ~ctl) ~data ~ctl)
+      done
+    done
+  done
+
 (* --- Loopback -------------------------------------------------------------- *)
 
 let decisions tr =
@@ -1039,6 +1068,8 @@ let () =
           Alcotest.test_case "print/parse roundtrip" `Quick test_script_roundtrip;
           Alcotest.test_case "validate" `Quick test_script_validate;
           Alcotest.test_case "writes completed" `Quick test_writes_completed;
+          Alcotest.test_case "phase of writes round-trips" `Quick
+            test_phase_of_writes_round_trip;
         ] );
       ( "loopback",
         [

@@ -1054,6 +1054,29 @@ let rec is_prefix shorter longer =
   | _, [] -> false
   | x :: xs, y :: ys -> x = y && is_prefix xs ys
 
+let test_wal_disagreements_forged () =
+  (* Two forged logs of one workspace disagree on instance 1 only; p3
+     never wrote a log, which reads as empty. *)
+  let dir = fleet_workspace "wal-disagree" in
+  let forge node entries =
+    let path = Serve.Wal.path ~dir ~node in
+    (try Sys.remove path with Sys_error _ -> ());
+    match Serve.Wal.recover ~path ~node with
+    | Error e -> Alcotest.fail e
+    | Ok (w, _) ->
+      List.iter
+        (fun (instance, value, round) ->
+          Serve.Wal.append w ~instance ~value ~round)
+        entries;
+      Serve.Wal.close w
+  in
+  forge 1 [ (0, 5, 1); (1, 6, 1); (2, 7, 2) ];
+  forge 2 [ (0, 5, 1); (1, 9, 2); (2, 7, 2) ];
+  (try Sys.remove (Serve.Wal.path ~dir ~node:3) with Sys_error _ -> ());
+  match Serve.Wal.disagreements ~dir ~n:3 with
+  | Error e -> Alcotest.fail e
+  | Ok k -> Alcotest.(check int) "one instance disagrees" 1 k
+
 let test_wal_roundtrip () =
   let path = wal_tmp "roundtrip" in
   (try Sys.remove path with Sys_error _ -> ());
@@ -1998,7 +2021,7 @@ type order_rig = {
   finish : unit -> unit;
 }
 
-let order_rig ~tag =
+let order_rig ?kill_after ~tag () =
   let dir = fleet_workspace ("order-" ^ tag) in
   let near = Array.make 5 None and far = Array.make 5 None in
   for p = 2 to 5 do
@@ -2020,7 +2043,7 @@ let order_rig ~tag =
         big_d = 0.25;
         max_rounds = 3;
         batch = true;
-        kill_after = None;
+        kill_after;
         linger = true;
         wal_dir = None;
         rejoin = false;
@@ -2114,7 +2137,7 @@ let test_order_no_ctl_while_data_blocked () =
   (* Regression: one pass wrote each peer's Data and Ctl in turn, so with
      p2's Data stuck p3..p5 already held round 1's commit — a kill then
      left p2 with neither, a piggybacked commit. *)
-  let r = order_rig ~tag:"data" in
+  let r = order_rig ~tag:"data" () in
   Fun.protect ~finally:r.finish (fun () ->
       order_fill r 2;
       order_submit r;
@@ -2131,7 +2154,7 @@ let test_order_no_ctl_while_data_blocked () =
 let test_order_ctl_prefix_descending () =
   (* Every Data has passed, but p5, first in the control step's order,
      cannot take its Ctl: p4..p2 must not get theirs before it does. *)
-  let r = order_rig ~tag:"ctl" in
+  let r = order_rig ~tag:"ctl" () in
   Fun.protect ~finally:r.finish (fun () ->
       order_fill r 2;
       order_submit r;
@@ -2144,6 +2167,152 @@ let test_order_ctl_prefix_descending () =
         (r.got.(1) = [ Live.Frame.K_data ]);
       order_turns r 3;
       order_whole_round r)
+
+let test_halt_drains_through_the_loop () =
+  (* Regression: the halting turn flushed the kill budget's prefix with a
+     blocking writer that waited up to 2 s on a full link before it
+     reported [`Halted] — a loopback pass stalled that long, and a
+     victim closed at the deadline dropped the prefix [realized] says
+     was delivered.  Now the halted engine keeps turning with the same
+     nonblocking pumps until every queue has reached the kernel.  p1's
+     budget of 2 covers its round-1 Data to p2 and p3; p2's link is
+     full. *)
+  let r = order_rig ~kill_after:2 ~tag:"halt" () in
+  Fun.protect ~finally:r.finish (fun () ->
+      order_fill r 2;
+      order_submit r;
+      for turn = 1 to 3 do
+        let t0 = Unix.gettimeofday () in
+        let status = Serve.Engine.Rwwc.step r.engine ~timeout:0.0 in
+        let took = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "turn %d returns within 0.5 s (%.2f s), still `Running"
+             turn took)
+          true
+          (took < 0.5 && status = `Running)
+      done;
+      order_read r;
+      let halts =
+        List.init 2 (fun _ -> Serve.Engine.Rwwc.step r.engine ~timeout:0.0)
+      in
+      Alcotest.(check bool) "once p2 reads, later turns report `Halted" true
+        (List.for_all (( = ) `Halted) halts);
+      order_read r;
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "p%d read exactly one Data" p)
+            true
+            (r.got.(p - 1) = [ Live.Frame.K_data ]))
+        [ 2; 3 ];
+      List.iter
+        (fun p ->
+          Alcotest.(check int) (Printf.sprintf "p%d read nothing" p) 0
+            (List.length r.got.(p - 1)))
+        [ 4; 5 ];
+      Alcotest.(check int) "no peer read a Ctl" 0 (order_ctls r [ 2; 3; 4; 5 ]);
+      Alcotest.(check bool) "realized: instance 1 cut at r1, data=2" true
+        (Serve.Engine.Rwwc.realized r.engine
+        = [
+            {
+              Serve.Mux.instance = 1;
+              round = 1;
+              phase = Live.Script.During_data 2;
+            };
+          ]))
+
+(* --- TCP on its own: what a close with unread bytes leaves the peer ----- *)
+
+let tcp_pair () =
+  let l = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind l (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen l 1;
+  let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect a (Unix.getsockname l);
+  let b, _ = Unix.accept l in
+  Unix.close l;
+  (a, b)
+
+(* The [i]th frame A writes. *)
+let tcp_frame i =
+  Live.Frame.encode (Live.Frame.Data { instance = i; round = 1; payload = "v" })
+
+(* A, with bytes from B it never read, writes [frames] of them (all, or
+   [None]: until the kernel refuses more) and closes — a close with
+   unread input sends RST.  The bytes A's writes took, and the frames B
+   reads afterwards (their instances, in order) with how B's reads end. *)
+let tcp_close_unread ~frames =
+  let a, b = tcp_pair () in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () ->
+      ignore (Unix.write_substring b "unread" 0 6);
+      (match Unix.select [ a ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.fail "B's bytes never reached A"
+      | _ -> ());
+      Unix.set_nonblock a;
+      let written = ref 0 and i = ref 0 and pending = ref "" in
+      let more () = match frames with Some k -> !i < k | None -> true in
+      let rec write () =
+        if !pending = "" && more () then begin
+          pending := tcp_frame !i;
+          incr i
+        end;
+        if !pending <> "" then
+          match Unix.write_substring a !pending 0 (String.length !pending) with
+          | k ->
+            written := !written + k;
+            pending := String.sub !pending k (String.length !pending - k);
+            write ()
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            ()
+      in
+      write ();
+      Unix.close a;
+      Unix.setsockopt_float b Unix.SO_RCVTIMEO 5.0;
+      let dec = Live.Frame.decoder () and buf = Bytes.create 65536 in
+      let rec read got =
+        match Unix.read b buf 0 (Bytes.length buf) with
+        | 0 -> (got, `Eof)
+        | k ->
+          Live.Frame.feed dec (Bytes.unsafe_to_string buf) ~pos:0 ~len:k;
+          read (got + k)
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> (got, `Reset)
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.fail "B's read timed out"
+      in
+      let got, ending = read 0 in
+      let rec pop acc =
+        match Live.Frame.pop_view dec with
+        | `View v -> pop (v.Live.Frame.instance :: acc)
+        | `Need_more -> List.rev acc
+        | `Corrupt why -> Alcotest.fail why
+      in
+      (!written, got, pop [], ending))
+
+let test_tcp_rst_keeps_what_arrived () =
+  (* What B's kernel already holds survives A's RST: B reads every byte
+     A wrote, then ECONNRESET instead of EOF. *)
+  let written, got, instances, ending = tcp_close_unread ~frames:(Some 10) in
+  Alcotest.(check bool) "A's close sent RST" true (ending = `Reset);
+  Alcotest.(check int) "B read every byte A wrote" written got;
+  Alcotest.(check (list int)) "every frame, in order" (List.init 10 Fun.id)
+    instances
+
+let test_tcp_rst_drops_unsent () =
+  (* Bytes A's writes took that still sat in A's send queue — B's
+     receive window was full — die with the RST: a writer can lose what
+     [write(2)] accepted.  B keeps an in-order prefix. *)
+  let written, got, instances, ending = tcp_close_unread ~frames:None in
+  Alcotest.(check bool) "A's close sent RST" true (ending = `Reset);
+  Alcotest.(check bool)
+    (Printf.sprintf "B read %d of the %d bytes A wrote" got written)
+    true
+    (got > 0 && got < written);
+  Alcotest.(check (list int)) "B's frames are a prefix"
+    (List.init (List.length instances) Fun.id)
+    instances
 
 let test_fleet_respawn_recovers () =
   (* The full recovery path: a mid-storm SIGKILL victim is respawned by
@@ -2273,7 +2442,10 @@ let test_fleet_reused_workspace_starts_fresh () =
           (label ^ ": no judge failures")
           0
           (List.length r.Serve.Report.failures);
-        Alcotest.(check int) (label ^ ": completed") 200 r.Serve.Report.completed)
+        Alcotest.(check int) (label ^ ": completed") 200 r.Serve.Report.completed;
+        Alcotest.(check int)
+          (label ^ ": the WALs agree")
+          0 r.Serve.Report.wal_disagreements)
     [ "first fleet"; "second fleet, same workspace" ]
 
 let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
@@ -2451,6 +2623,8 @@ let () =
             test_wal_truncation_sweep;
           Alcotest.test_case "byte-flip-sweep" `Quick test_wal_byte_flip_sweep;
           Alcotest.test_case "torn-batch-sweep" `Quick test_wal_torn_batch_sweep;
+          Alcotest.test_case "disagreements-forged" `Quick
+            test_wal_disagreements_forged;
         ] );
       ( "gate",
         [
@@ -2469,6 +2643,17 @@ let () =
             test_order_no_ctl_while_data_blocked;
           Alcotest.test_case "ctl-prefix-descending" `Quick
             test_order_ctl_prefix_descending;
+        ] );
+      ( "tcp",
+        [
+          Alcotest.test_case "rst-keeps-what-arrived" `Quick
+            test_tcp_rst_keeps_what_arrived;
+          Alcotest.test_case "rst-drops-unsent" `Quick test_tcp_rst_drops_unsent;
+        ] );
+      ( "halt",
+        [
+          Alcotest.test_case "drains-through-the-loop" `Quick
+            test_halt_drains_through_the_loop;
         ] );
       ( "chaosproxy",
         [
