@@ -408,30 +408,59 @@ let bench_dist_checkpoint () =
    the per-instance judge verdicts so a perf regression can never hide a
    correctness one. *)
 
-let serve_storm ~instances ~window ~kill () =
-  let r =
-    Serve.Loopback.Rwwc.run
-      {
-        Serve.Loopback.Rwwc.n = 5;
-        t = 2;
-        instances;
-        window;
-        big_d = 0.25;
-        batch = true;
-        kill;
-        max_rounds = None;
-        proposals = (fun i node -> (i * 5) + node);
-      }
-  in
+let storm_config ~instances ~window ~kill =
+  {
+    Serve.Loopback.Rwwc.n = 5;
+    t = 2;
+    instances;
+    window;
+    big_d = 0.25;
+    batch = true;
+    kill;
+    max_rounds = None;
+    proposals = (fun i node -> (i * 5) + node);
+  }
+
+let judged (r : Serve.Report.t) =
   if not r.Serve.Report.ok then failwith "serve storm: judge failures"
+
+let serve_storm ~instances ~window ~kill () =
+  judged (Serve.Loopback.Rwwc.run (storm_config ~instances ~window ~kill))
+
+let storm_kill = Some { Serve.Report.node = 1; after_frames = 157 }
 
 let bench_serve_loopback_storm () =
   serve_storm ~instances:1000 ~window:64 ~kill:None ()
 
 let bench_serve_loopback_kill_storm () =
-  serve_storm ~instances:500 ~window:32
-    ~kill:(Some { Serve.Report.node = 1; after_frames = 157 })
-    ()
+  serve_storm ~instances:500 ~window:32 ~kill:storm_kill ()
+
+(* Count kernels: the same two storms, run once, reporting exact
+   deterministic costs instead of a time — the machine drifts more than
+   a change moves these.  Minor words are the engines' turns only
+   ([Loopback.run_counting_words]); write calls, flushes and frames are
+   the engines' own counters; everything is per decision taken by an
+   engine, next to the totals it was divided from. *)
+let serve_counts ~instances ~window ~kill () =
+  let r, words =
+    Serve.Loopback.Rwwc.run_counting_words (storm_config ~instances ~window ~kill)
+  in
+  judged r;
+  let s = r.Serve.Report.total in
+  let decisions = s.Serve.Stats.decides in
+  let per x = Obs.Json.Float (float_of_int x /. float_of_int decisions) in
+  let words = int_of_float words in
+  [
+    ("decisions", Obs.Json.Int decisions);
+    ("engine_minor_words", Obs.Json.Int words);
+    ("minor_words_per_decision", per words);
+    ("write_calls", Obs.Json.Int s.Serve.Stats.write_calls);
+    ("write_calls_per_decision", per s.Serve.Stats.write_calls);
+    ("flushes", Obs.Json.Int s.Serve.Stats.flushes);
+    ("flushes_per_decision", per s.Serve.Stats.flushes);
+    ("frames", Obs.Json.Int s.Serve.Stats.frames_out);
+    ("frames_per_decision", per s.Serve.Stats.frames_out);
+  ]
 
 (* The wire hot path in isolation: a pre-encoded 2000-frame stream (Data
    with a 16-byte payload + Ctl, interleaved across 1000 instance ids of
@@ -496,6 +525,14 @@ let bench_frame_encode_round () =
     done
   done;
   Serve.Batch.flush encode_batch
+
+let counts =
+  [
+    ( "counts/serve-storm-n5-i1000",
+      serve_counts ~instances:1000 ~window:64 ~kill:None );
+    ( "counts/serve-kill-storm-n5-i500",
+      serve_counts ~instances:500 ~window:32 ~kill:storm_kill );
+  ]
 
 let kernels =
   [
@@ -619,6 +656,22 @@ let run_benchmarks ~only () =
   print_string (Diag.Table.render table);
   rows
 
+(* The selected count kernels, each run once; every field is printed. *)
+let run_counts ~only () =
+  List.filter_map
+    (fun (name, fn) ->
+      if chosen only name then begin
+        let fields = fn () in
+        Printf.printf "%s:%s\n%!" name
+          (String.concat ""
+             (List.map
+                (fun (k, v) -> Printf.sprintf " %s=%s" k (Obs.Json.to_string v))
+                fields));
+        Some (name, fields)
+      end
+      else None)
+    counts
+
 (* One git query's trimmed output; [None] outside a git checkout. *)
 let git args =
   match Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") with
@@ -650,7 +703,7 @@ let provenance () =
 (* BENCH_RESULTS.json: the machine-readable perf trajectory.  One document
    per bench run, one entry per registered kernel, so successive PRs can be
    diffed without scraping the rendered table. *)
-let json_doc ~provenance rows =
+let json_doc ~provenance rows count_rows =
   let opt_float = function Some v -> Obs.Json.Float v | None -> Obs.Json.Null in
   Obs.Json.Obj
     [
@@ -668,6 +721,12 @@ let json_doc ~provenance rows =
                    ("r_squared", opt_float r2);
                  ])
              rows) );
+      ( "counts",
+        Obs.Json.List
+          (List.map
+             (fun (name, fields) ->
+               Obs.Json.Obj (("name", Obs.Json.String name) :: fields))
+             count_rows) );
     ]
 
 (* Each table runs in its own forked child; the parent spawns no domain
@@ -699,10 +758,10 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "bench [--json FILE] [--kernel NAME] [--once] [--no-tables]";
-  (match List.find_opt (fun k -> not (List.mem_assoc k kernels)) !only with
+  let known = List.map fst kernels @ List.map fst counts in
+  (match List.find_opt (fun k -> not (List.mem k known)) !only with
   | Some k ->
-    Printf.eprintf "unknown kernel %S (known: %s)\n" k
-      (String.concat ", " (List.map fst kernels));
+    Printf.eprintf "unknown kernel %S (known: %s)\n" k (String.concat ", " known);
     exit 2
   | None -> ());
   if not !no_tables then begin
@@ -719,6 +778,7 @@ let () =
           Printf.printf "ran %s\n%!" name
         end)
       kernels;
+    ignore (run_counts ~only:!only ());
     exit 0
   end;
   print_endline "=== Micro-benchmarks ===\n";
@@ -726,6 +786,7 @@ let () =
      process. *)
   let provenance = provenance () in
   let rows = run_benchmarks ~only:!only () in
+  let count_rows = run_counts ~only:!only () in
   match !json_file with
   | None -> ()
   | Some file ->
@@ -737,7 +798,7 @@ let () =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (Obs.Json.to_string (json_doc ~provenance rows));
+        output_string oc (Obs.Json.to_string (json_doc ~provenance rows count_rows));
         output_char oc '\n');
     Sys.rename tmp file;
     Printf.printf "wrote %s\n" file

@@ -1,7 +1,7 @@
 open Model
 
 module type ALGO = sig
-  include Sync_sim.Algorithm_intf.S
+  include Sync_sim.Algorithm_intf.FLAT
 
   val encode_msg : msg -> string
   val decode_msg_view : Frame.view -> (msg, string) result

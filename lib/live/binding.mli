@@ -1,20 +1,26 @@
 (** What the live runtime and the service need to know about an algorithm
-    beyond the abstract {!Sync_sim.Algorithm_intf.S} contract: how its
+    beyond the abstract {!Sync_sim.Algorithm_intf.FLAT} contract: how its
     data messages look on a wire, where its sends of a given round are
     addressed, and when a round can complete early.  [Live.Node],
     [Live.Loopback] and every [Serve] functor take this one signature.
 
-    [send_plan] exists for the judge, not the node: a scripted kill names a
-    write {e prefix}, and translating that prefix into an abstract
-    {!Model.Crash.point} (which names delivered {e destinations}) requires
-    the send order.  It must agree with what [data_sends]/[sync_sends]
-    return for a live, undecided process — for the Figure 1 algorithm the
-    destinations depend only on [(me, round, n)], never on the estimate. *)
+    The service's multiplexer steps rounds through the flat half
+    ([send]/[receive]), allocation-free like the simulator; the live node
+    still uses the list half.  A list-only algorithm gets the flat half
+    from {!Sync_sim.Algorithm_intf.Of_list}.
+
+    [send_plan] serves the judge and a kill budget: a scripted kill names
+    a write {e prefix}, and translating that prefix into an abstract
+    {!Model.Crash.point} (which names delivered {e destinations}), or a
+    budget's cut into its phase, requires the send order.  It must agree
+    with what [send] (and [data_sends]/[sync_sends]) emit for a live,
+    undecided process — for the Figure 1 algorithm the destinations
+    depend only on [(me, round, n)], never on the estimate. *)
 
 open Model
 
 module type ALGO = sig
-  include Sync_sim.Algorithm_intf.S
+  include Sync_sim.Algorithm_intf.FLAT
 
   val encode_msg : msg -> string
   (** Wire payload of a data message. *)

@@ -75,6 +75,7 @@ module Make (A : Live.Binding.ALGO) = struct
     outq : Outq.t;  (* lanes: [data_lane], [ctl_lane], [catchup_lane] *)
     mutable stalled : bool;  (* a write to it blocked this turn *)
     mutable replay : M.catchup option;  (* a rejoin catch-up still to send *)
+    mutable readable : bool;  (* the turn's wait reported it readable *)
   }
 
   type client = {
@@ -84,6 +85,8 @@ module Make (A : Live.Binding.ALGO) = struct
     coutq : Outq.t;
     mutable alive : bool;
     mutable backlog : bool;  (* decoded frames left over from a budget cut *)
+    mutable ready : bool;  (* the turn's wait reported it readable *)
+    mutable due : bool;  (* served this turn: ready or backlogged *)
   }
 
   type pending = {
@@ -122,7 +125,6 @@ module Make (A : Live.Binding.ALGO) = struct
            neither arrived nor been overtaken by their death *)
     mutable caught_up : bool;
     mirror_until : float array;
-    mutable ready_clients : client list;
     mutable lfd_ready : bool;
     mutable drain_until : float option;  (* from the mux's halt on *)
   }
@@ -140,6 +142,8 @@ module Make (A : Live.Binding.ALGO) = struct
         coutq = Outq.create ~hwm:client_hwm ();
         alive = true;
         backlog = false;
+        ready = false;
+        due = false;
       }
     in
     e.next_client_id <- e.next_client_id + 1;
@@ -283,6 +287,7 @@ module Make (A : Live.Binding.ALGO) = struct
             outq = Outq.create ~hwm:peer_hwm ~lanes ();
             stalled = false;
             replay = None;
+            readable = false;
           })
     in
     let cell = ref None in
@@ -360,7 +365,6 @@ module Make (A : Live.Binding.ALGO) = struct
             peer_fds;
         caught_up = not cfg.rejoin;
         mirror_until = Array.make cfg.n 0.0;
-        ready_clients = [];
         lfd_ready = false;
         drain_until = None;
       }
@@ -481,26 +485,25 @@ module Make (A : Live.Binding.ALGO) = struct
               ~write:(r = `Blocked))
       e.clients
 
-  let drain_peer e peer =
-    let rec go () =
-      if not (M.halted e.mux) then
-        match Live.Frame.pop_view peer.decoder with
-        | `View v ->
-          (* A Catchup with round 0 is a peer's end-of-batch marker for
-             the rejoin gate, not a decision. *)
-          if
-            v.Live.Frame.kind = Live.Frame.K_catchup && v.Live.Frame.round = 0
-          then begin
-            e.awaited.(peer.pid - 1) <- false;
-            logf e.cfg "catch-up batch from p%d: %d decisions" peer.pid
-              v.Live.Frame.value
-          end
-          else M.on_view e.mux ~now:(e.clock ()) ~from:peer.pid v;
-          go ()
-        | `Need_more -> ()
-        | `Corrupt why -> mark_dead e peer ("corrupt stream: " ^ why)
-    in
-    go ()
+  (* The drains below are top-level recursions, not local closures: a
+     turn's reads allocate nothing of their own.  [now] is the turn's
+     clock, read once after its wait. *)
+  let rec drain_peer e peer ~now =
+    if not (M.halted e.mux) then
+      match Live.Frame.pop_view peer.decoder with
+      | `View v ->
+        (* A Catchup with round 0 is a peer's end-of-batch marker for
+           the rejoin gate, not a decision. *)
+        if v.Live.Frame.kind = Live.Frame.K_catchup && v.Live.Frame.round = 0
+        then begin
+          e.awaited.(peer.pid - 1) <- false;
+          logf e.cfg "catch-up batch from p%d: %d decisions" peer.pid
+            v.Live.Frame.value
+        end
+        else M.on_view e.mux ~now ~from:peer.pid v;
+        drain_peer e peer ~now
+      | `Need_more -> ()
+      | `Corrupt why -> mark_dead e peer ("corrupt stream: " ^ why)
 
   (* One nonblocking read into [dec]. *)
   let read e fd dec =
@@ -510,37 +513,32 @@ module Make (A : Live.Binding.ALGO) = struct
       `Data
     | (`Closed | `Nothing) as r -> r
 
-  let read_peer e peer =
+  let read_peer e peer ~now =
     match peer.fd with
     | None -> ()
     | Some fd -> (
       match read e fd peer.decoder with
-      | `Data -> drain_peer e peer
+      | `Data -> drain_peer e peer ~now
       | `Closed -> mark_dead e peer "eof"
       | `Nothing -> ())
 
-  (* Decode at most [client_frame_budget] frames, then yield: leftover
-     frames stay buffered and flag [backlog] so the next iteration (at
-     timeout 0) resumes — after every other client had its turn. *)
-  let drain_client e c =
-    let budget = ref client_frame_budget in
-    let rec go () =
-      if c.alive && not (M.halted e.mux) then
-        if !budget = 0 then c.backlog <- true
-        else
-          match Live.Frame.pop_view c.cdec with
-          | `View v ->
-            decr budget;
-            (match v.Live.Frame.kind with
-            | Live.Frame.K_submit ->
-              M.submit e.mux ~now:(e.clock ()) ~instance:v.Live.Frame.instance
-                ~proposal:v.Live.Frame.value
-            | _ -> ());
-            go ()
-          | `Need_more -> c.backlog <- false
-          | `Corrupt why -> client_dead e c ("corrupt stream: " ^ why)
-    in
-    go ()
+  (* Decode at most [budget] frames, then yield: leftover frames stay
+     buffered and flag [backlog] so the next iteration (at timeout 0)
+     resumes — after every other client had its turn. *)
+  let rec drain_client e c ~now budget =
+    if c.alive && not (M.halted e.mux) then
+      if budget = 0 then c.backlog <- true
+      else
+        match Live.Frame.pop_view c.cdec with
+        | `View v ->
+          (match v.Live.Frame.kind with
+          | Live.Frame.K_submit ->
+            M.submit e.mux ~now ~instance:v.Live.Frame.instance
+              ~proposal:v.Live.Frame.value
+          | _ -> ());
+          drain_client e c ~now (budget - 1)
+        | `Need_more -> c.backlog <- false
+        | `Corrupt why -> client_dead e c ("corrupt stream: " ^ why)
 
   let accept_drain e lfd =
     let continue = ref true in
@@ -611,42 +609,64 @@ module Make (A : Live.Binding.ALGO) = struct
     | exception Unix.Unix_error (errno, _, _) ->
       drop_pending e p (Unix.error_message errno)
 
-  (* Reads only: a writable fd is served by the pumps at the end of
-     [step] — the one place a turn's frames reach a socket. *)
+  (* Only notes readiness: a readable client or peer is read after the
+     wait, clients first, and a writable fd is served by the pumps at the
+     end of [step] — the one place a turn's frames reach a socket. *)
   let handle e fd ~readable ~writable:_ =
-    match Hashtbl.find_opt e.registry fd with
-    | None -> ()  (* dropped by an earlier callback this round *)
-    | Some K_listen -> if readable then e.lfd_ready <- true
-    | Some (K_pending p) -> if readable then pending_read e p
-    | Some (K_peer peer) -> if readable then read_peer e peer
-    | Some (K_client c) ->
-      if readable && not (List.memq c e.ready_clients) then
-        e.ready_clients <- c :: e.ready_clients
+    if readable then
+      match Hashtbl.find e.registry fd with
+      | exception Not_found -> ()  (* dropped by an earlier callback *)
+      | K_listen -> e.lfd_ready <- true
+      | K_pending p -> pending_read e p
+      | K_peer peer -> peer.readable <- true
+      | K_client c -> c.ready <- true
+
+  let serve_client e c ~now =
+    if c.alive && not (M.halted e.mux) then begin
+      if c.ready && read e c.cfd c.cdec = `Closed then
+        client_dead e c "disconnected";
+      drain_client e c ~now client_frame_budget
+    end
+
+  (* Mark the turn's due clients; how many. *)
+  let rec mark_due k = function
+    | [] -> k
+    | c :: rest ->
+      c.due <- c.alive && (c.backlog || c.ready);
+      mark_due (if c.due then k + 1 else k) rest
+
+  (* Serve the due clients of rank [lo] to [hi - 1], in list order. *)
+  let rec serve_ranks e ~now ~lo ~hi k = function
+    | [] -> ()
+    | c :: rest ->
+      if c.due then begin
+        if k >= lo && k < hi then serve_client e c ~now;
+        serve_ranks e ~now ~lo ~hi (k + 1) rest
+      end
+      else serve_ranks e ~now ~lo ~hi k rest
 
   (* Fair client service: rotate the starting point, read one chunk from
      each client that signalled, then decode under the shared budget —
      backlogged clients rejoin even without new bytes. *)
-  let serve_clients e =
-    let service =
-      List.filter
-        (fun c -> c.alive && (c.backlog || List.memq c e.ready_clients))
-        e.clients
-    in
-    match service with
-    | [] -> ()
-    | _ ->
-      let m = List.length service in
+  let serve_clients e ~now =
+    let m = mark_due 0 e.clients in
+    if m > 0 then begin
       let start = e.rr mod m in
       e.rr <- e.rr + 1;
-      let arr = Array.of_list service in
-      for k = 0 to m - 1 do
-        let c = arr.((start + k) mod m) in
-        if c.alive && not (M.halted e.mux) then begin
-          if List.memq c e.ready_clients && read e c.cfd c.cdec = `Closed then
-            client_dead e c "disconnected";
-          drain_client e c
-        end
-      done
+      serve_ranks e ~now ~lo:start ~hi:m 0 e.clients;
+      serve_ranks e ~now ~lo:0 ~hi:start 0 e.clients
+    end
+
+  (* The peers the wait found readable, in pid order — after the clients,
+     so a frame that arrives with its instance's Submit finds the slot. *)
+  let read_peers e ~now =
+    for i = 0 to Array.length e.peers - 1 do
+      let p = e.peers.(i) in
+      if p.readable then begin
+        p.readable <- false;
+        read_peer e p ~now
+      end
+    done
 
   let catchup_due p =
     Option.is_some p.replay && Option.is_some p.fd
@@ -681,14 +701,16 @@ module Make (A : Live.Binding.ALGO) = struct
 
   let step e ~timeout =
     let cfg = e.cfg in
-    e.ready_clients <- [];
+    List.iter (fun c -> c.ready <- false) e.clients;
     e.lfd_ready <- false;
     ignore (Evloop.wait e.ev ~timeout ~handle:(handle e));
     (match e.listen with
     | Some lfd when e.lfd_ready -> accept_drain e lfd
     | _ -> ());
+    let now = e.clock () in
+    serve_clients e ~now;
+    read_peers e ~now;
     check_caught_up e;
-    serve_clients e;
     (* Expired hellos cost their fd, nothing else. *)
     let now = e.clock () in
     List.iter
@@ -766,6 +788,7 @@ module Make (A : Live.Binding.ALGO) = struct
     e.stats
 
   let realized e = M.realized e.mux
+  let parked e = M.parked e.mux
 
   let close e =
     Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) e.listen;

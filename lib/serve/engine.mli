@@ -90,7 +90,9 @@ module Make (A : Live.Binding.ALGO) : sig
 
   val step : t -> timeout:float -> [ `Running | `Halted | `Exited ]
   (** One turn of the loop: wait up to [timeout] seconds for readiness,
-      accept and read, feed the mux, expire due rounds, top up rejoin
+      accept, read the clients and feed their Submits to the mux, then
+      read the peers — so a peer frame that arrives in the turn of its
+      instance's Submit finds the instance open — expire due rounds, top up rejoin
       catch-ups, flush the batcher, release the mesh rounds (every Data
       lane, then the Ctl lanes in descending pid order), commit the WAL,
       then drain the client queues and the Catchup lanes — each as far
@@ -112,6 +114,10 @@ module Make (A : Live.Binding.ALGO) : sig
 
   val realized : t -> Mux.realized list
   (** After [`Halted]: per-instance crash points (see {!Mux}). *)
+
+  val parked : t -> int
+  (** The mux's {!Mux.Make.parked}: peer frames that outran their
+      instance's Submit. *)
 
   val close : t -> unit
   (** Close every fd the engine holds and its WAL. *)

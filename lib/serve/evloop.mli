@@ -7,9 +7,13 @@
     fd is registered for — a hung-up fd with write interest only is
     writable, never readable.
 
-    [wait] snapshots the registry before blocking, so a callback may
+    [wait] hands poll arrays kept in [t], rebuilt from the registry only
+    when it changed since the last wait (a new fd, a dropped one, a
+    changed interest), and poll fills a result array kept there too: a
+    wait over an unchanged registry allocates nothing.  A callback may
     freely register or deregister fds (accepting a connection, marking a
-    peer dead) without invalidating the iteration. *)
+    peer dead): the change only marks the next wait's rebuild, so the
+    iteration runs over the arrays as they stood before the wait. *)
 
 type backend = Poll
 (** The one readiness backend; kept as a type so existing
@@ -37,5 +41,7 @@ val wait :
 (** Block up to [timeout] seconds (negative means zero) for readiness and
     invoke [handle] once per ready fd; returns the number of ready fds.
     [EINTR] returns 0, like a timeout.  Callbacks may mutate the
-    registry; readiness is reported from the pre-wait snapshot, so a
-    callback must tolerate events for fds it has just dropped. *)
+    registry; readiness is reported from the pre-wait arrays, so a
+    callback must tolerate events for fds it has just dropped.  Allocates
+    nothing unless the registry changed (and [handle] allocates
+    nothing). *)

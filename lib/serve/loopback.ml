@@ -17,7 +17,7 @@ module Make (A : Live.Binding.ALGO) = struct
      its Submits and the decoder of its Decide stream. *)
   type channel = { fd : Unix.file_descr; out : Outq.t; dec : Live.Frame.decoder }
 
-  let run cfg =
+  let run_counting_words cfg =
     if cfg.n < 2 then invalid_arg "Serve.Loopback: n must be >= 2";
     if cfg.instances < 0 then invalid_arg "Serve.Loopback: negative instances";
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -81,6 +81,7 @@ module Make (A : Live.Binding.ALGO) = struct
     let decisions = Array.init cfg.instances (fun _ -> Array.make n None) in
     let submit_t = Array.make (max 1 cfg.instances) 0.0 in
     let latencies = ref [] in
+    let engine_words = ref 0.0 in
     let buf = Bytes.create 65536 in
     (* Every byte that moves shows up here: as an engine's write or
        consumed frame, or as client-side traffic. *)
@@ -123,7 +124,8 @@ module Make (A : Live.Binding.ALGO) = struct
     (* One pass: every engine takes one turn at timeout 0, in descending
        node order — so the round-1 coordinator (p1) reads its Submits
        only once every other node has opened the instance, the common
-       client pattern; the mux's early-frame parking covers the rest.  A
+       client pattern; a frame that outruns a Submit waits in the slot
+       it opens (see [Mux.on_view]) for the rest.  A
        halted victim's fds are closed, as the fleet's SIGKILL would:
        its peers read what it flushed, then EOF. *)
     let pass () =
@@ -136,7 +138,10 @@ module Make (A : Live.Binding.ALGO) = struct
             ignore (Outq.drain ch.out ch.fd)
           end;
           let e = engines.(idx) in
-          match E.step e ~timeout:0.0 with
+          let before = Gc.minor_words () in
+          let status = E.step e ~timeout:0.0 in
+          engine_words := !engine_words +. (Gc.minor_words () -. before);
+          match status with
           | `Running -> ()
           | `Halted ->
             running.(idx) <- false;
@@ -225,9 +230,12 @@ module Make (A : Live.Binding.ALGO) = struct
     Array.iteri (fun idx e -> if running.(idx) then E.close e) engines;
     Array.iter (fun ch -> Unix.close ch.fd) channels;
     close_out quiet;
-    Report.build ~n ~t:cfg.t ~proposals:cfg.proposals ~decisions ~victim:!victim
-      ~send_plan:A.send_plan ~elapsed ~latencies:!latencies ~stats
-      ~kill:cfg.kill
+    ( Report.build ~n ~t:cfg.t ~proposals:cfg.proposals ~decisions
+        ~victim:!victim ~send_plan:A.send_plan ~elapsed ~latencies:!latencies
+        ~stats ~kill:cfg.kill,
+      !engine_words )
+
+  let run cfg = fst (run_counting_words cfg)
 end
 
 module Rwwc = Make (Live.Binding.Rwwc)

@@ -26,6 +26,12 @@ module Make (A : Live.Binding.ALGO) : sig
   }
 
   val run : config -> Report.t
+
+  val run_counting_words : config -> Report.t * float
+  (** {!run}, also returning the minor-heap words the engines' turns
+      allocated: only {!Engine.Make.step} is counted, not the client side,
+      the settle loop or {!Report.build}.  Deterministic for a given
+      config, like every other count of the storm. *)
 end
 
 module Rwwc : module type of Make (Live.Binding.Rwwc)

@@ -43,24 +43,39 @@ let realized_of_json json =
   | _ -> Error "realized: not an object"
 
 module Make (A : Live.Binding.ALGO) = struct
+  module View = Sync_sim.Round_view
+
+  type entry = E_data of int * int * A.msg | E_ctl of int * int
+      (* round, sender (and payload) of a frame for a round not entered *)
+
+  (* One instance in flight.  The current round's inbox is recycled with
+     the slot: [from]/[msgs] hold the Data received so far, sorted by
+     sender with ties newest first (the order a list-API [compute] was
+     always given), and [ctl] has bit [sender - 1] set once that sender's
+     Ctl arrived.  A peer frame that outruns the local Submit opens the
+     slot, unsubmitted: it waits in the inbox (or [pending]) as it would
+     have after the Submit. *)
   type slot = {
     mutable instance : int;
+    mutable submitted : bool;
     mutable state : A.state;
     mutable round : int;
     mutable deadline : float;
     mutable sent : bool;  (* current round's send phase completed *)
-    mutable data : (Pid.t * A.msg) list;
-    mutable syncs : Pid.t list;
+    mutable from : int array;
+    mutable msgs : A.msg array;  (* [||] until the slot's first Data *)
+    mutable len : int;
+    mutable ctl : int;
     mutable pending : entry list;  (* frames for rounds not yet entered *)
   }
-
-  and entry = E_data of int * Pid.t * A.msg | E_ctl of int * Pid.t
 
   type t = {
     cfg : config;
     stats : Stats.t;
     slab : slot Slab.t;
-    early : (int, entry list) Hashtbl.t;  (* frames before the submit *)
+    none : slot;  (* what [Slab.find] answers for an unbound instance *)
+    mutable unsubmitted : int;  (* slots a peer frame opened *)
+    mutable parked : int;
     decided : Decided.t;
         (* decided and horizon-released instances — a re-submitted
            finished instance is answered from here, or from the log once
@@ -79,34 +94,129 @@ module Make (A : Live.Binding.ALGO) = struct
         (* recently-rejoined peers: every new decision is also sent to
            them as a Catchup, closing the gap between their rejoin
            snapshot and the instances still in flight *)
+    masks : int array;
+        (* per round: the Ctl senders whose arrival completes it
+           ([A.round_senders] as a bit set) *)
+    view : A.msg View.t;  (* repointed at each slot's inbox in turn *)
+    sync_words : int array;  (* the view's one-word Ctl set *)
+    emitter : A.msg Sync_sim.Emitter.t;
+    (* The round [A.send] is emitting: its frames are built on first use
+       ([no_frame] until then) and shared by every destination, so the
+       batcher encodes each once. *)
+    mutable s_instance : int;
+    mutable s_round : int;
+    mutable s_writes : int;  (* mesh writes the round made *)
+    mutable s_cut : bool;  (* a write found the budget spent *)
+    mutable s_msg : A.msg array;  (* [| the message [s_data] carries |] *)
+    mutable s_data : Live.Frame.t;
+    mutable s_ctl : Live.Frame.t;
+    mutable budget : int;  (* mesh writes left before the kill *)
     mutable mesh_writes : int;
     mutable halted : bool;
     mutable realized : realized list;
   }
 
+  let no_frame = Live.Frame.Hello { node = 0 }
+
+  (* The send callbacks.  Every write spends one unit of the kill budget
+     (unbounded without [kill_after]); a write that finds it spent is
+     cut, and so is every later one — the paper's sequential-write prefix
+     crash, realized mid-storm. *)
+  let on_data t dest msg =
+    if t.budget = 0 then t.s_cut <- true
+    else begin
+      t.budget <- t.budget - 1;
+      t.mesh_writes <- t.mesh_writes + 1;
+      t.s_writes <- t.s_writes + 1;
+      if t.s_data == no_frame || t.s_msg.(0) != msg then begin
+        if Array.length t.s_msg = 0 then t.s_msg <- [| msg |]
+        else t.s_msg.(0) <- msg;
+        t.s_data <-
+          Live.Frame.Data
+            { instance = t.s_instance; round = t.s_round; payload = A.encode_msg msg }
+      end;
+      t.emit ~dest t.s_data
+    end
+
+  let on_sync t dest =
+    if t.budget = 0 then t.s_cut <- true
+    else begin
+      t.budget <- t.budget - 1;
+      t.mesh_writes <- t.mesh_writes + 1;
+      t.s_writes <- t.s_writes + 1;
+      if t.s_ctl == no_frame then
+        t.s_ctl <- Live.Frame.Ctl { instance = t.s_instance; round = t.s_round };
+      t.emit ~dest t.s_ctl
+    end
+
   let create cfg ?persist ?log ~emit () =
+    if cfg.n > Sys.int_size then
+      invalid_arg "Mux.create: n over 63 does not fit the one-word Ctl set";
     let log = if persist = None then None else log in
-    {
-      cfg;
-      stats = Stats.create ();
-      slab = Slab.create ~initial:256 ();
-      early = Hashtbl.create 64;
-      decided = Decided.create ~spill:(log <> None) ();
-      persist;
-      log;
-      asks = Hashtbl.create 16;
-      emit;
-      mirror = [];
-      mesh_writes = 0;
-      halted = false;
-      realized = [];
-    }
+    let me = Pid.of_int cfg.me in
+    let make () =
+      {
+        instance = -1;
+        submitted = false;
+        state = A.init ~n:cfg.n ~t:cfg.t ~me ~proposal:0;
+        round = 1;
+        deadline = infinity;
+        sent = false;
+        from = Array.make cfg.n 0;
+        msgs = [||];
+        len = 0;
+        ctl = 0;
+        pending = [];
+      }
+    in
+    let t =
+      {
+        cfg;
+        stats = Stats.create ();
+        slab = Slab.create ~initial:256 ~make ();
+        none = make ();
+        unsubmitted = 0;
+        parked = 0;
+        decided = Decided.create ~spill:(log <> None) ();
+        persist;
+        log;
+        asks = Hashtbl.create 16;
+        emit;
+        mirror = [];
+        masks =
+          Array.init (cfg.max_rounds + 1) (fun round ->
+              if round = 0 then 0
+              else
+                List.fold_left
+                  (fun m p -> m lor (1 lsl (Pid.to_int p - 1)))
+                  0
+                  (A.round_senders ~n:cfg.n ~me ~round));
+        view = View.create ();
+        sync_words = [| 0 |];
+        emitter = Sync_sim.Emitter.create ();
+        s_instance = 0;
+        s_round = 0;
+        s_writes = 0;
+        s_cut = false;
+        s_msg = [||];
+        s_data = no_frame;
+        s_ctl = no_frame;
+        budget =
+          (match cfg.kill_after with Some k -> max 0 k | None -> max_int);
+        mesh_writes = 0;
+        halted = false;
+        realized = [];
+      }
+    in
+    Sync_sim.Emitter.install t.emitter ~on_data:(on_data t) ~on_sync:(on_sync t);
+    t
 
   let stats t = t.stats
-  let active t = Slab.active t.slab
+  let active t = Slab.active t.slab - t.unsubmitted
   let halted t = t.halted
   let realized t = t.realized
   let mesh_writes t = t.mesh_writes
+  let parked t = t.parked
   let slab_capacity t = Slab.capacity t.slab
   let slab_reused t = Slab.reused t.slab
   let set_mirror t peers = t.mirror <- peers
@@ -183,6 +293,10 @@ module Make (A : Live.Binding.ALGO) = struct
       `Done c.count
     end
 
+  let release t slot =
+    if not slot.submitted then t.unsubmitted <- t.unsubmitted - 1;
+    Slab.release t.slab ~instance:slot.instance
+
   (* Adopt a decision a peer reached (catch-up batch at rejoin, or a
      mirrored decide for an instance that was in flight while this node
      was down).  Adopting beats re-running: a lone re-run of an instance
@@ -194,9 +308,8 @@ module Make (A : Live.Binding.ALGO) = struct
       t.stats.Stats.catchup_in <- t.stats.Stats.catchup_in + 1;
       Decided.decide t.decided instance ~value ~round;
       Option.iter (fun persist -> persist ~instance ~value ~round) t.persist;
-      Hashtbl.remove t.early instance;
-      if Slab.find t.slab ~instance <> None then
-        Slab.release t.slab ~instance;
+      let slot = Slab.find t.slab ~instance ~default:t.none in
+      if slot != t.none then release t slot;
       t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
     end
 
@@ -204,12 +317,13 @@ module Make (A : Live.Binding.ALGO) = struct
      instance caught mid-send keeps its partial-write phase; all others
      realize as Before_send/After_send at their current round, which is
      exactly what a whole-process kill means for them: their next write
-     never happens. *)
+     never happens.  An instance never submitted here is not one of this
+     node's runs. *)
   let halt t (mid : realized) =
     t.halted <- true;
     let acc = ref [ mid ] in
     Slab.iter t.slab (fun id slot ->
-        if id <> mid.instance then
+        if id <> mid.instance && slot.submitted then
           acc :=
             {
               instance = id;
@@ -224,124 +338,138 @@ module Make (A : Live.Binding.ALGO) = struct
         (fun (a : realized) (b : realized) -> compare a.instance b.instance)
         !acc
 
-  (* The send phase of [slot]'s current round.  A kill budget cuts it
-     after as many frames as the budget has left, so a scripted kill
-     lands between two writes of one instance's round — the paper's
-     sequential-write prefix crash, realized mid-storm.  A round builds
-     one Ctl value and one Data value per distinct payload, so the
-     batcher encodes each once. *)
+  (* The send phase of [slot]'s current round, through the emitter's
+     callbacks.  If the kill budget cut it, the phase it realized follows
+     from the writes it made and the round's [send_plan]. *)
   let send_round t slot =
     let round = slot.round and instance = slot.instance in
-    let data = A.data_sends slot.state ~round in
-    let syncs = A.sync_sends slot.state ~round in
-    let d_count = List.length data and c_count = List.length syncs in
-    let total = d_count + c_count in
-    let allowed =
-      match t.cfg.kill_after with
-      | Some k -> max 0 (min total (k - t.mesh_writes))
-      | None -> total
-    in
-    t.mesh_writes <- t.mesh_writes + allowed;
-    let rec send_data k prev = function
-      | (dest, msg) :: rest when k > 0 ->
-        let payload = A.encode_msg msg in
-        let frame =
-          match prev with
-          | Live.Frame.Data { payload = p; _ } when String.equal p payload ->
-            prev
-          | _ -> Live.Frame.Data { instance; round; payload }
-        in
-        t.emit ~dest:(Pid.to_int dest) frame;
-        send_data (k - 1) frame rest
-      | _ -> ()
-    in
-    let ctl = Live.Frame.Ctl { instance; round } in
-    let rec send_ctl k = function
-      | dest :: rest when k > 0 ->
-        t.emit ~dest:(Pid.to_int dest) ctl;
-        send_ctl (k - 1) rest
-      | _ -> ()
-    in
-    (* [prev] starts as the Ctl: no Data value to share yet. *)
-    send_data allowed ctl data;
-    send_ctl (allowed - d_count) syncs;
-    if allowed = total then begin
-      slot.sent <- true;
-      `Sent
+    t.s_instance <- instance;
+    t.s_round <- round;
+    t.s_writes <- 0;
+    t.s_data <- no_frame;
+    t.s_ctl <- no_frame;
+    A.send slot.state ~round t.emitter;
+    if t.s_cut then begin
+      let data, ctl =
+        A.send_plan ~n:t.cfg.n ~me:(Pid.of_int t.cfg.me) ~round
+      in
+      halt t
+        {
+          instance;
+          round;
+          phase =
+            Live.Script.phase_of_writes t.s_writes ~data:(List.length data)
+              ~ctl:(List.length ctl);
+        };
+      false
     end
     else begin
-      let phase = Live.Script.phase_of_writes allowed ~data:d_count ~ctl:c_count in
-      halt t { instance; round; phase };
-      `Halted
+      slot.sent <- true;
+      true
     end
 
-  let entry_round = function E_data (r, _, _) -> r | E_ctl (r, _) -> r
+  (* Insert one Data into the inbox: after every smaller sender, before
+     the equal ones (newest first). *)
+  let add_data slot sender msg =
+    if slot.len = Array.length slot.from then begin
+      (* More Data than peers: a duplicating sender.  Make room. *)
+      let from = Array.make (2 * slot.len) 0 in
+      Array.blit slot.from 0 from 0 slot.len;
+      slot.from <- from
+    end;
+    if Array.length slot.msgs < Array.length slot.from then begin
+      let msgs = Array.make (Array.length slot.from) msg in
+      Array.blit slot.msgs 0 msgs 0 slot.len;
+      slot.msgs <- msgs
+    end;
+    let k = ref slot.len in
+    while !k > 0 && slot.from.(!k - 1) >= sender do
+      slot.from.(!k) <- slot.from.(!k - 1);
+      slot.msgs.(!k) <- slot.msgs.(!k - 1);
+      decr k
+    done;
+    slot.from.(!k) <- sender;
+    slot.msgs.(!k) <- msg;
+    slot.len <- slot.len + 1
+
+  let add_ctl slot sender = slot.ctl <- slot.ctl lor (1 lsl (sender - 1))
+  let entry_round = function E_data (r, _, _) | E_ctl (r, _) -> r
 
   let apply_entry slot = function
-    | E_data (_, from, msg) -> slot.data <- (from, msg) :: slot.data
-    | E_ctl (_, from) ->
-      if not (List.exists (Pid.equal from) slot.syncs) then
-        slot.syncs <- from :: slot.syncs
+    | E_data (_, from, msg) -> add_data slot from msg
+    | E_ctl (_, from) -> add_ctl slot from
 
   let round_done t slot =
-    slot.sent
-    && List.for_all
-         (fun s -> List.exists (Pid.equal s) slot.syncs)
-         (A.round_senders ~n:t.cfg.n ~me:(Pid.of_int t.cfg.me)
-            ~round:slot.round)
+    let mask = t.masks.(slot.round) in
+    slot.sent && slot.ctl land mask = mask
 
-  let by_pid a b = compare (Pid.to_int a) (Pid.to_int b)
-
-  let rec advance t slot ~now ~fast =
-    if fast then t.stats.Stats.fast_rounds <- t.stats.Stats.fast_rounds + 1
-    else t.stats.Stats.expired_rounds <- t.stats.Stats.expired_rounds + 1;
-    let round = slot.round in
-    let data =
-      List.sort (fun (a, _) (b, _) -> by_pid a b) slot.data
-    in
-    let syncs = List.sort_uniq by_pid slot.syncs in
-    let state, decision = A.compute slot.state ~round ~data ~syncs in
-    slot.state <- state;
-    match decision with
-    | Some value ->
-      t.stats.Stats.decides <- t.stats.Stats.decides + 1;
-      let instance = slot.instance in
-      Decided.decide t.decided instance ~value ~round;
-      Option.iter (fun persist -> persist ~instance ~value ~round) t.persist;
-      t.emit ~dest:0 (Live.Frame.Decide { instance; value; round });
+  let decide t slot ~value ~round =
+    t.stats.Stats.decides <- t.stats.Stats.decides + 1;
+    let instance = slot.instance in
+    Decided.decide t.decided instance ~value ~round;
+    (match t.persist with
+    | Some persist -> persist ~instance ~value ~round
+    | None -> ());
+    t.emit ~dest:0 (Live.Frame.Decide { instance; value; round });
+    if t.mirror <> [] then
       List.iter
         (fun peer ->
           t.stats.Stats.catchup_out <- t.stats.Stats.catchup_out + 1;
           t.emit ~dest:peer (Live.Frame.Catchup { instance; value; round }))
         t.mirror;
-      Slab.release t.slab ~instance
-    | None ->
-      if round >= t.cfg.max_rounds then begin
-        (* Past the horizon nothing can decide (more deaths than [t]);
-           release the slot and let the client time the instance out. *)
-        Decided.give_up t.decided slot.instance;
-        Slab.release t.slab ~instance:slot.instance
-      end
-      else begin
-        slot.round <- round + 1;
-        slot.sent <- false;
-        slot.data <- [];
-        slot.syncs <- [];
-        start_round t slot ~now
-      end
+    release t slot
+
+  (* The round's computation: [A.receive] over the slot's inbox. *)
+  let rec advance t slot ~now ~fast =
+    if fast then t.stats.Stats.fast_rounds <- t.stats.Stats.fast_rounds + 1
+    else t.stats.Stats.expired_rounds <- t.stats.Stats.expired_rounds + 1;
+    let round = slot.round and v = t.view in
+    t.sync_words.(0) <- slot.ctl;
+    View.set_arrays v ~from:slot.from ~msgs:slot.msgs ~sync_words:t.sync_words;
+    View.set_segment v ~off:0 ~len:slot.len ~swoff:0 ~swlen:1;
+    slot.state <- A.receive slot.state ~round v;
+    if View.decided v then decide t slot ~value:(View.decision v) ~round
+    else if round >= t.cfg.max_rounds then begin
+      (* Past the horizon nothing can decide (more deaths than [t]);
+         release the slot and let the client time the instance out. *)
+      Decided.give_up t.decided slot.instance;
+      release t slot
+    end
+    else begin
+      slot.round <- round + 1;
+      slot.sent <- false;
+      slot.len <- 0;
+      slot.ctl <- 0;
+      start_round t slot ~now
+    end
 
   and start_round t slot ~now =
-    match send_round t slot with
-    | `Halted -> ()
-    | `Sent ->
-      let round = slot.round in
-      let stay, arrived =
-        List.partition (fun e -> entry_round e <> round) slot.pending
-      in
-      slot.pending <- stay;
-      List.iter (apply_entry slot) arrived;
+    if send_round t slot then begin
+      if slot.pending <> [] then begin
+        let round = slot.round in
+        let stay, arrived =
+          List.partition (fun e -> entry_round e <> round) slot.pending
+        in
+        slot.pending <- stay;
+        (* Oldest first, so ties end newest first as on arrival. *)
+        List.iter (apply_entry slot) (List.rev arrived)
+      end;
       slot.deadline <- now +. t.cfg.big_d;
       if round_done t slot then advance t slot ~now ~fast:true
+    end
+
+  (* Bind [instance] to a slot at round 1 with an empty inbox. *)
+  let open_slot t ~instance =
+    let slot = Slab.acquire t.slab ~instance in
+    slot.instance <- instance;
+    slot.submitted <- false;
+    slot.round <- 1;
+    slot.deadline <- infinity;
+    slot.sent <- false;
+    slot.len <- 0;
+    slot.ctl <- 0;
+    slot.pending <- [];
+    slot
 
   let submit t ~now ~instance ~proposal =
     if t.halted then ()
@@ -355,52 +483,44 @@ module Make (A : Live.Binding.ALGO) = struct
         t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
       | Decided.Spilled -> Hashtbl.replace t.asks instance ()
       | Decided.Gave_up | Decided.Unfinished -> ())
-    else if Slab.find t.slab ~instance = None then begin
-      t.stats.Stats.submits <- t.stats.Stats.submits + 1;
-      let me = Pid.of_int t.cfg.me in
-      let fresh_state () = A.init ~n:t.cfg.n ~t:t.cfg.t ~me ~proposal in
-      let slot =
-        Slab.acquire t.slab ~instance
-          ~create:(fun () ->
-            {
-              instance;
-              state = fresh_state ();
-              round = 1;
-              deadline = infinity;
-              sent = false;
-              data = [];
-              syncs = [];
-              pending = [];
-            })
-          ~recycle:(fun s ->
-            s.instance <- instance;
-            s.state <- fresh_state ();
-            s.round <- 1;
-            s.deadline <- infinity;
-            s.sent <- false;
-            s.data <- [];
-            s.syncs <- [];
-            s.pending <- [])
-      in
-      (match Hashtbl.find_opt t.early instance with
-      | Some entries ->
-        Hashtbl.remove t.early instance;
-        slot.pending <- entries
-      | None -> ());
-      start_round t slot ~now
+    else begin
+      let slot = Slab.find t.slab ~instance ~default:t.none in
+      if slot == t.none || not slot.submitted then begin
+        t.stats.Stats.submits <- t.stats.Stats.submits + 1;
+        let slot =
+          if slot == t.none then open_slot t ~instance
+          else begin
+            t.unsubmitted <- t.unsubmitted - 1;
+            slot
+          end
+        in
+        slot.submitted <- true;
+        slot.state <-
+          A.init ~n:t.cfg.n ~t:t.cfg.t ~me:(Pid.of_int t.cfg.me) ~proposal;
+        start_round t slot ~now
+      end
     end
 
-  let entry_of ~from (v : Live.Frame.view) =
-    match v.Live.Frame.kind with
-    | Live.Frame.K_data -> (
+  let drop t = t.stats.Stats.dropped_frames <- t.stats.Stats.dropped_frames + 1
+
+  (* A Data or Ctl frame for [slot]'s current round or a later one: into
+     the inbox, or onto [pending] until the slot enters its round. *)
+  let take t slot ~now ~from (v : Live.Frame.view) =
+    let round = v.Live.Frame.round in
+    let current = round = slot.round in
+    (match v.Live.Frame.kind with
+    | Live.Frame.K_ctl ->
+      if current then add_ctl slot from
+      else slot.pending <- E_ctl (round, from) :: slot.pending
+    | _ -> (
       match A.decode_msg_view v with
-      | Ok msg -> Some (E_data (v.Live.Frame.round, from, msg))
-      | Error _ -> None)
-    | Live.Frame.K_ctl -> Some (E_ctl (v.Live.Frame.round, from))
-    | _ -> None
+      | Ok msg ->
+        if current then add_data slot from msg
+        else slot.pending <- E_data (round, from, msg) :: slot.pending
+      | Error _ -> drop t));
+    if current && round_done t slot then advance t slot ~now ~fast:true
 
   let on_view t ~now ~from (v : Live.Frame.view) =
-    let from = Pid.of_int from in
     if not t.halted then begin
       t.stats.Stats.frames_in <- t.stats.Stats.frames_in + 1;
       match v.Live.Frame.kind with
@@ -415,61 +535,36 @@ module Make (A : Live.Binding.ALGO) = struct
       | Live.Frame.K_submit ->
         submit t ~now ~instance:v.Live.Frame.instance
           ~proposal:v.Live.Frame.value
-      | Live.Frame.K_data | Live.Frame.K_ctl -> (
+      | Live.Frame.K_data | Live.Frame.K_ctl ->
         let instance = v.Live.Frame.instance in
         let round = v.Live.Frame.round in
-        if Decided.finished t.decided instance then
-          t.stats.Stats.dropped_frames <- t.stats.Stats.dropped_frames + 1
+        if Decided.finished t.decided instance then drop t
         else
-          match Slab.find t.slab ~instance with
-          | Some slot ->
-            if round < slot.round then
-              t.stats.Stats.late_frames <- t.stats.Stats.late_frames + 1
-            else if round > slot.round then (
-              match entry_of ~from v with
-              | Some e -> slot.pending <- e :: slot.pending
-              | None ->
-                t.stats.Stats.dropped_frames <-
-                  t.stats.Stats.dropped_frames + 1)
-            else (
-              match entry_of ~from v with
-              | Some e ->
-                apply_entry slot e;
-                if round_done t slot then advance t slot ~now ~fast:true
-              | None ->
-                t.stats.Stats.dropped_frames <-
-                  t.stats.Stats.dropped_frames + 1)
-          | None -> (
-            (* The local client has not submitted this instance yet; park
-               the frame so a slow submit still finds the round intact. *)
-            match entry_of ~from v with
-            | Some e ->
-              let q =
-                Option.value ~default:[] (Hashtbl.find_opt t.early instance)
-              in
-              Hashtbl.replace t.early instance (e :: q)
-            | None ->
-              t.stats.Stats.dropped_frames <- t.stats.Stats.dropped_frames + 1))
+          let slot = Slab.find t.slab ~instance ~default:t.none in
+          let slot =
+            if slot != t.none then slot
+            else begin
+              (* The local client has not submitted this instance yet:
+                 open its slot, so the frame waits in the inbox a
+                 Submit will find. *)
+              t.unsubmitted <- t.unsubmitted + 1;
+              open_slot t ~instance
+            end
+          in
+          if not slot.submitted then t.parked <- t.parked + 1;
+          if round < slot.round then
+            t.stats.Stats.late_frames <- t.stats.Stats.late_frames + 1
+          else take t slot ~now ~from v
     end
 
+  (* Advance every slot whose round deadline has passed, in slot order.
+     An advance touches only its own slot, so one pass sees each slot as
+     a snapshot taken first would have. *)
   let expire t ~now =
-    if not t.halted then begin
-      let due = ref [] in
+    if not t.halted then
       Slab.iter t.slab (fun _ slot ->
-          if slot.sent && slot.deadline <= now then due := slot :: !due);
-      List.iter
-        (fun slot ->
-          (* A slot may have advanced or finished while an earlier
-             expiry cascaded; re-check before computing. *)
-          let still_bound =
-            match Slab.find t.slab ~instance:slot.instance with
-            | Some s -> s == slot
-            | None -> false
-          in
-          if (not t.halted) && still_bound && slot.sent && slot.deadline <= now
-          then advance t slot ~now ~fast:false)
-        (List.rev !due)
-    end
+          if (not t.halted) && slot.sent && slot.deadline <= now then
+            advance t slot ~now ~fast:false)
 
   let next_deadline t =
     if t.halted then None

@@ -14,6 +14,15 @@
     coordinator costs one [big_d] for that instance only; every other
     instance keeps deciding at message speed).
 
+    A round runs through the algorithm's flat API, as in the simulator:
+    [A.send] emits through one emitter installed at {!Make.create}, and
+    [A.receive] reads the slot's recycled inbox (its Data sorted by
+    sender, its Ctl senders as a one-word bit set, so [n] is at most 63)
+    through one {!Sync_sim.Round_view.t}.  A round's Data and Ctl frames
+    are each built once and shared by every destination.  Once the slab
+    has grown to the window, a decision allocates only its frame values,
+    its Data payload and the algorithm's own state.
+
     A [kill_after] budget counts {e mesh} frame writes (Data/Ctl to peers —
     client-bound Decide frames don't burn it).  When the budget runs out
     the mux halts mid-send, recording for every live instance the exact
@@ -49,7 +58,8 @@ module Make (A : Live.Binding.ALGO) : sig
     t
   (** [emit] receives every outbound frame; destination 0 means "to the
       clients", otherwise the mesh peer id.  Called synchronously from
-      {!submit}/{!on_view}/{!expire}.
+      {!submit}/{!on_view}/{!expire}.  Raises [Invalid_argument] when [n]
+      is over 63.
 
       [persist] (the WAL {e staging} call, {!Wal.add}) runs on every new
       decision before its Decide frame is emitted.  The owner must make
@@ -76,7 +86,15 @@ module Make (A : Live.Binding.ALGO) : sig
 
   val on_view : t -> now:float -> from:int -> Live.Frame.view -> unit
   (** Feed one decoded mesh frame.  The view is consumed before return, so
-      the zero-copy payload window is safe to reuse. *)
+      the zero-copy payload window is safe to reuse.  A Data or Ctl frame
+      for an instance not submitted here yet opens the instance's slot
+      without a proposal and waits there for the Submit; such a slot
+      does not count in {!active}. *)
+
+  val parked : t -> int
+  (** Data/Ctl frames that arrived before their instance's Submit, since
+      {!create}.  An owner that reads its clients before its peers in a
+      turn sees only frames that outran the Submit by a turn or more. *)
 
   val expire : t -> now:float -> unit
   (** Advance every instance whose round deadline has passed. *)

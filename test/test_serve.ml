@@ -5,32 +5,35 @@
 (* --- Slab ------------------------------------------------------------------- *)
 
 let test_slab_basics () =
-  let slab = Serve.Slab.create ~initial:2 () in
-  let mk v () = ref v in
-  let a = Serve.Slab.acquire slab ~instance:7 ~create:(mk 1) ~recycle:(fun r -> r := 1) in
-  let b = Serve.Slab.acquire slab ~instance:9 ~create:(mk 2) ~recycle:(fun r -> r := 2) in
+  let slab = Serve.Slab.create ~initial:2 ~make:(fun () -> ref 0) () in
+  let none = ref (-1) in
+  let a = Serve.Slab.acquire slab ~instance:7 in
+  a := 1;
+  let b = Serve.Slab.acquire slab ~instance:9 in
+  b := 2;
   Alcotest.(check int) "a" 1 !a;
   Alcotest.(check int) "b" 2 !b;
   Alcotest.(check int) "active" 2 (Serve.Slab.active slab);
-  Alcotest.(check bool) "find 7" true (Serve.Slab.find slab ~instance:7 = Some a);
-  Alcotest.(check bool) "find 8" true (Serve.Slab.find slab ~instance:8 = None);
-  (match Serve.Slab.acquire slab ~instance:7 ~create:(mk 0) ~recycle:ignore with
+  Alcotest.(check bool) "find 7" true
+    (Serve.Slab.find slab ~instance:7 ~default:none == a);
+  Alcotest.(check bool) "find 8" true
+    (Serve.Slab.find slab ~instance:8 ~default:none == none);
+  (match Serve.Slab.acquire slab ~instance:7 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "double acquire accepted");
   Serve.Slab.release slab ~instance:7;
-  Alcotest.(check bool) "released" true (Serve.Slab.find slab ~instance:7 = None);
+  Alcotest.(check bool) "released" true
+    (Serve.Slab.find slab ~instance:7 ~default:none == none);
+  Alcotest.(check bool) "9 still found" true
+    (Serve.Slab.find slab ~instance:9 ~default:none == b);
   Alcotest.(check int) "active after release" 1 (Serve.Slab.active slab)
 
 let test_slab_reuse_bounded () =
   (* Thousands of sequential instances must recycle a handful of slots:
      allocation is per concurrent instance, never per decision. *)
-  let slab = Serve.Slab.create ~initial:4 () in
+  let slab = Serve.Slab.create ~initial:4 ~make:(fun () -> ref 0) () in
   for i = 0 to 4999 do
-    let r =
-      Serve.Slab.acquire slab ~instance:i
-        ~create:(fun () -> ref 0)
-        ~recycle:(fun r -> r := 0)
-    in
+    let r = Serve.Slab.acquire slab ~instance:i in
     r := i;
     Serve.Slab.release slab ~instance:i
   done;
@@ -39,19 +42,43 @@ let test_slab_reuse_bounded () =
   Alcotest.(check int) "nothing active" 0 (Serve.Slab.active slab)
 
 let test_slab_iter_order () =
-  let slab = Serve.Slab.create () in
+  let slab = Serve.Slab.create ~make:(fun () -> ref 0) () in
   List.iter
-    (fun i ->
-      ignore
-        (Serve.Slab.acquire slab ~instance:i
-           ~create:(fun () -> ref i)
-           ~recycle:(fun r -> r := i)))
+    (fun i -> Serve.Slab.acquire slab ~instance:i := i)
     [ 30; 10; 20 ];
   Serve.Slab.release slab ~instance:10;
   let seen = ref [] in
   Serve.Slab.iter slab (fun id _ -> seen := id :: !seen);
   (* slot (allocation) order, not id order *)
   Alcotest.(check (list int)) "iter order" [ 30; 20 ] (List.rev !seen)
+
+(* Property: under random binds and releases — ids drawn from a small
+   range, so probe runs collide, wrap and grow the table — every id finds
+   exactly what a plain map says it holds. *)
+let prop_slab_matches_map =
+  QCheck.Test.make ~count:200 ~name:"slab-matches-a-map"
+    QCheck.(list (pair bool (int_bound 300)))
+    (fun ops ->
+      let slab = Serve.Slab.create ~initial:2 ~make:(fun () -> ref 0) () in
+      let none = ref (-1) in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (bind, id) ->
+          if bind && not (Hashtbl.mem model id) then begin
+            Serve.Slab.acquire slab ~instance:id := id;
+            Hashtbl.replace model id ()
+          end
+          else if not bind then begin
+            Serve.Slab.release slab ~instance:id;
+            Hashtbl.remove model id
+          end)
+        ops;
+      Serve.Slab.active slab = Hashtbl.length model
+      && List.for_all
+           (fun id ->
+             let got = Serve.Slab.find slab ~instance:id ~default:none in
+             if Hashtbl.mem model id then !got = id else got == none)
+           (List.init 301 Fun.id))
 
 (* --- Decided table ------------------------------------------------------- *)
 
@@ -428,6 +455,45 @@ let test_evloop_poll () =
   Alcotest.(check int) "nothing watched" 0 n;
   Unix.close a;
   Unix.close b
+
+let test_evloop_wait_allocates_zero () =
+  (* Four readable socketpairs, one writable: once the arrays are built,
+     a wait over the unchanged registry allocates nothing; a changed
+     interest is picked up by the next wait. *)
+  let pairs = List.init 4 (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0) in
+  let ev = Serve.Evloop.create () in
+  List.iter
+    (fun (a, b) ->
+      Unix.set_nonblock a;
+      Serve.Evloop.register ev a ~read:true ~write:false;
+      ignore (Unix.write b (Bytes.of_string "x") 0 1))
+    pairs;
+  let handle _ ~readable:_ ~writable:_ = () in
+  let wait () = Serve.Evloop.wait ev ~timeout:0.0 ~handle in
+  Alcotest.(check int) "four ready" 4 (wait ());
+  let before = Gc.minor_words () in
+  let ready = wait () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "still four ready" 4 ready;
+  let words_of_nothing =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.0)) "a warm wait allocates nothing" words_of_nothing
+    words;
+  let a, _ = List.hd pairs in
+  Serve.Evloop.register ev a ~read:false ~write:true;
+  let seen = ref [] in
+  ignore
+    (Serve.Evloop.wait ev ~timeout:0.0 ~handle:(fun fd ~readable ~writable ->
+         if fd = a then seen := (readable, writable) :: !seen));
+  Alcotest.(check (list (pair bool bool))) "new interest, next wait"
+    [ (false, true) ] !seen;
+  List.iter
+    (fun (a, b) ->
+      Unix.close a;
+      Unix.close b)
+    pairs
 
 (* poll flags a hang-up whatever the interest; the loop must only ever
    see the directions it registered for. *)
@@ -1583,6 +1649,110 @@ let test_mux_coordinator_dies_before_fsync () =
           (wal_entries path)));
   Serve.Wal.close w
 
+(* The per-decision path at n = 5, as the engine drives it: p1 takes the
+   turn's Submits (it coordinates round 1, so each decides on the spot)
+   and flushes its batch; p2 takes the same Submits, then p1's Data and
+   Ctl frames as decoded views.  Each turn ends with [committed].  Once
+   the slab, the batch buffers and the decision chunk are warm, a cycle
+   of 64 instances may allocate only a few words per decision: the
+   frame values a round emits and the algorithm's fresh state. *)
+let alloc_window = 64
+
+let alloc_bound = 60.0
+
+let test_mux_steady_state_allocation () =
+  let cfg me =
+    { Serve.Mux.me; n = 5; t = 2; big_d = 1.0; max_rounds = 3; kill_after = None }
+  in
+  let node me =
+    let stats = Serve.Stats.create () in
+    let batch =
+      Serve.Batch.create ~n:5 ~batch:true ~stats ~send:(fun ~dest:_ _ ~len:_ ->
+          `Done)
+    in
+    let mux =
+      M.create (cfg me)
+        ~emit:(fun ~dest f -> Serve.Batch.add_frame batch ~dest f)
+        ()
+    in
+    (mux, batch)
+  in
+  let p1, b1 = node 1 and p2, b2 = node 2 in
+  let dec = Live.Frame.decoder () in
+  (* p1's round-1 frames toward p2, encoded ahead of the measured turn. *)
+  let wire base =
+    String.concat ""
+      (List.concat_map
+         (fun i ->
+           let instance = base + i in
+           [
+             Live.Frame.encode
+               (Live.Frame.Data
+                  {
+                    instance;
+                    round = 1;
+                    payload = Serve.Binding.Rwwc.encode_msg (Core.Rwwc.Data instance);
+                  });
+             Live.Frame.encode (Live.Frame.Ctl { instance; round = 1 });
+           ])
+         (List.init alloc_window Fun.id))
+  in
+  let p1_turn base =
+    for i = base to base + alloc_window - 1 do
+      M.submit p1 ~now:0.0 ~instance:i ~proposal:i
+    done;
+    Serve.Batch.flush b1;
+    M.committed p1
+  in
+  let p2_turn base bytes =
+    for i = base to base + alloc_window - 1 do
+      M.submit p2 ~now:0.0 ~instance:i ~proposal:(i + 1)
+    done;
+    Live.Frame.feed dec bytes ~pos:0 ~len:(String.length bytes);
+    let rec drain () =
+      match Live.Frame.pop_view dec with
+      | `View v ->
+        M.on_view p2 ~now:0.0 ~from:1 v;
+        drain ()
+      | `Need_more -> ()
+      | `Corrupt why -> Alcotest.fail why
+    in
+    drain ();
+    Serve.Batch.flush b2;
+    M.committed p2
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let cycle k =
+    let base = k * alloc_window in
+    let bytes = wire base in
+    let w1 = words (fun () -> p1_turn base) in
+    let w2 = words (fun () -> p2_turn base bytes) in
+    (w1, w2)
+  in
+  for k = 0 to 7 do
+    ignore (cycle k)
+  done;
+  let w1, w2 = cycle 8 in
+  let per w = w /. float_of_int alloc_window in
+  Alcotest.(check int) "p1 decided every instance" (9 * alloc_window)
+    (M.stats p1).Serve.Stats.decides;
+  Alcotest.(check int) "p2 decided every instance" (9 * alloc_window)
+    (M.stats p2).Serve.Stats.decides;
+  Alcotest.(check bool)
+    (Printf.sprintf "p1 (coordinator) allocates %.1f words per decision (<= %.0f)"
+       (per w1) alloc_bound)
+    true
+    (per w1 <= alloc_bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "p2 (receiver) allocates %.1f words per decision (<= %.0f)"
+       (per w2) alloc_bound)
+    true
+    (per w2 <= alloc_bound)
+
 (* --- Chaos proxy ------------------------------------------------------------- *)
 
 let chaos_rig ~tag actions =
@@ -2168,6 +2338,68 @@ let test_order_ctl_prefix_descending () =
       order_turns r 3;
       order_whole_round r)
 
+let test_order_submit_and_round_in_one_turn () =
+  (* p2's client Submit and p1's round-1 Data + Ctl for the same instance
+     are all readable when p2 turns.  Clients are read first, so the
+     frames find the instance open: it decides in that turn, and nothing
+     is parked for a later Submit. *)
+  let dir = fleet_workspace "order-turn" in
+  let near = Array.make 5 None and far = Array.make 5 None in
+  List.iter
+    (fun p ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.set_nonblock a;
+      near.(p - 1) <- Some a;
+      far.(p - 1) <- Some b)
+    [ 1; 3; 4; 5 ];
+  let c, client = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let log = open_out (Filename.concat dir "p2.log") in
+  let engine =
+    Serve.Engine.Rwwc.create ~clock:(fun () -> 0.0) ~peers:near ~clients:[ c ]
+      {
+        Serve.Engine.me = 2;
+        n = 5;
+        t = 2;
+        transport = `Unix dir;
+        big_d = 0.25;
+        max_rounds = 3;
+        batch = true;
+        kill_after = None;
+        linger = true;
+        wal_dir = None;
+        rejoin = false;
+        dial = None;
+        status = log;
+        log;
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Engine.Rwwc.close engine;
+      Array.iter
+        (Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()))
+        far;
+      Unix.close client;
+      close_out log)
+    (fun () ->
+      let payload = Serve.Binding.Rwwc.encode_msg (Core.Rwwc.Data 41) in
+      send (Option.get far.(0))
+        (Live.Frame.encode (Live.Frame.Data { instance = 1; round = 1; payload })
+        ^ Live.Frame.encode (Live.Frame.Ctl { instance = 1; round = 1 }));
+      send client
+        (Live.Frame.encode (Live.Frame.Submit { instance = 1; proposal = 7 }));
+      ignore (Serve.Engine.Rwwc.step engine ~timeout:0.0);
+      Alcotest.(check int) "nothing parked" 0 (Serve.Engine.Rwwc.parked engine);
+      Alcotest.(check int) "decided in the turn" 1
+        (Serve.Engine.Rwwc.stats engine).Serve.Stats.decides;
+      let decide =
+        Live.Frame.encode (Live.Frame.Decide { instance = 1; value = 41; round = 1 })
+      in
+      Alcotest.(check string) "the client got p1's value"
+        decide
+        (read_exact ~deadline:(Live.Sockets.now () +. 2.0) client
+           (String.length decide)))
+
 let test_halt_drains_through_the_loop () =
   (* Regression: the halting turn flushed the kill budget's prefix with a
      blocking writer that waited up to 2 s on a full link before it
@@ -2550,6 +2782,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_slab_basics;
           Alcotest.test_case "reuse-bounded" `Quick test_slab_reuse_bounded;
           Alcotest.test_case "iter-order" `Quick test_slab_iter_order;
+          QCheck_alcotest.to_alcotest prop_slab_matches_map;
         ] );
       ( "decided",
         [
@@ -2573,6 +2806,8 @@ let () =
             test_mux_catchup_streams_in_slices;
           Alcotest.test_case "coordinator-dies-before-fsync" `Quick
             test_mux_coordinator_dies_before_fsync;
+          Alcotest.test_case "steady-state-allocation" `Quick
+            test_mux_steady_state_allocation;
         ] );
       ( "loopback",
         [
@@ -2593,6 +2828,8 @@ let () =
           Alcotest.test_case "poll-backend" `Quick test_evloop_poll;
           Alcotest.test_case "hangup-masked-to-interest" `Quick
             test_evloop_hangup_masked;
+          Alcotest.test_case "wait-allocates-zero" `Quick
+            test_evloop_wait_allocates_zero;
           QCheck_alcotest.to_alcotest prop_poll_matches_model;
         ] );
       ( "outq",
@@ -2643,6 +2880,8 @@ let () =
             test_order_no_ctl_while_data_blocked;
           Alcotest.test_case "ctl-prefix-descending" `Quick
             test_order_ctl_prefix_descending;
+          Alcotest.test_case "submit-and-round-in-one-turn" `Quick
+            test_order_submit_and_round_in_one_turn;
         ] );
       ( "tcp",
         [
